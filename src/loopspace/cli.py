@@ -18,7 +18,6 @@ import sys
 from .decomposition import (
     classify,
     loop_decomposition,
-    rational_series,
     serialize,
     to_dict,
     weak_product_decomposition,
@@ -75,7 +74,6 @@ def build_parser():
     st = sub.add_parser("selftest", help="run the cross-oracle suites")
     st.add_argument("--seed", type=int, default=0, help="seed for the fuzz suite")
     st.add_argument("--fuzz", type=int, default=500, help="number of fuzzed polynomials")
-    st.add_argument("--fault", default=None, help=argparse.SUPPRESS)  # test harness hook
     return parser
 
 
@@ -149,7 +147,6 @@ def cmd_report(args) -> int:
     ]
     if m.r >= 1:
         dims_text = " ".join(str(d) for d in doc["loop_homology_dims"])
-        counts = sphere_summand_counts(m.n, m.r, cap)
         counts_text = " ".join(f"l[{w}]={counts[w]}" for w in sorted(counts))
         lines += [
             f"loop homology dims (degrees 0..{cap}): {dims_text}",
@@ -197,7 +194,7 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz, fault=args.fault)
+    ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 

@@ -95,17 +95,6 @@ class Smash(SpaceExpr):
         return self.children
 
 
-class HalfSmash(SpaceExpr):
-    """X |x Y = (X_+) ^ Y; splits as Y v (X ^ Y) once Y is a suspension."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _key(self):
-        return (self.left, self.right)
-
-
 class Loop(SpaceExpr):
     def __init__(self, child):
         self.child = child
@@ -198,40 +187,6 @@ def localized(primes, child) -> SpaceExpr:
     return LocalizedAt(primes, child)
 
 
-def is_suspension(expr: SpaceExpr) -> bool:
-    """Syntactic sufficient condition for being a suspension."""
-    if isinstance(expr, Sphere):
-        return True
-    if isinstance(expr, Moore):
-        return expr.degree >= 2
-    if isinstance(expr, Wedge):
-        return all(is_suspension(c) for c in expr.children)
-    if isinstance(expr, Smash):
-        return any(is_suspension(c) for c in expr.children)
-    if isinstance(expr, LocalizedAt):
-        return is_suspension(expr.child)
-    return False
-
-
-def expand_half_smash(expr: SpaceExpr) -> SpaceExpr:
-    """Rewrite X |x Y -> Y v (X ^ Y) throughout, where Y is a suspension."""
-    if isinstance(expr, HalfSmash):
-        left = expand_half_smash(expr.left)
-        right = expand_half_smash(expr.right)
-        if is_suspension(right):
-            return wedge([right, smash([left, right])])
-        return HalfSmash(left, right)
-    if isinstance(expr, (Wedge, Product, Smash)):
-        return type(expr)(tuple(expand_half_smash(c) for c in expr.children))
-    if isinstance(expr, Loop):
-        return Loop(expand_half_smash(expr.child))
-    if isinstance(expr, LocalizedAt):
-        return LocalizedAt(expr.primes, expand_half_smash(expr.child))
-    if isinstance(expr, WeakProduct):
-        return WeakProduct(tuple((expand_half_smash(e), m) for e, m in expr.factors))
-    return expr
-
-
 # ---- serialization ----------------------------------------------------------
 
 def serialize(expr: SpaceExpr) -> str:
@@ -248,8 +203,6 @@ def serialize(expr: SpaceExpr) -> str:
         return " x ".join(serialize(c) for c in expr.children)
     if isinstance(expr, Smash):
         return "Sm(" + ", ".join(serialize(c) for c in expr.children) + ")"
-    if isinstance(expr, HalfSmash):
-        return f"HSm({serialize(expr.left)}, {serialize(expr.right)})"
     if isinstance(expr, Loop):
         return f"L({serialize(expr.child)})"
     if isinstance(expr, LocalizedAt):
@@ -276,8 +229,6 @@ def to_dict(expr: SpaceExpr) -> dict:
     if isinstance(expr, (Wedge, Product, Smash)):
         kind = {"Wedge": "wedge", "Product": "product", "Smash": "smash"}[type(expr).__name__]
         return {"kind": kind, "children": [to_dict(c) for c in expr.children]}
-    if isinstance(expr, HalfSmash):
-        return {"kind": "half_smash", "left": to_dict(expr.left), "right": to_dict(expr.right)}
     if isinstance(expr, Loop):
         return {"kind": "loop", "child": to_dict(expr.child)}
     if isinstance(expr, LocalizedAt):
@@ -304,8 +255,6 @@ def from_dict(doc: dict) -> SpaceExpr:
         return Product(tuple(from_dict(c) for c in doc["children"]))
     if kind == "smash":
         return Smash(tuple(from_dict(c) for c in doc["children"]))
-    if kind == "half_smash":
-        return HalfSmash(from_dict(doc["left"]), from_dict(doc["right"]))
     if kind == "loop":
         return Loop(from_dict(doc["child"]))
     if kind == "localized":
@@ -429,10 +378,6 @@ def rational_series(expr: SpaceExpr, cap: int) -> PowerSeries:
         for c in expr.children:
             out = out * (rational_series(c, cap) - PowerSeries.one(cap))
         return out + PowerSeries.one(cap)
-    if isinstance(expr, HalfSmash):
-        full = rational_series(expr.left, cap)
-        reduced = rational_series(expr.right, cap) - PowerSeries.one(cap)
-        return full * reduced + PowerSeries.one(cap)
     if isinstance(expr, LocalizedAt):
         return rational_series(expr.child, cap)
     if isinstance(expr, WeakProduct):

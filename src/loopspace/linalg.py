@@ -73,10 +73,3 @@ def nullspace(rows, ncols, char=0):
             v[pc] = x % char if char else x
         basis.append(tuple(v))
     return basis
-
-
-def in_span(vector, basis_rows, ncols, char=0) -> bool:
-    """True iff vector lies in the row span of basis_rows."""
-    r0 = rank(basis_rows, ncols, char)
-    r1 = rank(list(basis_rows) + [list(vector)], ncols, char)
-    return r0 == r1

@@ -128,7 +128,7 @@ def loop_relation(alphabet: Alphabet) -> NCPoly:
     return NCPoly(alphabet, terms)
 
 
-def loop_presentation(m: ManifoldModel, order: str = "deglen_revlex") -> QuadraticPresentation:
+def loop_presentation(m: ManifoldModel) -> QuadraticPresentation:
     """The canonical single-relation presentation of the loop homology.
 
     Fails over to the sphere answer for r = 0: such a manifold is S^(2n+1)
@@ -137,7 +137,7 @@ def loop_presentation(m: ManifoldModel, order: str = "deglen_revlex") -> Quadrat
     if m.r < 1:
         raise SphereFallback(m.n, sigma_primes(m))
     alphabet = loop_alphabet(m.n, m.r)
-    return QuadraticPresentation(alphabet, loop_relation(alphabet), order=order)
+    return QuadraticPresentation(alphabet, loop_relation(alphabet))
 
 
 # ---------------------------------------------------------------------------

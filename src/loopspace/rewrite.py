@@ -1,11 +1,11 @@
 """Single-relation diamond-lemma rewriting in a tensor algebra.
 
 A quadratic presentation fixes one homogeneous length-2 relation whose
-maximal monomial (under a degree-then-length-then-reverse-lex order, or
-optionally plain deg-lex) is a bigram x_a x_b with a != b.  Rewriting that
-bigram away terminates and is confluent, so every element has a unique
-normal form supported on the words avoiding the bigram; those irreducible
-words are a basis of the quotient algebra.
+maximal monomial (under the degree-then-length-then-reverse-lex order) is a
+bigram x_a x_b with a != b.  Rewriting that bigram away terminates and is
+confluent, so every element has a unique normal form supported on the words
+avoiding the bigram; those irreducible words are a basis of the quotient
+algebra.
 
 On top of the rewriting engine this module counts irreducible words per
 degree (transfer-matrix dynamic programming, cross-checkable against brute
@@ -18,17 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
-from .words import NCPoly, Word, rewrite_key
-
-REWRITE_ORDERS = ("deglen_revlex", "deglen_lex")
-
-
-def _order_key(scheme):
-    if scheme == "deglen_revlex":
-        return rewrite_key
-    if scheme == "deglen_lex":
-        return lambda w: (w.degree, len(w), w.indices)
-    raise ValueError(f"unknown rewrite order {scheme!r}")
+from .words import NCPoly, Word
 
 
 class QuadraticPresentation:
@@ -40,11 +30,8 @@ class QuadraticPresentation:
     ``relation=None`` is the free tensor algebra.
     """
 
-    def __init__(self, alphabet, relation: NCPoly | None = None, order: str = "deglen_revlex",
-                 leading: Word | None = None):
+    def __init__(self, alphabet, relation: NCPoly | None = None):
         self.alphabet = alphabet
-        self.order = order
-        key = _order_key(order)
         if relation is not None and relation.is_zero():
             relation = None
         if relation is None:
@@ -55,23 +42,14 @@ class QuadraticPresentation:
 
         if any(len(w) != 2 for w in relation.words()):
             raise PresentationError("relation must be homogeneous of word-length 2")
-        if leading is not None and relation.coeff(leading) == 0:
-            raise PresentationError(f"chosen leading word {leading} does not occur in the relation")
-        lead = leading if leading is not None else relation.max_word(key=key)
+        lead = relation.max_word()
         if lead.indices[0] == lead.indices[1]:
             raise PresentationError("leading bigram must have two distinct letters")
         c = relation.coeff(lead)
         relation = relation.scale(Fraction(1, 1) / c if c != 1 else 1)
-        lower = NCPoly.monomial(lead) - relation
-        klead = key(lead)
-        for w in lower.words():
-            if key(w) >= klead:
-                raise PresentationError(
-                    f"lower term {w} is not strictly below the leading bigram {lead}"
-                )
         self.relation = relation
         self.leading = lead
-        self.lower_terms = lower
+        self.lower_terms = NCPoly.monomial(lead) - relation
 
     @property
     def is_free(self) -> bool:

@@ -20,6 +20,7 @@ from .series import loop_generating_series, pbw_series_check, sphere_summand_cou
 from .words import NCPoly, Word
 
 GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2))
+FUZZ_GRID = ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
 
 
 @dataclass
@@ -55,7 +56,7 @@ def suite_dp_vs_enumeration(cap=7):
     return SuiteResult(name, True)
 
 
-def suite_mobius_vs_lyndon(cap=12, fault=None):
+def suite_mobius_vs_lyndon(cap=12):
     name = "mobius-vs-lyndon"
     for n, r in GRID:
         pres = loop_presentation(ManifoldModel(n, r))
@@ -64,9 +65,6 @@ def suite_mobius_vs_lyndon(cap=12, fault=None):
             mobius = sphere_summand_counts(n, r, cap)
         except ComputationFailure as e:
             return _fail(name, n, r, extra=str(e))
-        if fault == "mobius-off-by-one":
-            mobius = dict(mobius)
-            mobius[1] += 1
         for d in range(1, cap + 1):
             if counted[d] != mobius[d]:
                 return _fail(name, n, r, d)
@@ -117,7 +115,7 @@ def random_poly(pres, rng, max_degree=8, max_terms=4):
 def suite_confluence_fuzz(count=500, seed=0, max_degree=8):
     name = "confluence-fuzz"
     rng = random.Random(seed)
-    presentations = [loop_presentation(ManifoldModel(n, r)) for n, r in ((2, 1), (2, 2), (2, 3), (3, 2))]
+    presentations = [loop_presentation(ManifoldModel(n, r)) for n, r in FUZZ_GRID]
     for i in range(count):
         pres = presentations[i % len(presentations)]
         p = random_poly(pres, rng, max_degree=max_degree)
@@ -141,11 +139,11 @@ def suite_independence(cap=6):
     return SuiteResult(name, True)
 
 
-def run_selftest(seed=0, fuzz_count=500, fault=None, emit=print):
+def run_selftest(seed=0, fuzz_count=500, emit=print):
     """Run every suite; returns (all_passed, results)."""
     results = [
         suite_dp_vs_enumeration(),
-        suite_mobius_vs_lyndon(fault=fault),
+        suite_mobius_vs_lyndon(),
         suite_pbw_identity(),
         suite_master_series(),
         suite_confluence_fuzz(count=fuzz_count, seed=seed),

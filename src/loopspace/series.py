@@ -68,14 +68,6 @@ class PowerSeries:
     def coefficients(self) -> list:
         return list(self.coeffs)
 
-    def truncate(self, cap: int) -> "PowerSeries":
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: cap + 1], cap)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, PowerSeries)
@@ -202,29 +194,6 @@ def loop_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
     if r < 1:
         raise ValueError("r must be >= 1 for a loop presentation")
     return PowerSeries.from_polynomial({0: 1, n - 1: -r, n: -r, 2 * n - 1: 1}, cap)
-
-
-def suspension_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
-    """Same polynomial in the grading where generators sit in degrees n, n+1.
-
-    This is the shape 1 - r t^n - r t^(n+1) + t^(2n+1); it is recorded for
-    reference and for tests, but the Moebius counting below always uses the
-    loop grading.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if r < 1:
-        raise ValueError("r must be >= 1 for a loop presentation")
-    return PowerSeries.from_polynomial({0: 1, n: -r, n + 1: -r, 2 * n + 1: 1}, cap)
-
-
-def free_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
-    """Relation-free variant 1 - r t^(n-1) - r t^n (wedge of spheres case)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return PowerSeries.from_polynomial({0: 1, n - 1: -r, n: -r}, cap)
 
 
 def mobius_counts(denominator: PowerSeries) -> dict:

@@ -114,11 +114,6 @@ def load_table_file(path: str | None = None) -> SphereTable:
     return load_table(bundled_table_text())
 
 
-def localize(group: FgAbelianGroup, invert) -> FgAbelianGroup:
-    """Invert a set of primes: p-torsion dies for p in the set, rank survives."""
-    return group.localize(invert)
-
-
 @dataclass(frozen=True)
 class HomotopyAnswer:
     k: int
@@ -146,7 +141,7 @@ class HomotopyAnswer:
 def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> HomotopyAnswer:
     """pi_k of the manifold, away from its torsion primes.
 
-    Sums localize(pi_k(S^(w+1))) with multiplicity l[w]; only spheres of
+    Sums pi_k(S^(w+1)), localized, with multiplicity l[w]; only spheres of
     dimension <= k can contribute, so the sum is finite.  If any needed
     group is outside the table range the query fails listing every missing
     (k, m) pair; nothing is silently dropped.
@@ -165,7 +160,7 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
     summands = []
     total = FgAbelianGroup.zero()
     for sphere, mult in needed:
-        g = localize(table.pi(k, sphere), primes)
+        g = table.pi(k, sphere).localize(primes)
         if m.r == 0 and g.is_zero():
             continue
         summands.append((sphere, mult, g))
@@ -176,21 +171,3 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
         summands=tuple(summands),
         total=total,
     )
-
-
-def exponent_report(m: ManifoldModel) -> dict:
-    """Homotopy-exponent verdict; depends only on (n, r) away from torsion."""
-    from .decomposition import classify  # local import to avoid a cycle
-
-    flags = classify(m)
-    return {
-        "n": m.n,
-        "r": m.r,
-        "rational_type": flags.rational_type,
-        "verdict": flags.no_exponent_note,
-        "retract": flags.retract,
-        "note": (
-            "away from the inverted primes the homotopy groups are a function of "
-            "(n, r) only"
-        ),
-    }

@@ -6,14 +6,8 @@ finitely supported linear combinations of words with exact (integer or
 Fraction) coefficients.  All values are immutable once built and safe to
 share between threads.
 
-Two total orders on words are provided:
-
-* ``"lex"``     - plain lexicographic order on letter indices, with a proper
-                  prefix smaller than the longer word.
-* ``"graded"``  - length first; between words of equal length the
-                  lexicographically *bigger* word is the *smaller* one.
-                  (So among equal-length words the lex-smallest is the
-                  largest element of the order.)
+``rewrite_key`` is the rewriting order on words: degree, then length, then
+reverse lexicographic order on letter indices.
 """
 
 from fractions import Fraction
@@ -83,9 +77,6 @@ class Alphabet:
     def size(self):
         return len(self._letters)
 
-    def letter(self, index: int) -> Letter:
-        return self._letters[index - 1]
-
     def word(self, indices) -> "Word":
         return Word(self, indices)
 
@@ -151,9 +142,6 @@ class Word:
         labels = self.alphabet._labels
         return "".join(labels[i - 1] for i in self.indices)
 
-    def letters(self):
-        return tuple(self.alphabet.letter(i) for i in self.indices)
-
     def find_bigram(self, a: int, b: int, rightmost=False):
         """Position of a contiguous occurrence of letters (a, b), else None."""
         idx = self.indices
@@ -165,24 +153,6 @@ class Word:
 
     def contains_bigram(self, a: int, b: int) -> bool:
         return self.find_bigram(a, b) is not None
-
-
-ORDER_SCHEMES = ("lex", "graded")
-
-
-def compare_words(a: Word, b: Word, scheme: str = "lex") -> int:
-    """-1, 0 or 1 according to the chosen total order (see module docstring)."""
-    _same_alphabet(a.alphabet, b.alphabet)
-    if scheme == "lex":
-        u, v = a.indices, b.indices
-        return -1 if u < v else (0 if u == v else 1)
-    if scheme == "graded":
-        if len(a) != len(b):
-            return -1 if len(a) < len(b) else 1
-        u, v = a.indices, b.indices
-        # equal length: lex-bigger word is graded-smaller
-        return -1 if u > v else (0 if u == v else 1)
-    raise ValueError(f"unknown order scheme {scheme!r}")
 
 
 def rewrite_key(w: Word):
@@ -253,20 +223,17 @@ class NCPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {w.degree for w in self._terms}
-        return len(degs) <= 1
-
     def homogeneous_degree(self):
         degs = {w.degree for w in self._terms}
         if len(degs) != 1:
             return None
         return degs.pop()
 
-    def max_word(self, key=rewrite_key) -> Word:
+    def max_word(self) -> Word:
+        """The maximal word in the rewriting order."""
         if not self._terms:
             raise ValueError("zero polynomial has no maximal word")
-        return max(self._terms, key=key)
+        return max(self._terms, key=rewrite_key)
 
     def min_lex_word(self) -> Word:
         if not self._terms:

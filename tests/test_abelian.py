@@ -60,6 +60,14 @@ class TestFgAbelianGroup:
         g = FgAbelianGroup(1, FiniteAbelianGroup((12,)))
         assert g.localize({2, 3}) == FgAbelianGroup(1)
 
+    def test_localize_partial(self):
+        g = FgAbelianGroup(0, FiniteAbelianGroup((12,)))
+        assert g.localize({2}) == FgAbelianGroup(0, FiniteAbelianGroup((3,)))
+
+    def test_localize_identity_at_empty_set(self):
+        g = FgAbelianGroup(2, FiniteAbelianGroup.from_cyclic_orders([4, 3]))
+        assert g.localize(set()) == g
+
     def test_power(self):
         g = FgAbelianGroup(1, FiniteAbelianGroup((2,)))
         assert g.power(3) == FgAbelianGroup(3, FiniteAbelianGroup((2, 2, 2)))

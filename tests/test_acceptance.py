@@ -11,8 +11,6 @@ import json
 import pathlib
 import time
 
-import pytest
-
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
 from loopspace.cli import main
 from loopspace.decomposition import (
@@ -35,16 +33,19 @@ from loopspace.rewrite import (
     enumerate_irreducible_words,
     hilbert_dims,
     koszul_dual,
-    normal_form,
     quadratic_weight_dims,
     relation_vector,
     weight_dims,
 )
-from loopspace.selftest import random_poly
-from loopspace.series import PowerSeries, loop_generating_series, sphere_summand_counts
+from loopspace.selftest import GRID, suite_confluence_fuzz
+from loopspace.series import (
+    PowerSeries,
+    loop_generating_series,
+    pbw_series_check,
+    sphere_summand_counts,
+)
 from loopspace.spheres import homotopy_of_manifold, load_table_file
 
-GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -93,20 +94,9 @@ def test_c02_mobius_formula():
 
 def test_c03_pbw_identity():
     def check():
-        from fractions import Fraction
-
         for n, r in GRID:
-            counts = sphere_summand_counts(n, r, 12)
-            log_sum = [Fraction(0)] * 13
-            for w in range(1, 13):
-                if counts[w]:
-                    k = 1
-                    while w * k <= 12:
-                        log_sum[w * k] += Fraction(counts[w], k)
-                        k += 1
-            product = PowerSeries(log_sum, 12).exp()
             dims = hilbert_dims(loop_presentation(ManifoldModel(n, r)), 12)
-            assert product == PowerSeries(dims, 12), (n, r)
+            assert pbw_series_check(sphere_summand_counts(n, r, 12), dims, 12), (n, r)
 
     report(3, "prod (1 - t^w)^(-l[w]) reproduces the Hilbert series to degree 12", check)
 
@@ -239,19 +229,8 @@ def test_c10_classification_flags():
 
 def test_c11_confluence_fuzz():
     def check():
-        import random
-
-        rng = random.Random(20240901)
-        presentations = [
-            loop_presentation(ManifoldModel(n, r)) for n, r in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
-        ]
-        for i in range(10_000):
-            pres = presentations[i % len(presentations)]
-            p = random_poly(pres, rng, max_degree=8)
-            left = normal_form(p, pres, strategy="leftmost")
-            right = normal_form(p, pres, strategy="rightmost")
-            assert left == right, i
-            assert normal_form(left, pres) == left, i
+        result = suite_confluence_fuzz(count=10_000, seed=20240901)
+        assert result.passed, result.detail
 
     report(11, "10000 fuzzed polynomials: strategies agree and reduction is idempotent", check, budget=60.0)
 

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from loopspace import selftest
 from loopspace.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -126,7 +127,15 @@ class TestSelftest:
         verdicts11 = [line.split()[-1] for line in out11.splitlines()[:-1]]
         assert verdicts7 == verdicts11 == ["PASS"] * 6
 
-    def test_injected_fault_fails_naming_suite(self):
-        code, out, _ = run_cli(["selftest", "--fuzz", "10", "--fault", "mobius-off-by-one"])
+    def test_injected_fault_fails_naming_suite(self, monkeypatch):
+        counts = selftest.sphere_summand_counts
+
+        def off_by_one(n, r, cap):
+            wrong = dict(counts(n, r, cap))
+            wrong[1] += 1
+            return wrong
+
+        monkeypatch.setattr(selftest, "sphere_summand_counts", off_by_one)
+        code, out, _ = run_cli(["selftest", "--fuzz", "10"])
         assert code == 1
         assert "FAIL (mobius-vs-lyndon" in out

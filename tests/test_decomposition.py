@@ -4,17 +4,13 @@ import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
 from loopspace.decomposition import (
-    HalfSmash,
     LocalizedAt,
     Loop,
     Moore,
     Point,
-    Product,
-    Smash,
     Sphere,
     Wedge,
     classify,
-    expand_half_smash,
     fiber_homology,
     from_dict,
     loop,
@@ -106,32 +102,6 @@ class TestConstructors:
             Moore(FiniteAbelianGroup((2,)), 1)
 
 
-class TestHalfSmash:
-    def test_expands_over_suspension(self):
-        z = wedge([Sphere(2), Sphere(3)])
-        omega_q = loop(product([Sphere(2), Sphere(3)]))
-        got = expand_half_smash(HalfSmash(omega_q, z))
-        assert got == wedge([z, smash([omega_q, z])])
-
-    def test_does_not_expand_otherwise(self):
-        not_susp = loop(Sphere(3))
-        hs = HalfSmash(Sphere(2), not_susp)
-        assert expand_half_smash(hs) == hs
-
-    def test_series_rule_matches_kunneth(self):
-        # full(X) * reduced(Y) + 1, computed both ways
-        hs = HalfSmash(loop(Sphere(3)), wedge([Sphere(2), Sphere(3)]))
-        direct = rational_series(hs, 10)
-        full = rational_series(loop(Sphere(3)), 10)
-        reduced = rational_series(wedge([Sphere(2), Sphere(3)]), 10) - PowerSeries.one(10)
-        assert direct == full * reduced + PowerSeries.one(10)
-
-    def test_expansion_preserves_series(self):
-        z = wedge([Sphere(2), Sphere(3), Moore(FiniteAbelianGroup((2,)), 2)])
-        hs = HalfSmash(loop(product([Sphere(2), Sphere(3)])), z)
-        assert rational_series(hs, 12) == rational_series(expand_half_smash(hs), 12)
-
-
 class TestRationalSeries:
     def test_odd_sphere_loops(self):
         assert rational_series(loop(Sphere(3)), 8) == series_poly({0: 1, 2: -1}, 8).inverse()
@@ -179,11 +149,11 @@ class TestRationalSeries:
             assert rational_series(wp, 15) == loop_generating_series(n, r, 15).inverse()
 
     def test_fibration_factorization(self):
-        # Loop(M) = Loop(F) x Loop(Q) with F = (Loop Q) |x Z expanded
+        # Loop(M) = Loop(F) x Loop(Q) with F = (Loop Q) |x Z = Z v (Loop Q ^ Z)
         m = ManifoldModel(2, 2)
         z = torsion_wedge(m)
         omega_q = loop(product([Sphere(2), Sphere(3)]))
-        f = expand_half_smash(HalfSmash(omega_q, z))
+        f = wedge([z, smash([omega_q, z])])
         total = product([loop(f), loop(Sphere(2)), loop(Sphere(3))])
         assert rational_series(total, 15) == loop_generating_series(2, 2, 15).inverse()
 

@@ -10,12 +10,10 @@ from loopspace.numtheory import mobius
 from loopspace.rewrite import hilbert_dims
 from loopspace.series import (
     PowerSeries,
-    free_generating_series,
     loop_generating_series,
     mobius_counts,
     pbw_series_check,
     sphere_summand_counts,
-    suspension_generating_series,
 )
 
 
@@ -115,9 +113,6 @@ class TestGeneratingSeries:
     def test_n3_rank_one(self):
         assert loop_generating_series(3, 1, 6) == poly({0: 1, 2: -1, 3: -1, 5: 1}, 6)
 
-    def test_suspension_grading_variant(self):
-        assert suspension_generating_series(2, 2, 6) == poly({0: 1, 2: -2, 3: -2, 5: 1}, 6)
-
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             loop_generating_series(1, 1, 5)
@@ -159,9 +154,9 @@ class TestMobiusCounts:
             mobius_counts(PowerSeries([1, -1, 1], 4))
 
     def test_free_case_matches_all_lyndon_words(self):
-        # dropping the relation term counts every Lyndon word (wedge case)
+        # 1 - r t^(n-1) - r t^n drops the relation term: every Lyndon word counts
         for n, r in ((2, 1), (2, 2), (3, 2)):
-            counts = mobius_counts(free_generating_series(n, r, 8))
+            counts = mobius_counts(poly({0: 1, n - 1: -r, n: -r}, 8))
             by_degree = enumerate_lyndon(loop_alphabet(n, r), 8)
             for w in range(1, 9):
                 assert counts[w] == len(by_degree[w])

@@ -3,15 +3,14 @@ import hashlib
 import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
+from loopspace.decomposition import classify
 from loopspace.errors import TableFormatError, TableRangeError
 from loopspace.manifold import ManifoldModel
 from loopspace.spheres import (
     bundled_table_text,
-    exponent_report,
     homotopy_of_manifold,
     load_table,
     load_table_file,
-    localize,
 )
 
 TABLE = load_table_file()
@@ -141,14 +140,8 @@ class TestBundledTable:
 
 class TestLocalize:
     def test_kills_all_torsion(self):
-        assert localize(group(1, (12,)), {2, 3}) == group(1)
-
-    def test_partial(self):
-        assert localize(group(0, (12,)), {2}) == group(0, (3,))
-
-    def test_identity_at_empty_set(self):
-        g = group(2, (4, 3))
-        assert localize(g, set()) == g
+        # pi_7(S^4) = Z + Z/12; inverting 2 and 3 leaves the Hopf-invariant Z
+        assert TABLE.pi(7, 4).localize({2, 3}) == group(1)
 
 
 class TestAssembly:
@@ -219,16 +212,19 @@ class TestAssembly:
 
 
 class TestExponentReport:
+    """The homotopy-exponent verdict, as classify reports it."""
+
     def test_hyperbolic(self):
-        rep = exponent_report(ManifoldModel(2, 3))
-        assert "no homotopy exponent at any prime" in rep["verdict"]
-        assert rep["retract"] == "L(W(S2, S3))"
+        flags = classify(ManifoldModel(2, 3))
+        assert "no homotopy exponent at any prime" in flags.no_exponent_note
+        assert flags.retract == "L(W(S2, S3))"
 
     def test_rank_one(self):
-        rep = exponent_report(ManifoldModel(2, 1))
-        assert rep["rational_type"] == "elliptic"
-        assert "no non-exponent claim" in rep["verdict"]
+        flags = classify(ManifoldModel(2, 1))
+        assert flags.rational_type == "elliptic"
+        assert not flags.no_exponent
+        assert "no non-exponent claim" in flags.no_exponent_note
 
     def test_rank_zero(self):
-        rep = exponent_report(ManifoldModel(2, 0))
-        assert "sphere literature" in rep["verdict"]
+        flags = classify(ManifoldModel(2, 0))
+        assert "sphere literature" in flags.no_exponent_note

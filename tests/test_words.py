@@ -3,7 +3,7 @@ import random
 import pytest
 
 from loopspace.errors import AlphabetMismatch
-from loopspace.words import Alphabet, NCPoly, Word, bracket, compare_words
+from loopspace.words import Alphabet, NCPoly, Word, bracket, rewrite_key
 from loopspace.manifold import loop_alphabet
 
 
@@ -27,65 +27,65 @@ def random_poly(rng, alphabet, max_terms=4):
     return NCPoly(alphabet, terms)
 
 
+# lex order on letter indices (Lyndon words, NCPoly.terms) and the rewriting order
+ORDER_KEYS = {"lex": lambda word: word.indices, "rewrite": rewrite_key}
+
+
 class TestOrders:
     def test_reflexivity(self):
-        u1 = w(A22, 1)
-        assert compare_words(u1, u1, "lex") == 0
-        assert compare_words(u1, u1, "graded") == 0
+        for key in ORDER_KEYS.values():
+            assert key(w(A22, 1)) == key(w(A22, 1))
+            assert key(w(A22, 1, 2)) == key(A22.word((1, 2)))
 
-    def test_lex_first_letter(self):
-        assert compare_words(w(A22, 1, 3), w(A22, 3, 1), "lex") == -1
-
-    def test_lex_prefix_is_smaller(self):
-        assert compare_words(w(A22, 1), w(A22, 1, 2), "lex") == -1
-
-    def test_graded_equal_length_reverses_lex(self):
-        # u2u2' >= u1u1' lexicographically, so u1u1' is the graded-larger word
-        u2u2p = w(A22, 3, 4)
-        u1u1p = w(A22, 1, 2)
-        assert compare_words(u2u2p, u1u1p, "graded") == -1
-        assert compare_words(u1u1p, u2u2p, "graded") == 1
-
-    def test_graded_length_dominates(self):
-        assert compare_words(w(A22, 4, 4), w(A22, 1, 1, 1), "graded") == -1
-
-    @pytest.mark.parametrize("scheme", ["lex", "graded"])
+    @pytest.mark.parametrize("scheme", ["lex", "rewrite"])
     def test_total_order_properties(self, scheme):
+        # the key determines the word, so comparing keys totally orders words
+        key = ORDER_KEYS[scheme]
         rng = random.Random(11)
         words = [random_word(rng, A22) for _ in range(40)]
         for a in words:
             for b in words:
-                cab = compare_words(a, b, scheme)
-                cba = compare_words(b, a, scheme)
-                assert cab == -cba
-                assert (cab == 0) == (a == b)
+                assert (key(a) == key(b)) == (a == b)
+                assert (key(a) < key(b)) != (key(b) < key(a)) or a == b
         for _ in range(300):
             a, b, c = rng.sample(words, 3)
-            if compare_words(a, b, scheme) <= 0 and compare_words(b, c, scheme) <= 0:
-                assert compare_words(a, c, scheme) <= 0
+            if key(a) <= key(b) and key(b) <= key(c):
+                assert key(a) <= key(c)
 
-    def test_lex_concat_compatible_in_fixed_degree(self):
+
+class TestRewriteKey:
+    def test_degree_dominates_length(self):
+        assert rewrite_key(w(A22, 1, 1, 1)) < rewrite_key(w(A22, 4, 4))   # degree 3 < 4
+        assert rewrite_key(w(A22, 2)) < rewrite_key(w(A22, 1, 1))         # degree 2, length 1 < 2
+
+    def test_equal_degree_and_length_reverses_lex(self):
+        # u2u2' is lex-bigger than u1u1', so it is the smaller word
+        assert rewrite_key(w(A22, 3, 4)) < rewrite_key(w(A22, 1, 2))
+        assert rewrite_key(w(A22, 3, 1)) < rewrite_key(w(A22, 1, 3))
+
+    def test_compatible_with_concatenation(self):
+        # u < v implies a u b < a v b: the rewriting order is a monomial order
         rng = random.Random(5)
-        # equal-degree words are never proper prefixes of one another,
-        # so lex comparisons survive two-sided concatenation
         pool = [random_word(rng, A22, max_len=4) for _ in range(60)]
-        by_degree = {}
-        for word in pool:
-            by_degree.setdefault(word.degree, []).append(word)
         checked = 0
-        for words in by_degree.values():
-            for w1 in words:
-                for w2 in words:
-                    if compare_words(w1, w2, "lex") != -1:
-                        continue
-                    a, b = random_word(rng, A22, 2), random_word(rng, A22, 2)
-                    assert compare_words(a * w1 * b, a * w2 * b, "lex") == -1
-                    checked += 1
+        for w1 in pool:
+            for w2 in pool:
+                if not rewrite_key(w1) < rewrite_key(w2):
+                    continue
+                a, b = random_word(rng, A22, 2), random_word(rng, A22, 2)
+                assert rewrite_key(a * w1 * b) < rewrite_key(a * w2 * b)
+                checked += 1
         assert checked > 10
 
+    def test_max_word_is_rewrite_maximum(self):
+        p = NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 2, 1): -1, w(A22, 3, 4): 2, w(A22, 1, 1): 5})
+        assert p.max_word() == w(A22, 1, 2)
+
+
+class TestWord:
     def test_mismatched_alphabets_rejected(self):
         with pytest.raises(AlphabetMismatch):
-            compare_words(w(A22, 1), w(AB, 1), "lex")
+            w(A22, 1) * w(AB, 1)
 
 
 class TestNCPoly:
