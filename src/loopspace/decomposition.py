@@ -126,52 +126,34 @@ class WeakProduct(SpaceExpr):
 
 # ---- smart constructors (unit laws only) -----------------------------------
 
-def wedge(children) -> SpaceExpr:
+def _flatten(cls, children) -> SpaceExpr:
+    """cls over the children, splicing nested cls nodes and dropping points."""
     flat = []
     for c in children:
-        if isinstance(c, Point):
-            continue
-        if isinstance(c, Wedge):
+        if isinstance(c, cls):
             flat.extend(c.children)
-        else:
+        elif not isinstance(c, Point):
             flat.append(c)
     if not flat:
         return Point()
     if len(flat) == 1:
         return flat[0]
-    return Wedge(flat)
+    return cls(flat)
+
+
+def wedge(children) -> SpaceExpr:
+    return _flatten(Wedge, children)
 
 
 def product(children) -> SpaceExpr:
-    flat = []
-    for c in children:
-        if isinstance(c, Point):
-            continue
-        if isinstance(c, Product):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return Point()
-    if len(flat) == 1:
-        return flat[0]
-    return Product(flat)
+    return _flatten(Product, children)
 
 
 def smash(children) -> SpaceExpr:
-    flat = []
-    for c in children:
-        if isinstance(c, Point):
-            return Point()  # smashing with a point collapses everything
-        if isinstance(c, Smash):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return Point()
-    if len(flat) == 1:
-        return flat[0]
-    return Smash(flat)
+    children = list(children)
+    if any(isinstance(c, Point) for c in children):
+        return Point()  # smashing with a point collapses everything
+    return _flatten(Smash, children)
 
 
 def loop(child) -> SpaceExpr:

@@ -1,12 +1,13 @@
 """Lyndon words over weighted alphabets and bases of quadratic Lie algebras.
 
 A Lyndon word is lexicographically strictly smaller than all of its proper
-cyclic rotations.  Enumeration is by homological degree (letters carry
-positive weights), via a depth-first walk over prenecklaces: a prenecklace of
-length t and period p extends by any letter >= the one p positions back, and
-is Lyndon exactly when its period equals its length.  The walk prunes on the
-degree cap, and optionally on a forbidden bigram, so only the words that
-matter are ever visited.
+cyclic rotations.  Every enumeration here is one depth-first walk over
+prenecklaces by homological degree: a prenecklace of length t and period p
+extends by any letter >= the one p positions back, and is Lyndon exactly when
+its period equals its length.  The walk prunes on the degree cap, and
+optionally on a forbidden bigram.  It counts the words per degree and can
+list them too, already in lex order, as it emits a word before its
+extensions and tries letters in increasing order.
 
 Every Lyndon word longer than a letter factors as l = l1 l2 with l2 its
 longest proper Lyndon suffix; the recursive commutator b(l) = [b(l1), b(l2)]
@@ -34,14 +35,17 @@ def is_lyndon(indices) -> bool:
 
 
 def standard_factorization(indices):
-    """Split l = l1 l2 with l2 the longest proper Lyndon suffix."""
+    """Split l = l1 l2 with l2 the longest proper Lyndon suffix.
+
+    It is the lex-smallest proper suffix s: every proper suffix of s is one
+    of l, hence larger than s, so s is Lyndon; a longer Lyndon suffix would
+    be smaller than its proper suffix s, against the minimality of s.
+    """
     indices = tuple(indices)
     if len(indices) < 2:
         raise ValueError("single letters do not factor")
-    for start in range(1, len(indices)):
-        if is_lyndon(indices[start:]):
-            return indices[:start], indices[start:]
-    raise ComputationFailure(f"no Lyndon suffix found in {indices}")  # unreachable
+    start = min(range(1, len(indices)), key=lambda i: indices[i:])
+    return indices[:start], indices[start:]
 
 
 class LyndonWord:
@@ -129,41 +133,13 @@ def bracket_of(l: LyndonWord, _cache=None) -> LieBasisElement:
 # degree-capped generation
 # ---------------------------------------------------------------------------
 
-def _scan_lyndon(weights, cap: int, forbidden, emit):
-    """DFS over prenecklaces of degree <= cap; calls emit(indices, degree)
-    for each Lyndon word.  ``forbidden`` is a 0-based letter pair whose
-    occurrence prunes the branch, or None.  Letters are 0-based here.
+def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
+    """Count the Lyndon words of each degree <= cap by a DFS over prenecklaces.
+
+    Letters are 0-based; ``forbidden`` is a letter pair whose occurrence
+    prunes the branch, or None.  If ``words`` holds a list per degree
+    0..cap, each word's letter tuple is also appended to its degree's list.
     """
-    q = len(weights)
-    word = []
-
-    def rec(period, degree):
-        start = word[len(word) - period]
-        last = word[-1]
-        for letter in range(start, q):
-            if forbidden and last == forbidden[0] and letter == forbidden[1]:
-                continue
-            d2 = degree + weights[letter]
-            if d2 > cap:
-                continue
-            word.append(letter)
-            if letter == start:
-                rec(period, d2)
-            else:
-                emit(word, d2)
-                rec(len(word), d2)
-            word.pop()
-
-    for first in range(q):
-        if weights[first] <= cap:
-            word.append(first)
-            emit(word, weights[first])
-            rec(1, weights[first])
-            word.pop()
-
-
-def _count_lyndon(weights, cap: int, forbidden) -> list:
-    """Counts per degree of the scan above, without materializing words."""
     q = len(weights)
     counts = [0] * (cap + 1)
     word = []
@@ -183,33 +159,37 @@ def _count_lyndon(weights, cap: int, forbidden) -> list:
                 rec(period, d2)
             else:
                 counts[d2] += 1
+                if words is not None:
+                    words[d2].append(tuple(word))
                 rec(len(word), d2)
             word.pop()
 
     for first in range(q):
         if weights[first] <= cap:
             counts[weights[first]] += 1
+            if words is not None:
+                words[weights[first]].append((first,))
             word.append(first)
             rec(1, weights[first])
             word.pop()
     return counts
 
 
+def _lyndon_words(alphabet: Alphabet, cap: int, forbidden) -> dict:
+    """The walk's Lyndon words as LyndonWords, {degree: lex-sorted list}."""
+    words = [[] for _ in range(cap + 1)]
+    _walk_lyndon(alphabet.degrees, cap, forbidden, words)
+    return {
+        d: [LyndonWord(Word(alphabet, tuple(i + 1 for i in w))) for w in words[d]]
+        for d in range(1, cap + 1)
+    }
+
+
 def enumerate_lyndon(alphabet: Alphabet, cap: int) -> dict:
     """All Lyndon words of homological degree <= cap, grouped by degree."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    by_degree = {d: [] for d in range(1, cap + 1)}
-    weights = alphabet.degrees
-
-    def emit(word0, degree):
-        indices = tuple(i + 1 for i in word0)
-        by_degree[degree].append(LyndonWord(Word(alphabet, indices)))
-
-    _scan_lyndon(weights, cap, None, emit)
-    for d in by_degree:
-        by_degree[d].sort(key=lambda l: l.word.indices)
-    return by_degree
+    return _lyndon_words(alphabet, cap, None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +218,19 @@ def exclusion_bigram(pres: QuadraticPresentation):
     return min(pairs)
 
 
+def _forbidden(pres: QuadraticPresentation):
+    """The exclusion bigram as 0-based letters, or None if there is none."""
+    excl = exclusion_bigram(pres)
+    return (excl[0] - 1, excl[1] - 1) if excl else None
+
+
 def standard_lyndon(pres: QuadraticPresentation, cap: int) -> dict:
     """Standard Lyndon words of degree <= cap with their bracketings."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    excl = exclusion_bigram(pres)
-    forbidden = (excl[0] - 1, excl[1] - 1) if excl else None
-    alphabet = pres.alphabet
-    by_degree = {d: [] for d in range(1, cap + 1)}
+    by_degree = _lyndon_words(pres.alphabet, cap, _forbidden(pres))
     cache = {}
-
-    def emit(word0, degree):
-        indices = tuple(i + 1 for i in word0)
-        lw = LyndonWord(Word(alphabet, indices))
-        by_degree[degree].append(bracket_of(lw, _cache=cache))
-
-    _scan_lyndon(alphabet.degrees, cap, forbidden, emit)
-    for d in by_degree:
-        by_degree[d].sort(key=lambda el: el.lyndon.word.indices)
-    return by_degree
+    return {d: [bracket_of(l, _cache=cache) for l in ls] for d, ls in by_degree.items()}
 
 
 def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
@@ -269,9 +243,7 @@ def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    excl = exclusion_bigram(pres)
-    forbidden = (excl[0] - 1, excl[1] - 1) if excl else None
-    counts = _count_lyndon(pres.alphabet.degrees, cap, forbidden)
+    counts = _walk_lyndon(pres.alphabet.degrees, cap, _forbidden(pres))
     return {d: counts[d] for d in range(1, cap + 1)}
 
 

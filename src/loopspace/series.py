@@ -37,10 +37,6 @@ class PowerSeries:
 
     # ---- constructors ----------------------------------------------------
     @classmethod
-    def zero(cls, cap: int):
-        return cls([], cap)
-
-    @classmethod
     def one(cls, cap: int):
         return cls([1], cap)
 
@@ -60,11 +56,6 @@ class PowerSeries:
         return cls(c, cap)
 
     # ---- basics ----------------------------------------------------------
-    def coefficient(self, i: int) -> Fraction:
-        if not 0 <= i <= self.cap:
-            raise IndexError(f"coefficient {i} beyond cap {self.cap}")
-        return self.coeffs[i]
-
     def coefficients(self) -> list:
         return list(self.coeffs)
 
@@ -161,21 +152,8 @@ class PowerSeries:
         return PowerSeries(out, cap)
 
     def pow_int(self, e: int) -> "PowerSeries":
-        """Integer power, allowing large exponents (via exp of log)."""
-        if e == 0:
-            return PowerSeries.one(self.cap)
-        if e < 0:
-            return self.inverse().pow_int(-e)
-        if self.coeffs[0] == 1:
-            return (self.log() * e).exp()
-        out = PowerSeries.one(self.cap)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        """Integer power of a series with constant term 1, as exp(e log)."""
+        return (self.log() * e).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +210,17 @@ def sphere_summand_counts(n: int, r: int, cap: int = 20) -> dict:
 def pbw_series_check(lie_dims: dict, hilbert: list, cap: int) -> bool:
     """Does prod over w of (1 - t^w)^(-lie_dims[w]) match the word counts?
 
-    ``hilbert`` lists dimensions by degree starting at 0.  The product is
-    expanded through exp/log, exactly.
+    ``hilbert`` lists dimensions by degree from 0, padded with zeros.  The
+    product P has t P'/P = sum p_k t^k with p_k = sum over w | k of
+    w * lie_dims[w], so its coefficients are the unique h with h_0 = 1 and
+    k h_k = sum_(j=1..k) p_j h_(k-j); that is checked in integers.
     """
-    log_sum = [Fraction(0)] * (cap + 1)
+    h = list(hilbert[: cap + 1]) + [0] * (cap + 1 - len(hilbert))
+    p = [0] * (cap + 1)
     for w in range(1, cap + 1):
         d = lie_dims.get(w, 0)
-        if not d:
-            continue
-        k = 1
-        while w * k <= cap:
-            log_sum[w * k] += Fraction(d, k)
-            k += 1
-    product = PowerSeries(log_sum, cap).exp()
-    target = PowerSeries([Fraction(x) for x in hilbert[: cap + 1]], cap)
-    return product == target
+        for k in range(w, cap + 1, w):
+            p[k] += w * d
+    return h[0] == 1 and all(
+        k * h[k] == sum(p[j] * h[k - j] for j in range(1, k + 1)) for k in range(1, cap + 1)
+    )

@@ -17,6 +17,7 @@ from loopspace.lyndon import (
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.numtheory import divisors, mobius
 from loopspace.rewrite import QuadraticPresentation
+from loopspace.selftest import GRID
 from loopspace.series import sphere_summand_counts
 from loopspace.words import Alphabet, NCPoly, Word
 
@@ -84,6 +85,19 @@ class TestEnumeration:
         for m in range(1, 8):
             assert len(by_degree[m]) == necklace_count(q, m)
 
+    def test_lists_strictly_increasing(self):
+        # the walk's preorder is the sorted order; no sort is applied
+        for n, r in GRID:
+            pres = loop_presentation(ManifoldModel(n, r))
+            listed = enumerate_lyndon(pres.alphabet, 8)
+            standard = standard_lyndon(pres, 8)
+            for d in range(1, 9):
+                for words in (
+                    [l.word.indices for l in listed[d]],
+                    [e.lyndon.word.indices for e in standard[d]],
+                ):
+                    assert all(a < b for a, b in zip(words, words[1:])), (n, r, d)
+
     def test_enumeration_complete_and_duplicate_free(self):
         a = loop_alphabet(2, 2)
         by_degree = enumerate_lyndon(a, 5)
@@ -101,9 +115,15 @@ class TestEnumeration:
 
 class TestFactorization:
     def test_soundness(self):
-        by_degree = enumerate_lyndon(AB, 7)
-        for d in range(2, 8):
-            for l in by_degree[d]:
+        weighted = Alphabet.from_degrees((1, 2, 3), labels=("a", "b", "c"))
+        for alphabet in (AB, loop_alphabet(2, 2), weighted):
+            self._check_soundness(enumerate_lyndon(alphabet, 7))
+
+    def _check_soundness(self, by_degree):
+        for words in by_degree.values():
+            for l in words:
+                if len(l.word) < 2:
+                    continue
                 left, right = l.standard_factorization
                 assert is_lyndon(left.word.indices)
                 assert is_lyndon(right.word.indices)

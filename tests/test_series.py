@@ -8,6 +8,7 @@ from loopspace.lyndon import enumerate_lyndon, lie_dims
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.numtheory import mobius
 from loopspace.rewrite import hilbert_dims
+from loopspace.selftest import GRID
 from loopspace.series import (
     PowerSeries,
     loop_generating_series,
@@ -99,6 +100,9 @@ class TestRingOps:
         for e in range(5):
             assert s.pow_int(e) == direct
             direct = direct * s
+        assert s.pow_int(-2) == s.inverse() * s.inverse()
+        with pytest.raises(ValueError):
+            PowerSeries([2, 1], 3).pow_int(2)
 
 
 class TestGeneratingSeries:
@@ -168,7 +172,33 @@ class TestMobiusCounts:
         assert total20 > 2 * total10
 
 
+def pbw_by_exp(lie_dims, hilbert, cap):
+    """The product expanded as exp of its log in Fraction series: the oracle."""
+    log_sum = [Fraction(0)] * (cap + 1)
+    for w in range(1, cap + 1):
+        for k in range(1, cap // w + 1):
+            log_sum[w * k] += Fraction(lie_dims.get(w, 0), k)
+    target = PowerSeries(hilbert[: cap + 1], cap)
+    return PowerSeries(log_sum, cap).exp() == target
+
+
 class TestPbwCheck:
+    def test_agrees_with_exp_oracle(self):
+        for n, r in GRID:
+            l = sphere_summand_counts(n, r, 12)
+            h = hilbert_dims(loop_presentation(ManifoldModel(n, r)), 12)
+            assert pbw_series_check(l, h, 12) and pbw_by_exp(l, h, 12), (n, r)
+            broken = [
+                ({**l, 12: l[12] + 1}, h),
+                ({**l, 12: l[12] - 1}, h),
+                (l, [2] + h[1:]),
+                (l, h[:-1]),
+                ({}, [2] + [0] * 12),
+            ]
+            for dims, hilbert in broken:
+                assert not pbw_series_check(dims, hilbert, 12), (n, r)
+                assert not pbw_by_exp(dims, hilbert, 12), (n, r)
+
     def test_rank_one(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         assert pbw_series_check(lie_dims(pres, 6), hilbert_dims(pres, 6), 6)
