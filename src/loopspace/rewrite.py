@@ -306,15 +306,24 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
     return KoszulDualData(vdims, perp)
 
 
-def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0,
-                          max_columns: int = 300_000) -> list:
+# Largest dense matrix, in rows x columns, that quadratic_weight_dims will
+# eliminate.  Its biggest call in the test suite is 420 x 216 = 90,720 cells
+# (the weight-3 dual of the rank-3 loop algebra); the next size up that an
+# input can reach is dim V = 4 with one relation at weight 5, 256 x 1024 =
+# 262,144 cells, whose Fraction elimination alone takes about two seconds
+# (Python 3.11, x86_64).
+MAX_CELLS = 200_000
+
+
+def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0) -> list:
     """Weight dimensions of T(V)/(R) for an arbitrary relation span R.
 
     dim A_w = dim V^(tensor w) minus the rank of the span of all
     V^i tensor R tensor V^j with i+j = w-2, computed by exact elimination.
     Once some weight hits zero all later weights are zero (the algebra is
-    generated in weight one).  Raises if an intermediate matrix would be
-    unreasonably wide.
+    generated in weight one).  Before building a weight's matrix, its size
+    (w-1) * dim V^(w-2) * #R rows by dim V^w columns is checked against
+    MAX_CELLS, and a larger one raises ComputationFailure.
     """
     rows0 = [tuple(v) for v in relation_vectors]
     for v in rows0:
@@ -325,9 +334,14 @@ def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0,
         dims.append(dim_v)
     for w in range(2, cap + 1):
         ncols = dim_v**w
-        if ncols > max_columns:
+        if not rows0:
+            dims.append(ncols)
+            continue
+        nrows = (w - 1) * dim_v ** (w - 2) * len(rows0)
+        if nrows * ncols > MAX_CELLS:
             raise ComputationFailure(
-                f"weight {w} needs {ncols} columns; refusing dense elimination"
+                f"weight {w} needs {nrows} x {ncols} dense cells, over the "
+                f"limit of {MAX_CELLS}; refusing elimination"
             )
         rows = []
         for split in range(w - 1):

@@ -5,7 +5,9 @@ compares exactly: word counting by dynamic programming against brute
 enumeration, Moebius summand counts against direct standard-Lyndon
 enumeration, the product identity against both, the symbolic decomposition
 series against the generating series, rewriting confluence on seeded random
-polynomials, and exact-rank independence certificates.
+polynomials, and independence certificates of the standard bracketings
+(each normal form unitriangular on its standard word, and full rank modulo
+a prime).
 
 Each route runs once per grid point.  The product identity takes the Moebius
 counts l, not a second Lyndon walk: mobius-vs-lyndon already requires

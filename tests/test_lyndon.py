@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from loopspace import linalg
 from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.lyndon import (
+    P,
+    LieBasisElement,
     LyndonWord,
     bracket_of,
     enumerate_lyndon,
@@ -16,7 +19,7 @@ from loopspace.lyndon import (
 )
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.numtheory import divisors, mobius
-from loopspace.rewrite import QuadraticPresentation
+from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace.selftest import GRID
 from loopspace.series import sphere_summand_counts
 from loopspace.words import Alphabet, NCPoly, Word
@@ -298,3 +301,81 @@ class TestIndependence:
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 1)
         assert "degree 1" in str(err.value)
+        assert "leading word u1 repeats" in str(err.value)
+
+    @pytest.mark.parametrize("n,r", GRID)
+    def test_matches_fraction_rank_oracle(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        cap = 5 if (n, r) == (2, 3) else 6
+        standard = standard_lyndon(pres, cap)
+        irreducible = enumerate_irreducible_words(pres, cap)
+        oracle = {}
+        for d in range(1, cap + 1):
+            rows = [
+                _nf_row(normal_form(e.bracketing, pres), irreducible[d]) for e in standard[d]
+            ]
+            rank = linalg.rank(rows, len(irreducible[d])) if rows else 0
+            oracle[d] = (len(rows), rank, len(irreducible[d]))
+        assert independence_certificate(pres, cap) == oracle
+
+    def test_doubled_leading_coefficient_fails_triangularity_only(self, monkeypatch):
+        import loopspace.lyndon as lyndon_mod
+
+        pres = loop_presentation(ManifoldModel(2, 2))
+        target = standard_lyndon(pres, 3)[3][1]
+        word = target.lyndon.word
+
+        def doubled(p, pr):
+            nf = normal_form(p, pr)
+            if p == target.bracketing:
+                nf = nf + NCPoly.monomial(word, nf.coeff(word))
+            return nf
+
+        # the broken rows still have full rank mod P: 2 is a unit there
+        basis = enumerate_irreducible_words(pres, 3)[3]
+        rows = [_nf_row(doubled(e.bracketing, pres), basis) for e in standard_lyndon(pres, 3)[3]]
+        assert linalg.rank(rows, len(rows[0]), char=P) == len(rows)
+        monkeypatch.setattr(lyndon_mod, "normal_form", doubled)
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(pres, 3)
+        assert "degree 3" in str(err.value)
+        assert str(word) in str(err.value)
+
+    def test_row_summing_two_others_is_hard_failure(self, monkeypatch):
+        import loopspace.lyndon as lyndon_mod
+
+        pres = loop_presentation(ManifoldModel(2, 2))
+        real = lyndon_mod.standard_lyndon
+
+        def summed(p, cap):
+            table = real(p, cap)
+            a, b, c = table[3][:3]
+            table[3][2] = LieBasisElement(c.lyndon, a.bracketing + b.bracketing)
+            return table
+
+        monkeypatch.setattr(lyndon_mod, "standard_lyndon", summed)
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(pres, 3)
+        assert "degree 3" in str(err.value)
+
+    def test_rank_check_runs_mod_p(self, monkeypatch):
+        calls = []
+
+        def short(rows, ncols, char=0):
+            calls.append(char)
+            return len(rows) - 1
+
+        monkeypatch.setattr(linalg, "rank", short)
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(loop_presentation(ManifoldModel(2, 2)), 1)
+        assert "degree 1" in str(err.value)
+        assert calls == [P]
+
+
+def _nf_row(nf, basis_words):
+    """A normal form as an integer row over the basis words."""
+    index = {w: i for i, w in enumerate(basis_words)}
+    row = [0] * len(basis_words)
+    for w, c in nf.terms():
+        row[index[w]] = c
+    return row

@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from loopspace import linalg
-from loopspace.errors import PresentationError
+from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation, loop_relation
 from loopspace.rewrite import (
+    MAX_CELLS,
     QuadraticPresentation,
     enumerate_irreducible_words,
     hilbert_dims,
@@ -258,3 +260,36 @@ class TestQuadraticWeightDims:
         lhs = PowerSeries(h_a, 9)
         rhs = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
         assert lhs * rhs == PowerSeries.one(9)
+
+    def test_free_algebra_builds_no_matrix(self, monkeypatch):
+        # no relations: dim V^w directly, even where dim V^w columns would be
+        # far past any dense limit
+        monkeypatch.setattr(linalg, "rank", None)
+        assert quadratic_weight_dims(2, [], 40)[40] == 2**40
+
+    @pytest.mark.parametrize("dim_v,cap,weight", [(4, 9, 5), (64, 3, 3)])
+    def test_refuses_oversized_matrix_before_building_it(self, monkeypatch, dim_v, cap, weight):
+        # one relation x1 x2 - x2 x1; the refused weight is the first whose
+        # (w-1) * dim_v^(w-2) * #rel rows by dim_v^w columns pass MAX_CELLS,
+        # and no matrix that large is built; at (4, 9) weight 9 alone would
+        # need 131072 x 262144 cells
+        rel = [0] * (dim_v * dim_v)
+        rel[1], rel[dim_v] = 1, -1
+        nrows = (weight - 1) * dim_v ** (weight - 2)
+        ncols = dim_v**weight
+        assert nrows * ncols > MAX_CELLS
+        eliminated = []
+        real_rank = linalg.rank
+
+        def spy(rows, n, char=0):
+            eliminated.append(len(rows) * n)
+            return real_rank(rows, n, char)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        start = time.monotonic()
+        with pytest.raises(ComputationFailure) as err:
+            quadratic_weight_dims(dim_v, [rel], cap)
+        assert time.monotonic() - start < 2.0
+        assert f"weight {weight} needs {nrows} x {ncols} dense cells" in str(err.value)
+        assert len(eliminated) == weight - 2
+        assert max(eliminated, default=0) <= MAX_CELLS
