@@ -4,11 +4,11 @@ Everything here works on plain lists of numbers: Fractions (or ints) when
 ``char == 0``, ints reduced mod p when ``char == p``.  Sizes stay small
 (hundreds of rows), so straightforward Gauss-Jordan elimination is enough.
 
-The prime field serves the Lie-basis independence certificate: an integer
-matrix of full rank mod p has full rank over Q, and residues mod p stay
-bounded where Fraction entries grow.  The rationals serve the Koszul dual
-and the weight dimensions of generic quadratic algebras, and are the test
-oracle for the certificate.
+The prime field serves the Lie-basis independence certificate: a rational
+matrix with denominators prime to p and full rank mod p has full rank over
+Q, and residues mod p stay bounded where Fraction entries grow.  The
+rationals serve the Koszul dual and the weight dimensions of generic
+quadratic algebras, and are the test oracle for the certificate.
 """
 
 from fractions import Fraction

@@ -268,11 +268,16 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
       Q and over every F_p.  It holds in theory because b(l) is l plus
       lex-larger words (Reutenauer, Free Lie Algebras, Thm 5.1) and each
       rewriting step only raises a word in lex order.
-    * Rank mod P.  ``linalg.rank`` over F_P must equal the row count; an
-      integer matrix of full rank mod a prime has full rank over Q.
+    * Rank mod P.  Each coefficient a/b goes to its residue a * b^-1 in
+      F_P, and ``linalg.rank`` over F_P must equal the row count.  A matrix
+      over Q whose denominators are prime to P, with full rank mod P, has
+      full rank over Q: a minor that is nonzero mod P is nonzero.  Normal
+      forms carry denominators when the relation's leading coefficient is
+      not 1.
 
     Either failure is a hard ComputationFailure naming the degree (it would
-    disprove the basis property and can only come from a bug).  Returns
+    disprove the basis property and can only come from a bug), as is a
+    denominator divisible by P (the check cannot run there).  Returns
     {degree: (count, rank, space_dim)}.  The proof costs about as much as
     building the rows.
     """
@@ -297,7 +302,11 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
             leads.add(word.indices)
             row = [0] * len(basis_words)
             for w, c in nf._terms.items():
-                row[index[w]] = c
+                if c.denominator % P == 0:
+                    raise ComputationFailure(
+                        f"degree {d}: coefficient {c} of NF(b({word})) has no residue mod {P}"
+                    )
+                row[index[w]] = c.numerator * pow(c.denominator, -1, P) % P
             rows.append(row)
         rk = linalg.rank(rows, len(basis_words), char=P) if rows else 0
         if rk != len(elements):

@@ -307,12 +307,14 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
 
 
 # Largest dense matrix, in rows x columns, that quadratic_weight_dims will
-# eliminate.  Its biggest call in the test suite is 420 x 216 = 90,720 cells
-# (the weight-3 dual of the rank-3 loop algebra); the next size up that an
-# input can reach is dim V = 4 with one relation at weight 5, 256 x 1024 =
-# 262,144 cells, whose Fraction elimination alone takes about two seconds
-# (Python 3.11, x86_64).
-MAX_CELLS = 200_000
+# build.  The form algebra with s = r + torsion rank has dim V = 2s and
+# 4s^2 - 1 kernel relations, so its weight-3 matrix is 2 * 2s * (4s^2 - 1)
+# rows by (2s)^3 columns, and the Koszul dual of the rank-s loop algebra has
+# the same size.  Over Q (Python 3.11, x86_64; time, process peak RSS) s = 4
+# is 516,096 cells (5 s, 47 MB), s = 5 is 1,980,000 (20 s, 138 MB) and s = 6
+# is 5,930,496 (61 s, 382 MB); mod p each takes at most 2.4 s.  The limit
+# admits s <= 6 and refuses s = 7 (14,982,240 cells).
+MAX_CELLS = 8_000_000
 
 
 def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0) -> list:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -307,16 +308,32 @@ class TestIndependence:
     def test_matches_fraction_rank_oracle(self, n, r):
         pres = loop_presentation(ManifoldModel(n, r))
         cap = 5 if (n, r) == (2, 3) else 6
-        standard = standard_lyndon(pres, cap)
-        irreducible = enumerate_irreducible_words(pres, cap)
-        oracle = {}
-        for d in range(1, cap + 1):
-            rows = [
-                _nf_row(normal_form(e.bracketing, pres), irreducible[d]) for e in standard[d]
-            ]
-            rank = linalg.rank(rows, len(irreducible[d])) if rows else 0
-            oracle[d] = (len(rows), rank, len(irreducible[d]))
-        assert independence_certificate(pres, cap) == oracle
+        assert independence_certificate(pres, cap) == _fraction_rank_oracle(pres, cap)
+
+    @pytest.mark.parametrize("c1,c2,ratio", [(-1, -1, Fraction(1)), (2, 3, Fraction(3, 2))])
+    def test_rational_normal_forms_reduce_mod_p(self, monkeypatch, c1, c2, ratio):
+        # c1 [u1, u1'] + c2 [u2, u2'] is scaled by 1/c1, so the normal forms
+        # carry +-c2/c1; every entry must reach the rank as a residue mod P
+        pres = QuadraticPresentation(U, _two_commutators(c1, c2))
+        oracle = _fraction_rank_oracle(pres, 6)
+        real_rank = linalg.rank
+        entries = set()
+
+        def spy(rows, ncols, char=0):
+            entries.update(x for row in rows for x in row)
+            return real_rank(rows, ncols, char)
+
+        monkeypatch.setattr(linalg, "rank", spy)
+        assert independence_certificate(pres, 6) == oracle
+        assert all(type(x) is int and 0 <= x < P for x in entries)
+        assert ratio.numerator * pow(ratio.denominator, -1, P) % P in entries
+
+    def test_denominator_divisible_by_p_is_refused(self):
+        pres = QuadraticPresentation(U, _two_commutators(P, 1))
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(pres, 4)
+        assert "degree 4" in str(err.value)
+        assert f"no residue mod {P}" in str(err.value)
 
     def test_doubled_leading_coefficient_fails_triangularity_only(self, monkeypatch):
         import loopspace.lyndon as lyndon_mod
@@ -372,8 +389,33 @@ class TestIndependence:
         assert calls == [P]
 
 
+U = loop_alphabet(2, 2)
+
+
+def _two_commutators(c1, c2):
+    """c1 (u1 u1' - u1' u1) + c2 (u2 u2' - u2' u2)."""
+    return NCPoly(
+        U,
+        {Word(U, (1, 2)): c1, Word(U, (2, 1)): -c1, Word(U, (3, 4)): c2, Word(U, (4, 3)): -c2},
+    )
+
+
+def _fraction_rank_oracle(pres, cap):
+    """{d: (count, rank, space_dim)} by Fraction rank of the stacked normal forms."""
+    standard = standard_lyndon(pres, cap)
+    irreducible = enumerate_irreducible_words(pres, cap)
+    oracle = {}
+    for d in range(1, cap + 1):
+        rows = [_nf_row(normal_form(e.bracketing, pres), irreducible[d]) for e in standard[d]]
+        rank = linalg.rank(rows, len(irreducible[d])) if rows else 0
+        oracle[d] = (len(rows), rank, len(irreducible[d]))
+    return oracle
+
+
+# Builds the certificate's row layout again on purpose, as an independent
+# oracle: keep it apart from independence_certificate.
 def _nf_row(nf, basis_words):
-    """A normal form as an integer row over the basis words."""
+    """A normal form as a row of its exact coefficients over the basis words."""
     index = {w: i for i, w in enumerate(basis_words)}
     row = [0] * len(basis_words)
     for w, c in nf.terms():

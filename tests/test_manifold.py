@@ -193,6 +193,16 @@ class TestWeightThree:
         form = form_algebra_of(ManifoldModel(2, 1), 0)
         assert weight3_dim(form.dim_v, kernel_relations(form)) == 0
 
+    @pytest.mark.parametrize(
+        "m,p", [(ManifoldModel(2, 4), 0), (ManifoldModel(2, 2, (3, 3)), 3), (ManifoldModel(2, 5), 5)]
+    )
+    def test_large_form_weight_three_vanishes(self, m, p):
+        # s = 4 and s = 5: weight-3 matrices of 1008 x 512 and 1980 x 1000
+        # cells, inside rewrite.MAX_CELLS
+        form = form_algebra_of(m, p)
+        assert form.dim_v in (8, 10)
+        assert weight3_dim(form.dim_v, kernel_relations(form), p) == 0
+
     def test_counterexample_cube_survives(self):
         form = FormAlgebra(((2, 1),), [[1]])
         rels = kernel_relations(form)

@@ -261,29 +261,38 @@ class TestQuadraticWeightDims:
         rhs = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
         assert lhs * rhs == PowerSeries.one(9)
 
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_large_koszul_dual_stops_at_weight_three(self, r):
+        # the rank-r dual's weight-3 matrix is 2 * 2r * (4r^2 - 1) rows by
+        # (2r)^3 columns, inside MAX_CELLS; mod 7 to keep it quick
+        pres = loop_presentation(ManifoldModel(2, r))
+        m = 2 * r
+        dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)], char=7)
+        assert quadratic_weight_dims(m, dual.perp_basis, 9, char=7) == [1, m, 1] + [0] * 7
+
     def test_free_algebra_builds_no_matrix(self, monkeypatch):
         # no relations: dim V^w directly, even where dim V^w columns would be
         # far past any dense limit
         monkeypatch.setattr(linalg, "rank", None)
         assert quadratic_weight_dims(2, [], 40)[40] == 2**40
 
-    @pytest.mark.parametrize("dim_v,cap,weight", [(4, 9, 5), (64, 3, 3)])
-    def test_refuses_oversized_matrix_before_building_it(self, monkeypatch, dim_v, cap, weight):
+    @pytest.mark.parametrize("dim_v,cap", [(4, 9), (64, 3)])
+    def test_refuses_oversized_matrix_before_building_it(self, monkeypatch, dim_v, cap):
         # one relation x1 x2 - x2 x1; the refused weight is the first whose
         # (w-1) * dim_v^(w-2) * #rel rows by dim_v^w columns pass MAX_CELLS,
         # and no matrix that large is built; at (4, 9) weight 9 alone would
-        # need 131072 x 262144 cells
+        # need 131072 x 262144 cells.  Only sizes matter here, so the spy
+        # records them and skips the elimination.
         rel = [0] * (dim_v * dim_v)
         rel[1], rel[dim_v] = 1, -1
-        nrows = (weight - 1) * dim_v ** (weight - 2)
-        ncols = dim_v**weight
-        assert nrows * ncols > MAX_CELLS
-        eliminated = []
-        real_rank = linalg.rank
+        sizes = {w: ((w - 1) * dim_v ** (w - 2), dim_v**w) for w in range(2, cap + 1)}
+        weight = min(w for w, (nrows, ncols) in sizes.items() if nrows * ncols > MAX_CELLS)
+        nrows, ncols = sizes[weight]
+        built = []
 
         def spy(rows, n, char=0):
-            eliminated.append(len(rows) * n)
-            return real_rank(rows, n, char)
+            built.append(len(rows) * n)
+            return 0
 
         monkeypatch.setattr(linalg, "rank", spy)
         start = time.monotonic()
@@ -291,5 +300,5 @@ class TestQuadraticWeightDims:
             quadratic_weight_dims(dim_v, [rel], cap)
         assert time.monotonic() - start < 2.0
         assert f"weight {weight} needs {nrows} x {ncols} dense cells" in str(err.value)
-        assert len(eliminated) == weight - 2
-        assert max(eliminated, default=0) <= MAX_CELLS
+        assert built == [r * c for w, (r, c) in sizes.items() if w < weight]
+        assert max(built, default=0) <= MAX_CELLS
