@@ -151,7 +151,9 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     """Number of irreducible words in each degree 0..cap.
 
     ``weights`` overrides the letter degrees (e.g. all-ones for the weight
-    grading).  Linear-time transfer-matrix recursion on the last letter.
+    grading).  Transfer-matrix recursion on the last letter: appending x_j to
+    the S_d words of degree d adds S_d words ending in x_j, less those ending
+    in x_a when x_a x_j is the forbidden bigram: O(letters) per degree.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -161,25 +163,20 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     if len(wts) != q or any(w < 1 for w in wts):
         raise ValueError("weights must assign a positive weight to every letter")
     forbidden = pres.leading_pair()
+    f_last, f_next = (forbidden[0] - 1, forbidden[1] - 1) if forbidden else (None, None)
 
     # counts[d][i] = number of irreducible words of degree d ending in letter i+1
     counts = [[0] * q for _ in range(cap + 1)]
     for i in range(q):
         if wts[i] <= cap:
             counts[wts[i]][i] += 1
+    dims = [0] * (cap + 1)
     for d in range(cap + 1):
         row = counts[d]
-        for last in range(q):
-            c = row[last]
-            if not c:
-                continue
-            for nxt in range(q):
-                if forbidden and forbidden[0] == last + 1 and forbidden[1] == nxt + 1:
-                    continue
-                d2 = d + wts[nxt]
-                if d2 <= cap:
-                    counts[d2][nxt] += c
-    dims = [sum(counts[d]) for d in range(cap + 1)]
+        dims[d] = total = sum(row)
+        for nxt, w in enumerate(wts):
+            if d + w <= cap:
+                counts[d + w][nxt] += (total - row[f_last]) if nxt == f_next else total
     dims[0] += 1  # empty word
     return dims
 

@@ -5,6 +5,10 @@ denominator polynomial of an (n, r) manifold, its log-coefficients, the
 Moebius counts of sphere summands, and the product identity tying Lie-algebra
 dimensions to the word counts of the quotient algebra.
 
+``log`` and ``inverse`` loop over nonzero terms only, O(cap) on the four-term
+denominator.  For f = 1 + sum a_j t^j, t f' = f t (log f)' gives the integers
+(if the a_j are) P_n = n [t^n] log f = n a_n - sum_(a_j != 0, j < n) a_j P_(n-j).
+
 >>> geom = PowerSeries.one(5) - PowerSeries.monomial(1, 5)
 >>> geom.inverse().coefficients()
 [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
@@ -110,18 +114,24 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
+    def _terms(self) -> list:
+        """Nonzero (j, a_j) for j >= 1, integral a_j as int."""
+        ints = (a.numerator if a.denominator == 1 else a for a in self.coeffs)
+        return [(j, a) for j, a in enumerate(ints) if j and a]
+
     def inverse(self) -> "PowerSeries":
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ValueError("inverse needs a nonzero constant term")
         cap = self.cap
+        terms = self._terms()
         inv = [Fraction(0)] * (cap + 1)
         inv[0] = Fraction(1) / a0
         for n in range(1, cap + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += self.coeffs[k] * inv[n - k]
+            s = 0
+            for k, a in terms:
+                if k <= n:
+                    s += a * inv[n - k]
             inv[n] = -s / a0
         return PowerSeries(inv, cap)
 
@@ -129,13 +139,15 @@ class PowerSeries:
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
         cap = self.cap
-        out = [Fraction(0)] * (cap + 1)
-        for n in range(1, cap + 1):
-            s = self.coeffs[n] * n
-            for k in range(1, n):
-                s -= out[k] * k * self.coeffs[n - k]
-            out[n] = s / n
-        return PowerSeries(out, cap)
+        terms = self._terms()
+        p = [0] * (cap + 1)  # p[n] = n * log_n, the P_n of the module docstring
+        for j, a in terms:
+            p[j] = j * a
+        for n in range(2, cap + 1):
+            for j, a in terms:
+                if j < n:
+                    p[n] -= a * p[n - j]
+        return PowerSeries([0] + [Fraction(p[n], n) for n in range(1, cap + 1)], cap)
 
     def exp(self) -> "PowerSeries":
         if self.coeffs[0] != 0:
@@ -177,23 +189,29 @@ def loop_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
 def mobius_counts(denominator: PowerSeries) -> dict:
     """Moebius-inverted log-coefficients of a denominator polynomial.
 
-    With eta_m the t^m coefficient of log(denominator), returns
-    l[w] = -sum over j | w of mu(j) * eta_(w/j) / j for 1 <= w <= cap.
+    With P_m = m * eta_m, where eta_m is the t^m coefficient of
+    log(denominator), returns l[w] = -(1/w) sum over j | w of mu(j) P_(w/j)
+    for 1 <= w <= cap.  P_m is an integer when the denominator's coefficients
+    are (module docstring), so the sum is taken in integers and divided by w
+    once; Fraction enters only for non-integral coefficients.
     Every l[w] must come out a non-negative integer; anything else means the
     series was not the denominator of a graded-algebra Hilbert series and is
     reported as a hard failure.
     """
     eta = denominator.log().coeffs
+    p = [c.numerator if c.denominator == 1 else c for c in (m * e for m, e in enumerate(eta))]
     counts = {}
     for w in range(1, denominator.cap + 1):
-        total = Fraction(0)
+        total = 0
         for j in divisors(w):
             mu = mobius(j)
             if mu:
-                total -= Fraction(mu, j) * eta[w // j]
-        if total.denominator != 1 or total < 0:
-            raise ComputationFailure(f"summand count l[{w}] = {total} is not a non-negative integer")
-        counts[w] = int(total)
+                total -= mu * p[w // j]
+        if total % w or total < 0:
+            raise ComputationFailure(
+                f"summand count l[{w}] = {Fraction(total) / w} is not a non-negative integer"
+            )
+        counts[w] = total // w
     return counts
 
 

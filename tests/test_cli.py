@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -111,6 +112,28 @@ class TestHomotopy:
         )
         assert code == 3
         assert "table" in err
+
+
+class TestScaling:
+    """Counting is linear in the degree and in the letters.  With a loop over
+    every earlier log coefficient or every pair of letters per degree, each
+    size takes about a minute (extrapolated from k = 1500 and r = 200)."""
+
+    def test_homotopy_far_past_the_table_exits_three(self):
+        start = time.perf_counter()
+        code, _out, err = run_cli(["homotopy", "--n", "2", "--r", "2", "--torsion", "-", "--k", "5000"])
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert "pi_5000(S^2)" in err
+
+    def test_report_with_four_thousand_letters(self):
+        start = time.perf_counter()
+        code, out, _err = run_cli(["report", "--n", "2", "--r", "2000", "--cap", "20", "--json"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["loop_homology_dims"][:3] == [1, 2000, 2000**2 + 2000]
+        assert doc["summand_counts"]["1"] == 2000
 
 
 class TestSelftest:

@@ -20,6 +20,7 @@ from loopspace.rewrite import (
     relation_vector,
     weight_dims,
 )
+from loopspace.selftest import GRID
 from loopspace.series import PowerSeries, loop_generating_series
 from loopspace.words import Alphabet, NCPoly, Word
 
@@ -45,6 +46,37 @@ def brute_force_counts(pres, cap):
             if deg + degrees[i - 1] <= cap:
                 stack.append((word + (i,), deg + degrees[i - 1]))
     return counts
+
+
+def per_pair_hilbert_dims(pres, cap, weights=None):
+    """The transfer loop over every (last, next) letter pair: the oracle."""
+    q = pres.alphabet.size
+    wts = tuple(weights) if weights is not None else pres.alphabet.degrees
+    forbidden = pres.leading_pair()
+    counts = [[0] * q for _ in range(cap + 1)]
+    for i in range(q):
+        if wts[i] <= cap:
+            counts[wts[i]][i] += 1
+    for d in range(cap + 1):
+        for last in range(q):
+            for nxt in range(q):
+                if forbidden and forbidden[0] == last + 1 and forbidden[1] == nxt + 1:
+                    continue
+                if d + wts[nxt] <= cap:
+                    counts[d + wts[nxt]][nxt] += counts[d][last]
+    dims = [sum(row) for row in counts]
+    dims[0] += 1
+    return dims
+
+
+def inverse_q_dims(n, r, cap):
+    """Coefficients of 1/q(t), q = 1 - r t^(n-1) - r t^n + t^(2n-1), in integers."""
+    a = [1] + [0] * cap
+    for d in range(1, cap + 1):
+        for e, c in ((n - 1, r), (n, r), (2 * n - 1, -1)):
+            if d >= e:
+                a[d] += c * a[d - e]
+    return a
 
 
 class TestNormalForm:
@@ -159,6 +191,34 @@ class TestHilbertDims:
         pres = loop_presentation(ManifoldModel(2, 3))
         series = loop_generating_series(2, 3, 40).inverse()
         assert hilbert_dims(pres, 40) == [c.numerator for c in series.coefficients()]
+
+    @pytest.mark.parametrize("n,r", list(GRID) + [(2, 20), (3, 20), (2, 50)])
+    def test_matches_per_pair_oracle(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        ones = (1,) * pres.alphabet.size
+        free = QuadraticPresentation(pres.alphabet)
+        for cap in (0, 1, 2, 25):
+            assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap)
+            assert weight_dims(pres, cap) == per_pair_hilbert_dims(pres, cap, ones)
+            assert hilbert_dims(free, cap) == per_pair_hilbert_dims(free, cap)
+            assert weight_dims(free, cap) == per_pair_hilbert_dims(free, cap, ones)
+        assert hilbert_dims(pres, 25) == inverse_q_dims(n, r, 25)
+        # graded by length, q becomes 1 - 2r t + t^2; the free algebra is (2r)^w
+        by_length = [1, 2 * r]
+        for _ in range(24):
+            by_length.append(2 * r * by_length[-1] - by_length[-2])
+        assert weight_dims(pres, 25) == by_length
+        assert weight_dims(free, 25) == [(2 * r) ** w for w in range(26)]
+
+    def test_forbidden_pair_of_later_letters(self):
+        # the forbidden bigram x_3 x_2 runs backwards, away from letters 1 and 2
+        a = Alphabet.from_degrees((1, 2, 3, 4))
+        rel = NCPoly.monomial(Word(a, (3, 2))) - NCPoly.monomial(Word(a, (1, 1)))
+        pres = QuadraticPresentation(a, rel)
+        assert pres.leading_pair() == (3, 2)
+        for weights in (None, (1, 1, 1, 1), (2, 1, 3, 1)):
+            assert hilbert_dims(pres, 20, weights) == per_pair_hilbert_dims(pres, 20, weights)
+        assert hilbert_dims(pres, 12) == brute_force_counts(pres, 12)
 
     def test_relation_sign_does_not_change_dims(self):
         a = loop_alphabet(2, 2)

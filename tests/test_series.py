@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import enumerate_lyndon, lie_dims
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
-from loopspace.numtheory import mobius
+from loopspace.numtheory import divisors, mobius
 from loopspace.rewrite import hilbert_dims
 from loopspace.selftest import GRID
 from loopspace.series import (
@@ -149,13 +150,25 @@ class TestMobiusCounts:
         assert all(isinstance(v, int) and v >= 0 for v in counts.values())
 
     def test_negative_count_is_hard_failure(self):
-        with pytest.raises(ComputationFailure):
+        message = "summand count l[1] = -1 is not a non-negative integer"
+        with pytest.raises(ComputationFailure, match=re.escape(message)):
             mobius_counts(PowerSeries([1, 1], 4))
+        assert failure_message(dense_mobius_counts, PowerSeries([1, 1], 4)) == message
 
     def test_fractional_count_is_hard_failure(self):
-        # log(1 - t + t^2) has eta_2 = 1/2; the degree-2 count comes out -1
-        with pytest.raises(ComputationFailure):
-            mobius_counts(PowerSeries([1, -1, 1], 4))
+        # log(1 - t + t^2) has eta_2 = 1/2; the degree-2 count comes out -1.
+        # 1 - t/2 and 1 - 3t + t^2/3 have fractional counts, l[1] and l[2].
+        cases = [
+            ([1, -1, 1], "l[2] = -1"),
+            ([1, Fraction(-1, 2)], "l[1] = 1/2"),
+            ([1, -3, Fraction(1, 3)], "l[2] = 8/3"),
+        ]
+        for coeffs, named in cases:
+            series = PowerSeries(coeffs, 4)
+            message = f"summand count {named} is not a non-negative integer"
+            with pytest.raises(ComputationFailure, match=re.escape(message)):
+                mobius_counts(series)
+            assert failure_message(dense_mobius_counts, series) == message
 
     def test_free_case_matches_all_lyndon_words(self):
         # 1 - r t^(n-1) - r t^n drops the relation term: every Lyndon word counts
@@ -170,6 +183,110 @@ class TestMobiusCounts:
         total20 = sum(counts.values())
         total10 = sum(v for w, v in counts.items() if w <= 10)
         assert total20 > 2 * total10
+
+
+def dense_log(series):
+    """The dense O(cap^2) log recurrence over every coefficient: the oracle."""
+    cap = series.cap
+    out = [Fraction(0)] * (cap + 1)
+    for n in range(1, cap + 1):
+        s = series.coeffs[n] * n
+        for k in range(1, n):
+            s -= out[k] * k * series.coeffs[n - k]
+        out[n] = s / n
+    return PowerSeries(out, cap)
+
+
+def dense_inverse(series):
+    """The dense O(cap^2) inverse recurrence over every coefficient: the oracle."""
+    cap = series.cap
+    inv = [Fraction(0)] * (cap + 1)
+    inv[0] = Fraction(1) / series.coeffs[0]
+    for n in range(1, cap + 1):
+        s = sum((series.coeffs[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
+        inv[n] = -s / series.coeffs[0]
+    return PowerSeries(inv, cap)
+
+
+def dense_mobius_counts(denominator):
+    """Moebius inversion of the dense log, in Fraction throughout: the oracle."""
+    eta = dense_log(denominator).coeffs
+    counts = {}
+    for w in range(1, denominator.cap + 1):
+        total = sum((-Fraction(mobius(j), j) * eta[w // j] for j in divisors(w)), Fraction(0))
+        if total.denominator != 1 or total < 0:
+            raise ComputationFailure(f"summand count l[{w}] = {total} is not a non-negative integer")
+        counts[w] = int(total)
+    return counts
+
+
+def failure_message(route, series):
+    with pytest.raises(ComputationFailure) as info:
+        route(series)
+    return str(info.value)
+
+
+def random_series(rng, cap, density, integral, constant=1):
+    def coeff():
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.randint(-5, 5), 1 if integral else rng.randint(1, 6))
+
+    return PowerSeries([constant] + [coeff() for _ in range(cap)], cap)
+
+
+SPARSE_CASES = [
+    (cap, density, integral)
+    for cap in (0, 1, 40)
+    for density in (0.1, 1.0)
+    for integral in (True, False)
+]
+
+
+class TestSparseRecurrences:
+    """``log`` and ``inverse`` loop over nonzero terms; the dense loops are oracles."""
+
+    @pytest.mark.parametrize("cap,density,integral", SPARSE_CASES)
+    def test_log_matches_dense_oracle(self, cap, density, integral):
+        rng = random.Random(f"log {cap} {density} {integral}")
+        for _ in range(8):
+            series = random_series(rng, cap, density, integral)
+            assert series.log() == dense_log(series), series
+
+    @pytest.mark.parametrize("cap,density,integral", SPARSE_CASES)
+    def test_inverse_matches_dense_oracle(self, cap, density, integral):
+        rng = random.Random(f"inverse {cap} {density} {integral}")
+        for constant in (1, -1, 3, Fraction(-2, 5)):
+            series = random_series(rng, cap, density, integral, constant)
+            assert series.inverse() == dense_inverse(series), series
+
+    def test_log_of_integral_series_has_integral_p(self):
+        # q = 1 - 2t - 2t^2 + t^3: P_1 = -2, P_2 = 2(-2) - (-2)(-2) = -8,
+        # P_3 = 3(1) - (-2)(-8) - (-2)(-2) = -17, and every P_n = n eta_n is an integer
+        eta = loop_generating_series(2, 2, 60).log().coeffs
+        p = [n * e for n, e in enumerate(eta)]
+        assert p[:4] == [0, -2, -8, -17]
+        assert all(c.denominator == 1 for c in p)
+
+    @pytest.mark.parametrize(
+        "n,r,cap", [(2, 1, 30), (2, 2, 200), (3, 3, 200), (4, 2, 120), (2, 50, 200)]
+    )
+    def test_summand_counts_match_dense_log_route(self, n, r, cap):
+        assert sphere_summand_counts(n, r, cap) == dense_mobius_counts(
+            loop_generating_series(n, r, cap)
+        )
+
+    def test_counts_match_dense_route_on_random_denominators(self):
+        # integer and fractional denominators: the same counts, or the same failure
+        rng = random.Random(59)
+        for _ in range(40):
+            series = random_series(rng, 12, 0.3, rng.random() < 0.5)
+            try:
+                expected = dense_mobius_counts(series)
+            except ComputationFailure as e:
+                assert failure_message(mobius_counts, series) == str(e)
+            else:
+                assert mobius_counts(series) == expected
 
 
 def pbw_by_exp(lie_dims, hilbert, cap):
