@@ -9,6 +9,12 @@ Three batch subcommands:
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration
 (message names the offending field), 3 sphere-table range gaps.
+
+Sizes are bounded before any counting starts, so that no question runs or
+allocates without bound: --cap <= 1000, --r <= 10000 and --k <= 10000
+(exit 2).  At each limit one answer takes a few seconds: report --cap 1000
+with G = Z/2 + Z/3 about 5 s, report --r 10000 --cap 20 about 1 s, and
+homotopy --r 10000 --k 10000 about 2.4 s.
 """
 
 import argparse
@@ -41,6 +47,10 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_TABLE = 3
+
+MAX_CAP = 1000
+MAX_R = 10000
+MAX_K = 10000
 
 
 def _manifold_args(sub):
@@ -87,6 +97,8 @@ def _validated_manifold(args):
         raise ValueError("n must be >= 2")
     if args.r < 0:
         raise ValueError("r must be >= 0")
+    if args.r > MAX_R:
+        raise ValueError(f"r {args.r} is over the limit {MAX_R}")
     try:
         torsion = parse_torsion(args.torsion)
     except ValueError as e:
@@ -99,6 +111,8 @@ def cmd_report(args) -> int:
         m = _validated_manifold(args)
         if args.cap < 1:
             raise ValueError("cap must be >= 1")
+        if args.cap > MAX_CAP:
+            raise ValueError(f"cap {args.cap} is over the limit {MAX_CAP}")
     except ValueError as e:
         return fail_config(str(e))
 
@@ -167,6 +181,8 @@ def cmd_homotopy(args) -> int:
         m = _validated_manifold(args)
         if args.k < 0:
             raise ValueError("k must be >= 0")
+        if args.k > MAX_K:
+            raise ValueError(f"k {args.k} is over the limit {MAX_K}")
     except ValueError as e:
         return fail_config(str(e))
     try:

@@ -1,4 +1,4 @@
-"""Small exact number-theory helpers: factorization, divisors, Moebius."""
+"""Small exact number-theory helpers: factorization and a Moebius sieve."""
 
 from functools import lru_cache
 
@@ -23,21 +23,22 @@ def factorint(n: int) -> tuple:
     return tuple(out)
 
 
-def divisors(n: int) -> list:
-    """All positive divisors of n, sorted ascending."""
-    divs = [1]
-    for p, e in factorint(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def mobius_sieve(cap: int) -> list:
+    """Moebius function mu(0..cap) by one sieve; mu[0] is unused and 0.
 
-
-def mobius(n: int) -> int:
-    """Moebius function: (-1)^#primes on squarefree n, else 0."""
-    mu = 1
-    for _p, e in factorint(n):
-        if e > 1:
-            return 0
-        mu = -mu
+    mu is (-1)^#primes on squarefree n, else 0: each prime p flips the sign
+    of its multiples and zeroes the multiples of p^2.
+    """
+    mu = [0] + [1] * cap
+    composite = [False] * (cap + 1)
+    for p in range(2, cap + 1):
+        if composite[p]:
+            continue
+        for m in range(p, cap + 1, p):
+            composite[m] = True
+            mu[m] = -mu[m]
+        for m in range(p * p, cap + 1, p * p):
+            mu[m] = 0
     return mu
 
 

@@ -17,7 +17,7 @@ denominator.  For f = 1 + sum a_j t^j, t f' = f t (log f)' gives the integers
 from fractions import Fraction
 
 from .errors import ComputationFailure
-from .numtheory import divisors, mobius
+from .numtheory import mobius_sieve
 
 
 class PowerSeries:
@@ -191,22 +191,26 @@ def mobius_counts(denominator: PowerSeries) -> dict:
 
     With P_m = m * eta_m, where eta_m is the t^m coefficient of
     log(denominator), returns l[w] = -(1/w) sum over j | w of mu(j) P_(w/j)
-    for 1 <= w <= cap.  P_m is an integer when the denominator's coefficients
-    are (module docstring), so the sum is taken in integers and divided by w
-    once; Fraction enters only for non-integral coefficients.
+    for 1 <= w <= cap.  One sieve gives mu(1..cap), and each squarefree j
+    adds -mu(j) P_(w/j) to the sums of its multiples w: O(cap log cap) steps.
+    P_m is an integer when the denominator's coefficients are (module
+    docstring), so the sums are taken in integers and divided by w once;
+    Fraction enters only for non-integral coefficients.
     Every l[w] must come out a non-negative integer; anything else means the
     series was not the denominator of a graded-algebra Hilbert series and is
     reported as a hard failure.
     """
     eta = denominator.log().coeffs
     p = [c.numerator if c.denominator == 1 else c for c in (m * e for m, e in enumerate(eta))]
+    cap = denominator.cap
+    totals = [0] * (cap + 1)
+    for j, mu in enumerate(mobius_sieve(cap)):
+        if mu:
+            for w in range(j, cap + 1, j):
+                totals[w] -= mu * p[w // j]
     counts = {}
-    for w in range(1, denominator.cap + 1):
-        total = 0
-        for j in divisors(w):
-            mu = mobius(j)
-            if mu:
-                total -= mu * p[w // j]
+    for w in range(1, cap + 1):
+        total = totals[w]
         if total % w or total < 0:
             raise ComputationFailure(
                 f"summand count l[{w}] = {Fraction(total) / w} is not a non-negative integer"

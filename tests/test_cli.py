@@ -135,6 +135,22 @@ class TestScaling:
         assert doc["loop_homology_dims"][:3] == [1, 2000, 2000**2 + 2000]
         assert doc["summand_counts"]["1"] == 2000
 
+    @pytest.mark.parametrize(
+        "field,argv",
+        [
+            ("cap", ["report", "--n", "2", "--r", "2", "--cap", "100000000"]),
+            ("r", ["report", "--n", "2", "--r", "100000000"]),
+            ("k", ["homotopy", "--n", "2", "--r", "2", "--k", "100000000"]),
+        ],
+    )
+    def test_size_over_the_limit_exits_two_naming_the_field(self, field, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} 100000000 is over the limit")
+
 
 class TestSelftest:
     def test_passes(self):

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from loopspace import linalg
+from loopspace import linalg, numtheory, series
 from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.lyndon import (
     P,
@@ -17,15 +18,32 @@ from loopspace.lyndon import (
     lie_dims,
     standard_factorization,
     standard_lyndon,
+    _forbidden,
+    _walk_lyndon,
 )
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
-from loopspace.numtheory import divisors, mobius
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace.selftest import GRID
 from loopspace.series import sphere_summand_counts
 from loopspace.words import Alphabet, NCPoly, Word
 
 AB = Alphabet.from_degrees((1, 1), labels=("a", "b"))
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def mobius(n):
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
 
 
 def necklace_count(q, m):
@@ -115,6 +133,71 @@ class TestEnumeration:
                 if sum(a.degrees[i - 1] for i in w) == d and is_lyndon(w)
             }
             assert set(words) == brute
+
+
+# The plain recursive prenecklace walk, with the cap and bigram tests in the
+# loop and a push/pop per node: the oracle for lyndon._walk_lyndon, which
+# must count and list exactly the same words in the same order.
+def reference_walk(weights, cap, forbidden, words=None):
+    q = len(weights)
+    counts = [0] * (cap + 1)
+    word = []
+    fa, fb = forbidden if forbidden else (-1, -1)
+
+    def rec(period, degree):
+        start = word[len(word) - period]
+        last = word[-1]
+        for letter in range(start, q):
+            if last == fa and letter == fb:
+                continue
+            d2 = degree + weights[letter]
+            if d2 > cap:
+                continue
+            word.append(letter)
+            if letter == start:
+                rec(period, d2)
+            else:
+                counts[d2] += 1
+                if words is not None:
+                    words[d2].append(tuple(word))
+                rec(len(word), d2)
+            word.pop()
+
+    for first in range(q):
+        if weights[first] <= cap:
+            counts[weights[first]] += 1
+            if words is not None:
+                words[weights[first]].append((first,))
+            word.append(first)
+            rec(1, weights[first])
+            word.pop()
+    return counts
+
+
+def assert_walk_matches_reference(weights, cap, forbidden):
+    case = (weights, cap, forbidden)
+    listed = [[] for _ in range(cap + 1)]
+    expected = [[] for _ in range(cap + 1)]
+    counts = reference_walk(weights, cap, forbidden, expected)
+    assert _walk_lyndon(weights, cap, forbidden, listed) == counts, case
+    assert listed == expected, case
+    assert _walk_lyndon(weights, cap, forbidden) == counts, case
+
+
+class TestWalk:
+    def test_matches_reference_on_random_alphabets(self):
+        rng = random.Random(20181)
+        for _ in range(400):
+            q = rng.randint(1, 5)
+            weights = tuple(rng.randint(1, 3) for _ in range(q))
+            forbidden = rng.choice([None, (rng.randrange(q), rng.randrange(q))])
+            assert_walk_matches_reference(weights, rng.randint(0, 9), forbidden)
+
+    @pytest.mark.parametrize("n,r", GRID)
+    def test_matches_reference_on_loop_alphabets(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        for forbidden in (_forbidden(pres), None):
+            assert_walk_matches_reference(pres.alphabet.degrees, 10, forbidden)
 
 
 class TestFactorization:
@@ -250,6 +333,20 @@ class TestLieDims:
     def test_cross_oracle_against_mobius(self, n, r):
         pres = loop_presentation(ManifoldModel(n, r))
         assert lie_dims(pres, 10) == sphere_summand_counts(n, r, 10)
+
+
+    def test_shares_no_arithmetic_with_mobius(self, monkeypatch):
+        expected = sphere_summand_counts(2, 2, 10)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("lie_dims reached the Moebius route")
+
+        monkeypatch.setattr(series, "mobius_counts", refuse)
+        monkeypatch.setattr(series.PowerSeries, "log", refuse)
+        monkeypatch.setattr(numtheory, "mobius_sieve", refuse)
+        dims = lie_dims(loop_presentation(ManifoldModel(2, 2)), 10)
+        assert [dims[w] for w in (1, 2, 3)] == [2, 3, 5]
+        assert dims == expected
 
 
 class TestIndependence:

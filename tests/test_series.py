@@ -7,7 +7,7 @@ import pytest
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import enumerate_lyndon, lie_dims
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
-from loopspace.numtheory import divisors, mobius
+from loopspace.numtheory import mobius_sieve
 from loopspace.rewrite import hilbert_dims
 from loopspace.selftest import GRID
 from loopspace.series import (
@@ -133,7 +133,9 @@ class TestGeneratingSeries:
 
 class TestMobiusCounts:
     def test_mobius_table(self):
-        assert [mobius(k) for k in (1, 2, 3, 4)] == [1, -1, -1, 0]
+        assert mobius_sieve(4)[1:] == [1, -1, -1, 0]
+        for cap in (0, 1, 2, 30, 500):
+            assert mobius_sieve(cap) == [0] + [mobius(k) for k in range(1, cap + 1)]
 
     def test_rank_one_counts(self):
         counts = sphere_summand_counts(2, 1, 8)
@@ -206,6 +208,23 @@ def dense_inverse(series):
         s = sum((series.coeffs[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
         inv[n] = -s / series.coeffs[0]
     return PowerSeries(inv, cap)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def mobius(n):
+    """The Moebius function by trial division: the sieve's oracle."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
 
 
 def dense_mobius_counts(denominator):
