@@ -46,12 +46,13 @@ class FiniteAbelianGroup:
                 raise ValueError(f"cyclic order {o} must be >= 1")
             for p, e in factorint(o):
                 by_prime[p].append(e)
+        for exps in by_prime.values():
+            exps.sort(reverse=True)
         width = max((len(v) for v in by_prime.values()), default=0)
         factors = []
         for i in range(width):  # i-th largest prime power per prime
             d = 1
             for p, exps in by_prime.items():
-                exps = sorted(exps, reverse=True)
                 if i < len(exps):
                     d *= p ** exps[i]
             factors.append(d)
@@ -97,10 +98,17 @@ class FiniteAbelianGroup:
         )
 
     def power(self, k: int) -> "FiniteAbelianGroup":
-        """Direct sum of k copies of the group."""
+        """Direct sum of k copies of the group.
+
+        Repeating each invariant factor k times keeps the divisibility chain,
+        and invariant factors are unique, so nothing needs renormalising.
+        """
         if k < 0:
             raise ValueError("power must be >= 0")
-        return FiniteAbelianGroup.from_cyclic_orders(self.invariant_factors * k)
+        factors = []
+        for d in self.invariant_factors:
+            factors += [d] * k  # allocated at once: a k too large fails here
+        return FiniteAbelianGroup(factors)
 
     def __eq__(self, other):
         return (

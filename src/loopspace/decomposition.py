@@ -278,16 +278,18 @@ def loop_decomposition(m: ManifoldModel) -> SpaceExpr:
     )
 
 
-def weak_product_decomposition(m: ManifoldModel, cap: int) -> WeakProduct:
+def weak_product_decomposition(m: ManifoldModel, cap: int, *, counts=None) -> WeakProduct:
     """Looped spheres with Moebius multiplicities, localized off the torsion.
 
     Factor w is Loop(S^(w+1)) with multiplicity l[w], for loop degrees
     w <= cap.  For r = 0 the single factor is the looped top sphere.
+    ``counts`` takes l[1..cap] when the caller already has them.
     """
     primes = sigma_primes(m)
     if m.r < 1:
         return WeakProduct([(localized(primes, loop(Sphere(m.dim))), 1)])
-    counts = sphere_summand_counts(m.n, m.r, cap)
+    if counts is None:
+        counts = sphere_summand_counts(m.n, m.r, cap)
     factors = []
     for w in range(1, cap + 1):
         if counts[w]:
@@ -296,14 +298,15 @@ def weak_product_decomposition(m: ManifoldModel, cap: int) -> WeakProduct:
 
 
 def polynomial_ring_dims(n: int, cap: int) -> list:
-    """Graded dimensions of Z[u, v] with |u| = n-1, |v| = n."""
-    dims = [0] * (cap + 1)
-    for a in range(cap // (n - 1) + 1):
-        base = a * (n - 1)
-        if base > cap:
-            break
-        for b in range((cap - base) // n + 1):
-            dims[base + b * n] += 1
+    """Graded dimensions of Z[u, v] with |u| = n-1, |v| = n.
+
+    The series is 1 / ((1 - t^(n-1)) (1 - t^n)): each factor is divided out
+    by one running-sum pass, O(cap) in all.
+    """
+    dims = [1] + [0] * cap
+    for step in (n - 1, n):
+        for d in range(step, cap + 1):
+            dims[d] += dims[d - step]
     return dims
 
 
@@ -311,26 +314,22 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
     """Reduced homology of the splitting fibre through degree cap.
 
     The fibre is (a half-smash over) Z[u,v] tensor the reduced homology of
-    Z, so its homology is the graded convolution of the polynomial-ring
-    dimensions with (Z^(r-1) + G in degree n, Z^(r-1) in degree n+1).
+    Z, which is Z^(r-1) + G in degree n and Z^(r-1) in degree n+1.  With p
+    the dimensions of Z[u,v], degree D is therefore, in closed form,
+
+        H_D = Z^((r-1)(p[D-n] + p[D-n-1])) + G^(p[D-n]),
+
+    built once per degree: O(cap) groups, plus the G^(p[D-n]) factors.
     """
     if m.r < 1:
         raise SphereFallback(m.n, sigma_primes(m))
     poly = polynomial_ring_dims(m.n, cap)
-    z_parts = {
-        m.n: FgAbelianGroup(m.r - 1, m.torsion),
-        m.n + 1: FgAbelianGroup(m.r - 1),
-    }
-    acc = {}
-    for d, c in enumerate(poly):
-        if not c:
-            continue
-        for e, g in z_parts.items():
-            if d + e > cap or g.is_zero():
-                continue
-            chunk = g.power(c)
-            acc[d + e] = acc[d + e].direct_sum(chunk) if d + e in acc else chunk
-    return GradedAbelianGroup(acc)
+    parts = {}
+    below = 0  # p[D-n-1]
+    for d in range(cap - m.n + 1):  # d = D - n
+        parts[d + m.n] = FgAbelianGroup((m.r - 1) * (poly[d] + below), m.torsion.power(poly[d]))
+        below = poly[d]
+    return GradedAbelianGroup(parts)
 
 
 # ---------------------------------------------------------------------------

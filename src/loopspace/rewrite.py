@@ -153,7 +153,9 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     ``weights`` overrides the letter degrees (e.g. all-ones for the weight
     grading).  Transfer-matrix recursion on the last letter: appending x_j to
     the S_d words of degree d adds S_d words ending in x_j, less those ending
-    in x_a when x_a x_j is the forbidden bigram: O(letters) per degree.
+    in x_a when x_a x_j is the forbidden bigram: O(letters) additions per
+    degree.  Degree d feeds only degrees up to d + max(weights), so only that
+    many rows of per-letter counts are kept, each cleared once read.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -165,18 +167,20 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     forbidden = pres.leading_pair()
     f_last, f_next = (forbidden[0] - 1, forbidden[1] - 1) if forbidden else (None, None)
 
-    # counts[d][i] = number of irreducible words of degree d ending in letter i+1
-    counts = [[0] * q for _ in range(cap + 1)]
+    # ring[d % width][i] = number of irreducible words of degree d ending in letter i+1
+    width = min(max(wts), cap) + 1  # a letter heavier than cap is never placed
+    ring = [[0] * q for _ in range(width)]
     for i in range(q):
         if wts[i] <= cap:
-            counts[wts[i]][i] += 1
+            ring[wts[i]][i] += 1
     dims = [0] * (cap + 1)
     for d in range(cap + 1):
-        row = counts[d]
+        row = ring[d % width]
+        ring[d % width] = [0] * q
         dims[d] = total = sum(row)
         for nxt, w in enumerate(wts):
             if d + w <= cap:
-                counts[d + w][nxt] += (total - row[f_last]) if nxt == f_next else total
+                ring[(d + w) % width][nxt] += (total - row[f_last]) if nxt == f_next else total
     dims[0] += 1  # empty word
     return dims
 

@@ -194,14 +194,16 @@ def mobius_counts(denominator: PowerSeries) -> dict:
     for 1 <= w <= cap.  One sieve gives mu(1..cap), and each squarefree j
     adds -mu(j) P_(w/j) to the sums of its multiples w: O(cap log cap) steps.
     P_m is an integer when the denominator's coefficients are (module
-    docstring), so the sums are taken in integers and divided by w once;
-    Fraction enters only for non-integral coefficients.
+    docstring): log returns eta_m = a/b in lowest terms, so b | m gives
+    P_m = a (m // b) without a Fraction product.  The sums are taken in
+    integers and divided by w once; Fraction enters only for non-integral P_m.
     Every l[w] must come out a non-negative integer; anything else means the
     series was not the denominator of a graded-algebra Hilbert series and is
     reported as a hard failure.
     """
     eta = denominator.log().coeffs
-    p = [c.numerator if c.denominator == 1 else c for c in (m * e for m, e in enumerate(eta))]
+    p = [e.numerator * (m // e.denominator) if m % e.denominator == 0 else m * e
+         for m, e in enumerate(eta)]
     cap = denominator.cap
     totals = [0] * (cap + 1)
     for j, mu in enumerate(mobius_sieve(cap)):

@@ -1,6 +1,34 @@
+import random
+from collections import defaultdict
+
 import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from loopspace.numtheory import factorint
+
+
+def per_index_sorting_from_cyclic_orders(orders):
+    """The former normalisation, which re-sorts each prime's exponents for
+    every invariant factor: the oracle."""
+    by_prime = defaultdict(list)
+    for o in orders:
+        for p, e in factorint(int(o)):
+            by_prime[p].append(e)
+    width = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for i in range(width):
+        d = 1
+        for p, exps in by_prime.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                d *= p ** exps[i]
+        factors.append(d)
+    return FiniteAbelianGroup(sorted(factors))
+
+
+def random_orders(rng):
+    return [rng.choice((1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 49, 360))
+            for _ in range(rng.randrange(12))]
 
 
 class TestFiniteAbelianGroup:
@@ -43,6 +71,22 @@ class TestFiniteAbelianGroup:
         assert g.power(2).invariant_factors == (3, 3)
         h = FiniteAbelianGroup.from_cyclic_orders([2])
         assert g.direct_sum(h).invariant_factors == (6,)
+
+    def test_normalization_matches_per_index_sorting_oracle(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            orders = random_orders(rng)
+            assert FiniteAbelianGroup.from_cyclic_orders(orders) == per_index_sorting_from_cyclic_orders(
+                orders
+            ), orders
+
+    def test_power_repeats_factors_as_normalised_sum_would(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            g = FiniteAbelianGroup.from_cyclic_orders(random_orders(rng))
+            for k in (0, 1, 2, 5):
+                assert g.power(k) == per_index_sorting_from_cyclic_orders(g.invariant_factors * k)
+        assert FiniteAbelianGroup((2, 12)).power(2).invariant_factors == (2, 2, 12, 12)
 
     def test_str(self):
         assert str(FiniteAbelianGroup.trivial()) == "0"

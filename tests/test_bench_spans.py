@@ -1,16 +1,25 @@
-"""Every per-layer span named in BENCHMARK.json must resolve to a function.
+"""Every per-layer span named in BENCHMARK.json must resolve to a function,
+and a report must call every span the traced report-deep run expects.
 
-The traced benchmark run wraps these names and exits 2 when one is missing,
-so a deletion or rename under src/ that would break it fails here first.
+The traced benchmark run wraps these names and exits 2 when one is missing
+or an expected one is never called, so a deletion, rename or inlining under
+src/ that would break it fails here first.
 """
 
+import ast
+import contextlib
 import importlib
+import io
 import json
 import pathlib
+import sys
+from collections import Counter
 
 import pytest
 
-BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def span_names():
@@ -43,3 +52,48 @@ def test_span_resolves_to_callable(span):
         owner = getattr(owner, part, None)
         assert owner is not None, f"loopspace.{span} does not resolve"
     assert callable(owner) and not isinstance(owner, type), f"loopspace.{span} is not a function"
+
+
+def expected_calls(workload):
+    """EXPECTED_CALLS[workload], read from the bench's workload list."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "EXPECTED_CALLS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)[workload]
+    raise LookupError("EXPECTED_CALLS not found in the bench workloads")
+
+
+def spy(monkeypatch, span, calls):
+    """Count calls of loopspace.<span> at every name it is looked up by."""
+    module_name, _, qualname = span.partition(".")
+    owner = importlib.import_module(f"loopspace.{module_name}")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls[span] += 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, attr, counted)
+        return
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopspace") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_report_calls_every_report_deep_span(monkeypatch, as_json):
+    expected = expected_calls("report-deep")
+    calls = Counter()
+    for span in expected:
+        spy(monkeypatch, span, calls)
+    cli = importlib.import_module("loopspace.cli")
+    argv = ["report", "--n", "3", "--r", "2", "--torsion", "2", "--cap", "30"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--json"] * as_json) == 0
+    assert sorted(calls) == sorted(expected)
+    assert calls["series.sphere_summand_counts"] == 1

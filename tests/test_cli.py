@@ -135,6 +135,19 @@ class TestScaling:
         assert doc["loop_homology_dims"][:3] == [1, 2000, 2000**2 + 2000]
         assert doc["summand_counts"]["1"] == 2000
 
+    def test_report_with_six_torsion_primes_at_the_cap_limit(self):
+        # renormalising the torsion at every step of each degree took over 10 s
+        start = time.perf_counter()
+        code, out, _err = run_cli(
+            ["report", "--n", "2", "--r", "2", "--torsion", "2,3,5,7,11,13", "--cap", "1000", "--json"]
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        fiber = json.loads(out)["fiber_homology"]
+        # p[D - 2] = D // 2 for Z[u, v] with |u| = 1, |v| = 2
+        assert fiber["2"] == "Z + Z/30030"
+        assert fiber["1000"] == f"Z^{500 + 499} + " + " + ".join(["Z/30030"] * 500)
+
     @pytest.mark.parametrize(
         "field,argv",
         [

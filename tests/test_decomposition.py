@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
+from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from loopspace.decomposition import (
     LocalizedAt,
     Loop,
@@ -27,7 +27,11 @@ from loopspace.decomposition import (
 )
 from loopspace.errors import SphereFallback
 from loopspace.manifold import ManifoldModel
+from loopspace.selftest import GRID
 from loopspace.series import PowerSeries, loop_generating_series
+
+# 0, Z/2, Z/2 + Z/3, Z/4 + Z/8 + Z/3, Z/2 + Z/2 as cyclic orders
+FIBER_TORSIONS = ((), (2,), (2, 3), (4, 8, 3), (2, 2))
 
 
 def series_poly(d, cap):
@@ -158,10 +162,56 @@ class TestRationalSeries:
         assert rational_series(total, 15) == loop_generating_series(2, 2, 15).inverse()
 
 
+def pair_walk_ring_dims(n, cap):
+    """Z[u, v] dimensions by walking every monomial u^a v^b: the oracle."""
+    dims = [0] * (cap + 1)
+    for a in range(cap // (n - 1) + 1):
+        base = a * (n - 1)
+        for b in range((cap - base) // n + 1):
+            dims[base + b * n] += 1
+    return dims
+
+
+def chained_fiber_homology(m, cap):
+    """Each degree accumulated piece by piece, renormalising the torsion at
+    every power and direct sum, as the fibre homology was first built: the
+    oracle."""
+    poly = pair_walk_ring_dims(m.n, cap)
+    z_parts = {m.n: (m.r - 1, m.torsion.invariant_factors), m.n + 1: (m.r - 1, ())}
+    acc = {}
+    for d, c in enumerate(poly):
+        for e, (rank, orders) in z_parts.items():
+            if not c or d + e > cap or not (rank or orders):
+                continue
+            chunk = FgAbelianGroup(rank * c, FiniteAbelianGroup.from_cyclic_orders(orders * c))
+            if d + e in acc:
+                prev = acc[d + e]
+                chunk = FgAbelianGroup(
+                    prev.rank + chunk.rank,
+                    FiniteAbelianGroup.from_cyclic_orders(
+                        prev.torsion.invariant_factors + chunk.torsion.invariant_factors
+                    ),
+                )
+            acc[d + e] = chunk
+    return GradedAbelianGroup(acc)
+
+
 class TestFiberHomology:
     def test_polynomial_ring_dims(self):
         assert polynomial_ring_dims(2, 7) == [1, 1, 2, 2, 3, 3, 4, 4]
         assert polynomial_ring_dims(3, 6) == [1, 0, 1, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_polynomial_ring_dims_match_pair_walk(self, n):
+        for cap in range(81):
+            assert polynomial_ring_dims(n, cap) == pair_walk_ring_dims(n, cap), cap
+
+    @pytest.mark.parametrize("n,r", GRID)
+    @pytest.mark.parametrize("orders", FIBER_TORSIONS)
+    def test_closed_form_matches_chained_oracle(self, n, r, orders):
+        m = ManifoldModel(n, r, orders)
+        for cap in (0, 1, n, 60):
+            assert fiber_homology(m, cap) == chained_fiber_homology(m, cap), cap
 
     def test_rank_one_torsion_free_is_contractible(self):
         h = fiber_homology(ManifoldModel(2, 1), 8)

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -209,6 +211,23 @@ class TestHilbertDims:
             by_length.append(2 * r * by_length[-1] - by_length[-2])
         assert weight_dims(pres, 25) == by_length
         assert weight_dims(free, 25) == [(2 * r) ** w for w in range(26)]
+
+    def test_peak_memory_is_a_window_of_rows(self):
+        # a row per degree, (cap + 1) * 2r counts, is about 34 MB at r = cap = 300;
+        # only min(max weight, cap) + 1 rows may be alive at once
+        r = cap = 300
+        pres = loop_presentation(ManifoldModel(2, r))
+        tracemalloc.start()
+        try:
+            dims = hilbert_dims(pres, cap)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        width = min(max(pres.alphabet.degrees), cap) + 1
+        largest = sys.getsizeof(dims[-1]) + 8  # a count and its list slot
+        window = width * pres.alphabet.size * largest
+        returned = sys.getsizeof(dims) + sum(sys.getsizeof(d) for d in dims)
+        assert peak < 2 * (window + returned) < 2_000_000
 
     def test_forbidden_pair_of_later_letters(self):
         # the forbidden bigram x_3 x_2 runs backwards, away from letters 1 and 2
