@@ -223,29 +223,6 @@ def to_dict(expr: SpaceExpr) -> dict:
     raise TypeError(f"cannot serialize {expr!r}")
 
 
-def from_dict(doc: dict) -> SpaceExpr:
-    kind = doc["kind"]
-    if kind == "point":
-        return Point()
-    if kind == "sphere":
-        return Sphere(doc["dim"])
-    if kind == "moore":
-        return Moore(FiniteAbelianGroup(tuple(doc["group"])), doc["degree"])
-    if kind == "wedge":
-        return Wedge(tuple(from_dict(c) for c in doc["children"]))
-    if kind == "product":
-        return Product(tuple(from_dict(c) for c in doc["children"]))
-    if kind == "smash":
-        return Smash(tuple(from_dict(c) for c in doc["children"]))
-    if kind == "loop":
-        return Loop(from_dict(doc["child"]))
-    if kind == "localized":
-        return LocalizedAt(doc["invert"], from_dict(doc["child"]))
-    if kind == "weak_product":
-        return WeakProduct(tuple((from_dict(f["space"]), f["mult"]) for f in doc["factors"]))
-    raise ValueError(f"unknown node kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # the decomposition of Loop(M)
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ bracketings give a basis of the quotient Lie algebra.  The independence
 certificate proves that basis property degree by degree along two routes:
 each normal form is unitriangular on its standard word, and the stacked
 normal forms have full rank modulo a prime.
+
+Words are built straight from the walk's letter tuples, with no wrapper
+objects: ``enumerate_lyndon`` returns {degree: [Word]} and
+``standard_lyndon`` returns {degree: [(Word, NCPoly)]}, each word paired with
+its bracketing, both in the walk's lex order.
 """
 
 from . import linalg
@@ -58,87 +63,6 @@ def standard_factorization(indices):
         raise ValueError("single letters do not factor")
     start = min(range(1, len(indices)), key=lambda i: indices[i:])
     return indices[:start], indices[start:]
-
-
-class LyndonWord:
-    """A Lyndon word together with its standard factorization."""
-
-    __slots__ = ("word", "standard_factorization")
-
-    def __init__(self, word: Word):
-        if not is_lyndon(word.indices):
-            raise ValueError(f"{word} is not a Lyndon word")
-        object.__setattr__(self, "word", word)
-        if len(word) >= 2:
-            left, right = standard_factorization(word.indices)
-            pair = (
-                LyndonWord(Word(word.alphabet, left)),
-                LyndonWord(Word(word.alphabet, right)),
-            )
-        else:
-            pair = None
-        object.__setattr__(self, "standard_factorization", pair)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LyndonWord is immutable")
-
-    @property
-    def degree(self):
-        return self.word.degree
-
-    def __eq__(self, other):
-        return isinstance(other, LyndonWord) and self.word == other.word
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __repr__(self):
-        return f"LyndonWord({self.word})"
-
-    def __str__(self):
-        return str(self.word)
-
-
-class LieBasisElement:
-    """b(l) for a Lyndon word l: the expanded commutator in the tensor algebra.
-
-    ``sphere_dim`` is degree + 1: the basis element in loop degree w marks a
-    sphere summand S^(w+1) upstairs.
-    """
-
-    __slots__ = ("lyndon", "bracketing", "degree", "sphere_dim")
-
-    def __init__(self, lyndon: LyndonWord, bracketing: NCPoly):
-        object.__setattr__(self, "lyndon", lyndon)
-        object.__setattr__(self, "bracketing", bracketing)
-        object.__setattr__(self, "degree", lyndon.degree)
-        object.__setattr__(self, "sphere_dim", lyndon.degree + 1)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LieBasisElement is immutable")
-
-    def __repr__(self):
-        return f"b({self.lyndon}) = {self.bracketing}"
-
-
-def bracket_of(l: LyndonWord, _cache=None) -> LieBasisElement:
-    """Expand the recursive commutator of a Lyndon word."""
-    cache = _cache if _cache is not None else {}
-
-    def expand(lw: LyndonWord) -> NCPoly:
-        key = lw.word.indices
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if lw.standard_factorization is None:
-            poly = NCPoly.monomial(lw.word)
-        else:
-            left, right = lw.standard_factorization
-            poly = bracket(expand(left), expand(right))
-        cache[key] = poly
-        return poly
-
-    return LieBasisElement(l, expand(l))
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +134,19 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
     return counts
 
 
-def _lyndon_words(alphabet: Alphabet, cap: int, forbidden) -> dict:
-    """The walk's Lyndon words as LyndonWords, {degree: lex-sorted list}."""
+def _lyndon_words(weights, cap: int, forbidden) -> dict:
+    """The walk's Lyndon words as 1-based letter tuples, {degree: lex-sorted list}."""
     words = [[] for _ in range(cap + 1)]
-    _walk_lyndon(alphabet.degrees, cap, forbidden, words)
-    return {
-        d: [LyndonWord(Word(alphabet, tuple(i + 1 for i in w))) for w in words[d]]
-        for d in range(1, cap + 1)
-    }
+    _walk_lyndon(weights, cap, forbidden, words)
+    return {d: [tuple(i + 1 for i in w) for w in words[d]] for d in range(1, cap + 1)}
 
 
 def enumerate_lyndon(alphabet: Alphabet, cap: int) -> dict:
-    """All Lyndon words of homological degree <= cap, grouped by degree."""
+    """All Lyndon words of homological degree <= cap, {degree: [Word]} in lex order."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return _lyndon_words(alphabet, cap, None)
+    listed = _lyndon_words(alphabet.degrees, cap, None)
+    return {d: [Word(alphabet, w) for w in ws] for d, ws in listed.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +182,31 @@ def _forbidden(pres: QuadraticPresentation):
 
 
 def standard_lyndon(pres: QuadraticPresentation, cap: int) -> dict:
-    """Standard Lyndon words of degree <= cap with their bracketings."""
+    """Standard Lyndon words of degree <= cap with their bracketings.
+
+    Returns {degree: [(word, b(word))]} with the words in lex order and each
+    bracketing b(l) = [b(l1), b(l2)] an NCPoly.  The factors of a standard
+    word are standard words too, so one memo over letter tuples, shared by
+    all degrees, expands each factor once.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    by_degree = _lyndon_words(pres.alphabet, cap, _forbidden(pres))
-    cache = {}
-    return {d: [bracket_of(l, _cache=cache) for l in ls] for d, ls in by_degree.items()}
+    alphabet = pres.alphabet
+    memo = {}
+
+    def expand(indices) -> NCPoly:
+        poly = memo.get(indices)
+        if poly is None:
+            if len(indices) == 1:
+                poly = NCPoly.letter(alphabet, indices[0])
+            else:
+                left, right = standard_factorization(indices)
+                poly = bracket(expand(left), expand(right))
+            memo[indices] = poly
+        return poly
+
+    listed = _lyndon_words(alphabet.degrees, cap, _forbidden(pres))
+    return {d: [(Word(alphabet, w), expand(w)) for w in ws] for d, ws in listed.items()}
 
 
 def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
@@ -325,9 +266,8 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
         index = {w: i for i, w in enumerate(basis_words)}
         rows = []
         leads = set()
-        for el in elements:
-            nf = normal_form(el.bracketing, pres)
-            word = el.lyndon.word
+        for word, bracketing in elements:
+            nf = normal_form(bracketing, pres)
             if nf.coeff(word) not in (1, -1) or nf.min_lex_word() != word:
                 raise ComputationFailure(
                     f"degree {d}: NF(b({word})) is not +-{word} plus lex-larger words"

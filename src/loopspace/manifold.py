@@ -19,7 +19,7 @@ from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .linalg import nullspace
 from .rewrite import QuadraticPresentation, quadratic_weight_dims
-from .words import Alphabet, Letter, NCPoly, Word
+from .words import Alphabet, NCPoly, Word
 
 
 def parse_torsion(spec: str) -> FiniteAbelianGroup:
@@ -111,11 +111,11 @@ def coefficient_ring_label(m: ManifoldModel) -> str:
 
 def loop_alphabet(n: int, r: int) -> Alphabet:
     """u_1 < u_1' < u_2 < u_2' < ... with degrees n-1 and n."""
-    letters = []
+    degrees, labels = [], []
     for i in range(1, r + 1):
-        letters.append(Letter(2 * i - 1, n - 1, f"u{i}"))
-        letters.append(Letter(2 * i, n, f"u{i}'"))
-    return Alphabet(letters)
+        degrees += [n - 1, n]
+        labels += [f"u{i}", f"u{i}'"]
+    return Alphabet.from_degrees(degrees, labels)
 
 
 def loop_relation(alphabet: Alphabet) -> NCPoly:

@@ -19,6 +19,11 @@ from .series import sphere_summand_counts
 
 ENV_TABLE_PATH = "LOOPSPACE_SPHERE_TABLE"
 
+# The most cyclic summands a homotopy answer may have.  homotopy --n 2 --r 5
+# --k 9 has 207,228 and prints in about 0.3 s; --r 100 --k 9 would have about
+# 1.4 * 10^15.
+MAX_SUMMANDS = 10**6
+
 
 class SphereTable:
     """Validated map (k, m) -> pi_k(S^m), with per-sphere coverage bounds."""
@@ -144,7 +149,10 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
     Sums pi_k(S^(w+1)), localized, with multiplicity l[w]; only spheres of
     dimension <= k can contribute, so the sum is finite.  If any needed
     group is outside the table range the query fails listing every missing
-    (k, m) pair; nothing is silently dropped.
+    (k, m) pair; nothing is silently dropped.  An answer of more than
+    MAX_SUMMANDS cyclic summands (each sphere's multiplicity times the number
+    of cyclic factors of its localized group) is refused with ValueError
+    before any group is built: it could be neither built nor printed.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -158,12 +166,19 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
     if missing:
         raise TableRangeError(missing)
     summands = []
-    total = FgAbelianGroup.zero()
     for sphere, mult in needed:
         g = table.pi(k, sphere).localize(primes)
         if m.r == 0 and g.is_zero():
             continue
         summands.append((sphere, mult, g))
+    size = sum(mult * (g.rank + len(g.torsion.invariant_factors)) for _s, mult, g in summands)
+    if size > MAX_SUMMANDS:
+        raise ValueError(
+            f"pi_{k} at r={m.r} has {size} cyclic summands, over the limit {MAX_SUMMANDS}; "
+            "lower r or k"
+        )
+    total = FgAbelianGroup.zero()
+    for _sphere, mult, g in summands:
         total = total.direct_sum(g.power(mult))
     return HomotopyAnswer(
         k=k,

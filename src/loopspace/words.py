@@ -15,67 +15,37 @@ from fractions import Fraction
 from .errors import AlphabetMismatch
 
 
-class Letter:
-    """One alphabet symbol: 1-based position, homological degree, label."""
-
-    __slots__ = ("index", "degree", "label")
-
-    def __init__(self, index: int, degree: int, label: str):
-        if index < 1:
-            raise ValueError("letter index must be >= 1")
-        if degree < 1:
-            raise ValueError("letter degree must be >= 1")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Letter is immutable")
-
-    def __repr__(self):
-        return f"Letter({self.index}, deg={self.degree}, {self.label!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Letter)
-            and (self.index, self.degree, self.label) == (other.index, other.degree, other.label)
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.degree, self.label))
-
-
 class Alphabet:
-    """A fixed totally ordered list of letters, indexed 1..size."""
+    """A fixed totally ordered list of letters 1..size, each with a degree and a label."""
 
-    def __init__(self, letters):
-        letters = tuple(letters)
-        if not letters:
+    def __init__(self, degrees, labels):
+        degrees, labels = tuple(degrees), tuple(labels)
+        if not degrees:
             raise ValueError("alphabet must be nonempty")
-        for pos, letter in enumerate(letters, start=1):
-            if letter.index != pos:
-                raise ValueError("letter indices must be contiguous 1..size")
-        self._letters = letters
-        self._degrees = tuple(l.degree for l in letters)
-        self._labels = tuple(l.label for l in letters)
+        if len(labels) != len(degrees):
+            raise ValueError("need one label per letter")
+        if any(d < 1 for d in degrees):
+            raise ValueError("letter degree must be >= 1")
+        self._degrees = degrees
+        self._labels = labels
 
     @classmethod
     def from_degrees(cls, degrees, labels=None):
         if labels is None:
             labels = [f"x{i}" for i in range(1, len(degrees) + 1)]
-        return cls(Letter(i, d, s) for i, (d, s) in enumerate(zip(degrees, labels), start=1))
-
-    @property
-    def letters(self):
-        return self._letters
+        return cls(degrees, labels)
 
     @property
     def degrees(self):
         return self._degrees
 
     @property
+    def labels(self):
+        return self._labels
+
+    @property
     def size(self):
-        return len(self._letters)
+        return len(self._degrees)
 
     def word(self, indices) -> "Word":
         return Word(self, indices)
@@ -84,10 +54,14 @@ class Alphabet:
         return Word(self, ())
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self._letters == other._letters
+        return (
+            isinstance(other, Alphabet)
+            and self._degrees == other._degrees
+            and self._labels == other._labels
+        )
 
     def __hash__(self):
-        return hash(self._letters)
+        return hash((self._degrees, self._labels))
 
     def __repr__(self):
         return f"Alphabet({', '.join(self._labels)})"

@@ -148,6 +148,25 @@ class TestScaling:
         assert fiber["2"] == "Z + Z/30030"
         assert fiber["1000"] == f"Z^{500 + 499} + " + " + ".join(["Z/30030"] * 500)
 
+    def test_homotopy_with_too_many_summands_exits_two_naming_r_and_k(self):
+        # about 1.4 * 10^15 cyclic summands: building them never finished
+        start = time.perf_counter()
+        code, out, err = run_cli(["homotopy", "--n", "2", "--r", "100", "--k", "9"])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pi_9 at r=100 has ")
+        assert "cyclic summands, over the limit 1000000" in err
+
+    def test_homotopy_under_the_summand_limit_answers(self):
+        # 5 + 15 + 2 * 64 + 280 + 1344 + 6496 + 32640 + 166320 = 207,228 summands
+        code, out, _err = run_cli(["homotopy", "--n", "2", "--r", "5", "--k", "9"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "  from S^4 x64: Z/2 + Z/2" in lines
+        assert "  from S^9 x166320: Z" in lines
+        assert lines[-1].startswith("total: Z^166320 + ")
+
     @pytest.mark.parametrize(
         "field,argv",
         [

@@ -8,9 +8,6 @@ from loopspace import linalg, numtheory, series
 from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.lyndon import (
     P,
-    LieBasisElement,
-    LyndonWord,
-    bracket_of,
     enumerate_lyndon,
     exclusion_bigram,
     independence_certificate,
@@ -25,7 +22,7 @@ from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace.selftest import GRID
 from loopspace.series import sphere_summand_counts
-from loopspace.words import Alphabet, NCPoly, Word
+from loopspace.words import Alphabet, NCPoly, Word, bracket
 
 AB = Alphabet.from_degrees((1, 1), labels=("a", "b"))
 
@@ -78,20 +75,20 @@ def _all_words(q, length):
 
 class TestEnumeration:
     def test_two_letters_length_three(self):
-        found = [l.word.indices for l in enumerate_lyndon(AB, 3)[3]]
+        found = [w.indices for w in enumerate_lyndon(AB, 3)[3]]
         assert found == [(1, 1, 2), (1, 2, 2)]
         assert len(found) == necklace_count(2, 3)
 
     def test_single_letter_alphabet(self):
         single = Alphabet.from_degrees((1,), labels=("a",))
         by_degree = enumerate_lyndon(single, 5)
-        assert [l.word.indices for l in by_degree[1]] == [(1,)]
+        assert [w.indices for w in by_degree[1]] == [(1,)]
         assert all(not by_degree[d] for d in range(2, 6))
 
     def test_manifold_alphabet_degree_two(self):
         # u1', u2' (single letters of degree 2) and u1u2; exhaustive check
         a = loop_alphabet(2, 2)
-        found = {str(l) for l in enumerate_lyndon(a, 2)[2]}
+        found = {str(w) for w in enumerate_lyndon(a, 2)[2]}
         assert found == {"u1'", "u2'", "u1u2"}
         brute = {
             w
@@ -115,8 +112,8 @@ class TestEnumeration:
             standard = standard_lyndon(pres, 8)
             for d in range(1, 9):
                 for words in (
-                    [l.word.indices for l in listed[d]],
-                    [e.lyndon.word.indices for e in standard[d]],
+                    [w.indices for w in listed[d]],
+                    [w.indices for w, _b in standard[d]],
                 ):
                     assert all(a < b for a, b in zip(words, words[1:])), (n, r, d)
 
@@ -124,7 +121,7 @@ class TestEnumeration:
         a = loop_alphabet(2, 2)
         by_degree = enumerate_lyndon(a, 5)
         for d in range(1, 6):
-            words = [l.word.indices for l in by_degree[d]]
+            words = [w.indices for w in by_degree[d]]
             assert len(words) == len(set(words))
             brute = {
                 w
@@ -208,60 +205,104 @@ class TestFactorization:
 
     def _check_soundness(self, by_degree):
         for words in by_degree.values():
-            for l in words:
-                if len(l.word) < 2:
+            for w in words:
+                idx = w.indices
+                if len(idx) < 2:
                     continue
-                left, right = l.standard_factorization
-                assert is_lyndon(left.word.indices)
-                assert is_lyndon(right.word.indices)
-                assert left.word.indices + right.word.indices == l.word.indices
-                assert left.word.indices < right.word.indices
+                left, right = standard_factorization(idx)
+                assert is_lyndon(left)
+                assert is_lyndon(right)
+                assert left + right == idx
+                assert left < right
                 # right factor is the longest proper Lyndon suffix
-                idx = l.word.indices
                 lengths = [
                     len(idx) - s for s in range(1, len(idx)) if is_lyndon(idx[s:])
                 ]
-                assert len(right.word.indices) == max(lengths)
+                assert len(right) == max(lengths)
 
     def test_single_letters_do_not_factor(self):
         with pytest.raises(ValueError):
             standard_factorization((1,))
 
 
+# The former route to the bracketings, kept as the oracle for standard_lyndon:
+# each Lyndon word becomes a tree of factor objects, checked Lyndon at every
+# node, and each tree is bracketed on its own with no memo.  The words come
+# from reference_walk, not from the walk under test.
+class _FactorTree:
+    def __init__(self, indices):
+        assert is_lyndon(indices), indices
+        self.indices = indices
+        self.factors = (
+            tuple(_FactorTree(f) for f in standard_factorization(indices))
+            if len(indices) >= 2
+            else None
+        )
+
+    def bracketing(self, alphabet):
+        if self.factors is None:
+            return NCPoly.monomial(Word(alphabet, self.indices))
+        left, right = self.factors
+        return bracket(left.bracketing(alphabet), right.bracketing(alphabet))
+
+
+def _factor_tree_standard(pres, cap):
+    """{degree: [(word, bracketing)]} by factor trees over the reference walk."""
+    listed = [[] for _ in range(cap + 1)]
+    reference_walk(pres.alphabet.degrees, cap, _forbidden(pres), listed)
+    out = {}
+    for d in range(1, cap + 1):
+        trees = [_FactorTree(tuple(i + 1 for i in w)) for w in listed[d]]
+        out[d] = [(Word(pres.alphabet, t.indices), t.bracketing(pres.alphabet)) for t in trees]
+    return out
+
+
+def _free_bracketing(alphabet, indices):
+    """b(l) for one Lyndon word, read off standard_lyndon of the free algebra."""
+    word = Word(alphabet, indices)
+    return dict(standard_lyndon(QuadraticPresentation(alphabet), word.degree)[word.degree])[word]
+
+
 class TestBracketing:
     def test_single_letter(self):
-        l = LyndonWord(Word(AB, (1,)))
-        assert bracket_of(l).bracketing == NCPoly.letter(AB, 1)
+        assert _free_bracketing(AB, (1,)) == NCPoly.letter(AB, 1)
 
     def test_two_letters(self):
-        l = LyndonWord(Word(AB, (1, 2)))
         expected = NCPoly(AB, {Word(AB, (1, 2)): 1, Word(AB, (2, 1)): -1})
-        assert bracket_of(l).bracketing == expected
+        assert _free_bracketing(AB, (1, 2)) == expected
 
     def test_aab_expansion(self):
         # [a,[a,b]] expanded by hand: aab - 2 aba + baa
-        l = LyndonWord(Word(AB, (1, 1, 2)))
         expected = NCPoly(
             AB,
             {Word(AB, (1, 1, 2)): 1, Word(AB, (1, 2, 1)): -2, Word(AB, (2, 1, 1)): 1},
         )
-        assert bracket_of(l).bracketing == expected
+        assert _free_bracketing(AB, (1, 1, 2)) == expected
 
     def test_leading_term_triangularity(self):
         a = loop_alphabet(2, 2)
-        by_degree = enumerate_lyndon(a, 6)
+        by_degree = standard_lyndon(QuadraticPresentation(a), 6)
         for d in range(1, 7):
-            for l in by_degree[d]:
-                el = bracket_of(l)
-                assert el.bracketing.min_lex_word() == l.word
-                assert el.bracketing.coeff(l.word) == 1
-                assert el.sphere_dim == d + 1
+            for word, bracketing in by_degree[d]:
+                assert word.degree == d
+                assert bracketing.min_lex_word() == word
+                assert bracketing.coeff(word) == 1
 
     def test_integer_coefficients(self):
         a = loop_alphabet(2, 2)
-        for l in enumerate_lyndon(a, 6)[6]:
-            for _w, c in bracket_of(l).bracketing.terms():
+        for _word, bracketing in standard_lyndon(QuadraticPresentation(a), 6)[6]:
+            for _w, c in bracketing.terms():
                 assert isinstance(c, int)
+
+    @pytest.mark.parametrize("n,r", GRID)
+    def test_matches_factor_tree_oracle_on_loop_presentations(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        assert standard_lyndon(pres, 8) == _factor_tree_standard(pres, 8)
+
+    def test_matches_factor_tree_oracle_on_free_three_letters(self):
+        abc = Alphabet.from_degrees((1, 1, 1), labels=("a", "b", "c"))
+        pres = QuadraticPresentation(abc)
+        assert standard_lyndon(pres, 7) == _factor_tree_standard(pres, 7)
 
 
 class TestStandardWords:
@@ -280,14 +321,14 @@ class TestStandardWords:
     def test_rank_one_standard_words(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         std = standard_lyndon(pres, 5)
-        assert [str(e.lyndon) for e in std[1]] == ["u1"]
-        assert [str(e.lyndon) for e in std[2]] == ["u1'"]
+        assert [str(w) for w, _b in std[1]] == ["u1"]
+        assert [str(w) for w, _b in std[2]] == ["u1'"]
         assert all(not std[d] for d in range(3, 6))
 
     def test_rank_two_degree_three(self):
         pres = loop_presentation(ManifoldModel(2, 2))
         std = standard_lyndon(pres, 3)
-        words = {str(e.lyndon) for e in std[3]}
+        words = {str(w) for w, _b in std[3]}
         assert len(words) == 5
         assert "u1u1'" not in words
         # PBW oracle: dim A_3 = 15 decomposes as
@@ -302,7 +343,7 @@ class TestStandardWords:
         std = standard_lyndon(pres, 5)
         all_lyndon = enumerate_lyndon(AB, 5)
         for d in range(1, 6):
-            assert [e.lyndon for e in std[d]] == all_lyndon[d]
+            assert [w for w, _b in std[d]] == all_lyndon[d]
 
 
 class TestLieDims:
@@ -398,8 +439,7 @@ class TestIndependence:
         monkeypatch.setattr(lyndon_mod, "standard_lyndon", duplicated)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 1)
-        assert "degree 1" in str(err.value)
-        assert "leading word u1 repeats" in str(err.value)
+        assert str(err.value) == "degree 1: leading word u1 repeats"
 
     @pytest.mark.parametrize("n,r", GRID)
     def test_matches_fraction_rank_oracle(self, n, r):
@@ -436,24 +476,23 @@ class TestIndependence:
         import loopspace.lyndon as lyndon_mod
 
         pres = loop_presentation(ManifoldModel(2, 2))
-        target = standard_lyndon(pres, 3)[3][1]
-        word = target.lyndon.word
+        word, target = standard_lyndon(pres, 3)[3][1]
 
         def doubled(p, pr):
             nf = normal_form(p, pr)
-            if p == target.bracketing:
+            if p == target:
                 nf = nf + NCPoly.monomial(word, nf.coeff(word))
             return nf
 
         # the broken rows still have full rank mod P: 2 is a unit there
         basis = enumerate_irreducible_words(pres, 3)[3]
-        rows = [_nf_row(doubled(e.bracketing, pres), basis) for e in standard_lyndon(pres, 3)[3]]
+        rows = [_nf_row(doubled(b, pres), basis) for _w, b in standard_lyndon(pres, 3)[3]]
         assert linalg.rank(rows, len(rows[0]), char=P) == len(rows)
         monkeypatch.setattr(lyndon_mod, "normal_form", doubled)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 3)
-        assert "degree 3" in str(err.value)
-        assert str(word) in str(err.value)
+        assert str(err.value) == f"degree 3: NF(b({word})) is not +-{word} plus lex-larger words"
+        assert str(word) == "u1u2u2"
 
     def test_row_summing_two_others_is_hard_failure(self, monkeypatch):
         import loopspace.lyndon as lyndon_mod
@@ -463,14 +502,14 @@ class TestIndependence:
 
         def summed(p, cap):
             table = real(p, cap)
-            a, b, c = table[3][:3]
-            table[3][2] = LieBasisElement(c.lyndon, a.bracketing + b.bracketing)
+            (_wa, a), (_wb, b), (wc, _c) = table[3][:3]
+            table[3][2] = (wc, a + b)
             return table
 
         monkeypatch.setattr(lyndon_mod, "standard_lyndon", summed)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 3)
-        assert "degree 3" in str(err.value)
+        assert str(err.value) == "degree 3: NF(b(u1u2')) is not +-u1u2' plus lex-larger words"
 
     def test_rank_check_runs_mod_p(self, monkeypatch):
         calls = []
@@ -482,7 +521,7 @@ class TestIndependence:
         monkeypatch.setattr(linalg, "rank", short)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(loop_presentation(ManifoldModel(2, 2)), 1)
-        assert "degree 1" in str(err.value)
+        assert str(err.value) == f"standard bracketings of degree 1 have rank 1 mod {P}, not 2"
         assert calls == [P]
 
 
@@ -503,7 +542,7 @@ def _fraction_rank_oracle(pres, cap):
     irreducible = enumerate_irreducible_words(pres, cap)
     oracle = {}
     for d in range(1, cap + 1):
-        rows = [_nf_row(normal_form(e.bracketing, pres), irreducible[d]) for e in standard[d]]
+        rows = [_nf_row(normal_form(b, pres), irreducible[d]) for _w, b in standard[d]]
         rank = linalg.rank(rows, len(irreducible[d])) if rows else 0
         oracle[d] = (len(rows), rank, len(irreducible[d]))
     return oracle

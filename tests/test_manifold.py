@@ -87,7 +87,7 @@ class TestLoopPresentation:
     def test_rank_one_shape(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         assert pres.alphabet.degrees == (1, 2)
-        assert [l.label for l in pres.alphabet.letters] == ["u1", "u1'"]
+        assert pres.alphabet.labels == ("u1", "u1'")
         terms = dict(pres.relation.terms())
         assert {w.indices: c for w, c in terms.items()} == {(1, 2): 1, (2, 1): -1}
 
