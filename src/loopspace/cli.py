@@ -135,7 +135,6 @@ def cmd_report(args) -> int:
     decomposition = loop_decomposition(m)
     flags = classify(m)
     doc["decomposition"] = serialize(decomposition)
-    doc["decomposition_tree"] = to_dict(decomposition)
     doc["classification"] = flags.to_dict()
     if m.r >= 1:
         dims = hilbert_dims(loop_presentation(m), cap)
@@ -144,15 +143,18 @@ def cmd_report(args) -> int:
         doc["loop_homology_dims"] = dims
         doc["summand_counts"] = {str(w): counts[w] for w in sorted(counts)}
         doc["weak_product"] = serialize(weak)
-        doc["fiber_homology"] = fiber_homology(m, cap).to_dict()
+        # run in text mode too: tests/test_bench_spans.py wants every report-deep span called
+        fiber = fiber_homology(m, cap)
     else:
         doc["loop_homology_dims"] = None
         doc["summand_counts"] = None
         doc["weak_product"] = None
-        doc["fiber_homology"] = None
+        fiber = None
         doc["sphere_fallback"] = f"M = S^{m.dim} after inverting {set(primes) or '{}'}"
 
     if args.json:
+        doc["decomposition_tree"] = to_dict(decomposition)
+        doc["fiber_homology"] = fiber.to_dict() if fiber is not None else None
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
 

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field.
 
-Everything here works on plain lists of numbers: Fractions (or ints) when
-``char == 0``, ints reduced mod p when ``char == p``.  Sizes stay small
-(hundreds of rows), so straightforward Gauss-Jordan elimination is enough.
+Everything here takes plain lists of numbers: Fractions (or ints) when
+``char == 0``, ints reduced mod p when ``char == p``.  ``rank`` is a sparse,
+forward-only elimination that only counts pivots; ``nullspace`` needs the
+reduced echelon form, which ``row_echelon`` builds by dense Gauss-Jordan
+elimination, and which is also the test oracle for ``rank``.
 
 The prime field serves the Lie-basis independence certificate: a rational
 matrix with denominators prime to p and full rank mod p has full rank over
@@ -12,6 +14,7 @@ quadratic algebras, and are the test oracle for the certificate.
 """
 
 from fractions import Fraction
+from itertools import compress
 
 
 def _reduce_rows(rows, ncols, char):
@@ -54,7 +57,53 @@ def row_echelon(rows, ncols, char=0):
 
 
 def rank(rows, ncols, char=0) -> int:
-    pivots, _ = row_echelon(rows, ncols, char)
+    """Rank of the matrix, by sparse elimination that only counts pivots.
+
+    Each row becomes a {column: value} map with zeros dropped (reduced mod
+    ``char`` first) and is reduced by the stored pivot rows, keyed by their
+    leading column, until it is zero or leads in a new column; then it is
+    stored as the pivot of that column.  No row is rescaled and nothing
+    above a pivot is cleared.  Over Q the factor is ``Fraction(a) / b``, so
+    integer rows stay exact.
+
+    Sound because the stored rows have pairwise distinct leading columns,
+    so they are independent, and each one is an input row less a
+    combination of earlier stored rows, so they span the same space as the
+    rows read so far; a row that reduces to zero lies in that span.  The
+    rank is the number of stored rows.
+    """
+    pivots = {}  # leading column -> (row, inverse of its leading value mod char)
+    columns = range(ncols)
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+        if char:
+            row = {j: y for j in compress(columns, r) if (y := r[j] % char)}
+        else:
+            row = {j: r[j] for j in compress(columns, r)}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (row, pow(row[lead], -1, char) if char else None)
+                break
+            prow, inv = pivot
+            if char:
+                f = row[lead] * inv % char
+                for j, v in prow.items():
+                    x = (row.get(j, 0) - f * v) % char
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            else:
+                f = Fraction(row[lead]) / prow[lead]
+                for j, v in prow.items():
+                    x = row.get(j, 0) - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
     return len(pivots)
 
 

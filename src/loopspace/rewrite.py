@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
-from .words import NCPoly, Word
+from .words import NCPoly, Word, _same_alphabet
 
 
 class QuadraticPresentation:
@@ -87,9 +87,13 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
-    a, b = pres.leading_pair()
-    lower = list(pres.lower_terms._terms.items())
     alphabet = pres.alphabet
+    _same_alphabet(p.alphabet, alphabet)
+    a, b = pres.leading_pair()
+    # a lower term in place of the bigram shifts the word's degree by the
+    # difference of their degrees
+    lead = pres.leading.degree
+    lower = [(lw.indices, lc, lw.degree - lead) for lw, lc in pres.lower_terms._terms.items()]
 
     done = {}
     pending = dict(p._terms)
@@ -105,14 +109,14 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
             continue
         prefix = word.indices[:pos]
         suffix = word.indices[pos + 2 :]
-        for lw, lc in lower:
-            w2 = Word(alphabet, prefix + lw.indices + suffix)
+        for lower_indices, lc, shift in lower:
+            w2 = Word._unchecked(alphabet, prefix + lower_indices + suffix, word.degree + shift)
             s = pending.get(w2, 0) + coeff * lc
             if s:
                 pending[w2] = s
             else:
                 pending.pop(w2, None)
-    return NCPoly(alphabet, done)
+    return NCPoly._unchecked(alphabet, done)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,7 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     stack = [((i,), degrees[i - 1]) for i in range(1, alphabet.size + 1) if degrees[i - 1] <= cap]
     while stack:
         indices, deg = stack.pop()
-        by_degree[deg].append(Word(alphabet, indices))
+        by_degree[deg].append(Word._unchecked(alphabet, indices, deg))
         last = indices[-1]
         for i in range(1, alphabet.size + 1):
             if forbidden and last == forbidden[0] and i == forbidden[1]:
@@ -299,9 +303,9 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
     for v in rows:
         if len(v) != n2:
             raise ValueError(f"relation vector length {len(v)} != dim(V)^2 = {n2}")
-    if rows and linalg.rank(rows, n2, char) != len(rows):
+    if linalg.rank(rows, n2, char) != len(rows):
         raise ValueError("relation vectors are linearly dependent")
-    perp = linalg.nullspace(rows, n2, char) if rows else linalg.nullspace([], n2, char)
+    perp = linalg.nullspace(rows, n2, char)
     if len(perp) != n2 - len(rows):
         raise ComputationFailure("annihilator dimension mismatch")
     return KoszulDualData(vdims, perp)
@@ -311,10 +315,12 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
 # build.  The form algebra with s = r + torsion rank has dim V = 2s and
 # 4s^2 - 1 kernel relations, so its weight-3 matrix is 2 * 2s * (4s^2 - 1)
 # rows by (2s)^3 columns, and the Koszul dual of the rank-s loop algebra has
-# the same size.  Over Q (Python 3.11, x86_64; time, process peak RSS) s = 4
-# is 516,096 cells (5 s, 47 MB), s = 5 is 1,980,000 (20 s, 138 MB) and s = 6
-# is 5,930,496 (61 s, 382 MB); mod p each takes at most 2.4 s.  The limit
-# admits s <= 6 and refuses s = 7 (14,982,240 cells).
+# the same size.  Over Q (Python 3.11, x86_64 Xeon core; time, process peak
+# RSS) s = 4 is 516,096 cells (0.09 s, 19 MB), s = 5 is 1,980,000 (0.26 s,
+# 31 MB) and s = 6 is 5,930,496 (0.41 s, 61 MB); mod 7 each takes at most
+# 0.4 s.  Since the rank is sparse, time no longer binds; the limit bounds
+# the memory of the dense rows built here.  It admits s <= 6 and refuses
+# s = 7 (14,982,240 cells).
 MAX_CELLS = 8_000_000
 
 

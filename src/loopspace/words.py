@@ -87,6 +87,15 @@ class Word:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degree", sum(degs[i - 1] for i in indices))
 
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, indices: tuple, degree: int) -> "Word":
+        """A Word from a tuple of valid letter indices and its known degree, unchecked."""
+        w = object.__new__(cls)
+        _set_alphabet(w, alphabet)
+        _set_indices(w, indices)
+        _set_degree(w, degree)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -129,6 +138,13 @@ class Word:
         return self.find_bigram(a, b) is not None
 
 
+# Slot setters for Word._unchecked, which skips __init__ and the refusing
+# __setattr__; called directly, they cost less than object.__setattr__.
+_set_alphabet = Word.alphabet.__set__
+_set_indices = Word.indices.__set__
+_set_degree = Word.degree.__set__
+
+
 def rewrite_key(w: Word):
     """Sort key for the rewriting order: degree, then length, then reverse lex.
 
@@ -157,6 +173,14 @@ class NCPoly:
                 clean[word] = coeff
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, terms: dict) -> "NCPoly":
+        """An NCPoly owning ``terms``, unchecked: Words over ``alphabet``, no zero coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("NCPoly is immutable")
@@ -224,10 +248,10 @@ class NCPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-        return NCPoly(self.alphabet, out)
+        return NCPoly._unchecked(self.alphabet, out)
 
     def __neg__(self):
-        return NCPoly(self.alphabet, {w: -c for w, c in self._terms.items()})
+        return NCPoly._unchecked(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -245,13 +269,13 @@ class NCPoly:
         alphabet = self.alphabet
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = Word(alphabet, w1.indices + w2.indices)
+                w = Word._unchecked(alphabet, w1.indices + w2.indices, w1.degree + w2.degree)
                 s = out.get(w, 0) + c1 * c2
                 if s:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        return NCPoly(alphabet, out)
+        return NCPoly._unchecked(alphabet, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

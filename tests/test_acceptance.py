@@ -105,13 +105,13 @@ def test_c04_lie_basis_independence():
     def check():
         for n, r in ((2, 2), (3, 2)):
             pres = loop_presentation(ManifoldModel(n, r))
-            cert = independence_certificate(pres, 9)
+            cert = independence_certificate(pres, 10)
             for d, (count, rank, _dim) in cert.items():
                 assert count == rank, (n, r, d)
 
     report(
         4,
-        "standard bracketings are unitriangular with full rank mod 2^31-1 to degree 9",
+        "standard bracketings are unitriangular with full rank mod 2^31-1 to degree 10",
         check,
         budget=30.0,
     )

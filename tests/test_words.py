@@ -3,8 +3,11 @@ import random
 import pytest
 
 from loopspace.errors import AlphabetMismatch
+from loopspace.lyndon import standard_lyndon
+from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
+from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
+from loopspace import selftest
 from loopspace.words import Alphabet, NCPoly, Word, bracket, rewrite_key
-from loopspace.manifold import loop_alphabet
 
 
 A22 = loop_alphabet(2, 2)   # u1 < u1' < u2 < u2', degrees 1, 2, 1, 2
@@ -176,3 +179,64 @@ class TestBracket:
                 + bracket(bracket(c, a), b)
             )
             assert total.is_zero()
+
+
+# Products, sums, negation, normal forms and the irreducible-word walk build
+# their Words and NCPolys without the public constructors' checks.  Each
+# result must equal its rebuild through those constructors, degree included.
+def assert_rebuilds(p):
+    for word, _c in p.terms():
+        again = Word(word.alphabet, word.indices)
+        assert word == again and word.degree == again.degree, word
+    assert p == NCPoly(p.alphabet, dict(p.terms()))
+
+
+# x3 x2 -> 2 x1 x1 lowers the degree by 3: the normal form must shift it
+A1234 = Alphabet.from_degrees((1, 2, 3, 4))
+NON_HOMOGENEOUS = QuadraticPresentation(
+    A1234, NCPoly(A1234, {w(A1234, 3, 2): 1, w(A1234, 1, 1): -2})
+)
+FUZZ_PRESENTATIONS = {
+    f"{n},{r}": loop_presentation(ManifoldModel(n, r)) for n, r in selftest.FUZZ_GRID
+}
+REWRITTEN = {**FUZZ_PRESENTATIONS, "non-homogeneous": NON_HOMOGENEOUS}
+
+
+class TestUncheckedConstructors:
+    @pytest.mark.parametrize("name", REWRITTEN)
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_normal_form_terms_rebuild(self, name, strategy):
+        pres = REWRITTEN[name]
+        rng = random.Random(f"unchecked/{name}")
+        reduced = 0
+        for _ in range(100):
+            p = selftest.random_poly(pres, rng)
+            nf = normal_form(p, pres, strategy=strategy)
+            assert_rebuilds(nf)
+            reduced += nf != p
+        assert reduced >= 5  # the inputs do get rewritten
+
+    def test_normal_form_still_refuses_a_foreign_alphabet(self):
+        p = NCPoly.monomial(w(AB, 1, 2))
+        with pytest.raises(AlphabetMismatch):
+            normal_form(p, FUZZ_PRESENTATIONS["2,2"])
+
+    def test_non_homogeneous_degree_shift(self):
+        a = NON_HOMOGENEOUS.alphabet
+        nf = normal_form(NCPoly.monomial(Word(a, (4, 3, 2, 1))), NON_HOMOGENEOUS)
+        assert nf == NCPoly(a, {Word(a, (4, 1, 1, 1)): 2})
+        assert [word.degree for word, _c in nf.terms()] == [7]
+
+    @pytest.mark.parametrize("name", FUZZ_PRESENTATIONS)
+    def test_bracketings_rebuild(self, name):
+        for pairs in standard_lyndon(FUZZ_PRESENTATIONS[name], 7).values():
+            for _word, bracketing in pairs:
+                assert_rebuilds(bracketing)
+                assert_rebuilds(-bracketing)
+
+    @pytest.mark.parametrize("name", REWRITTEN)
+    def test_irreducible_words_rebuild(self, name):
+        for degree, words in enumerate_irreducible_words(REWRITTEN[name], 8).items():
+            for word in words:
+                again = Word(word.alphabet, word.indices)
+                assert word == again and word.degree == again.degree == degree, word
