@@ -11,14 +11,15 @@ Exit codes: 0 success, 1 selftest failure, 2 invalid configuration
 (message names the offending field), 3 sphere-table range gaps.
 
 Sizes are bounded before any counting starts, so that no question runs or
-allocates without bound: --cap <= 1000, --r <= 10000 and --k <= 10000
-(exit 2).  A homotopy answer of more than 10^6 cyclic summands is refused
-before any group is built (exit 2, naming r and k): --n 2 --r 5 --k 9 has
-207,228, while --r 100 --k 9 would have about 1.4 * 10^15 and once ran without
-end.  At each limit one answer takes at most a few seconds in a fresh
-process (Python 3.11, Xeon server core): report --cap 1000 with
-G = Z/2 + Z/3 about 0.35 s, report --r 10000 --cap 20 about 0.4 s, and
-homotopy --r 10000 --k 10000 about 2 s.
+allocates without bound: --cap <= 1000, --r <= 10000, --k <= 10000 and
+1 <= --fuzz <= 100000 (exit 2).  A homotopy answer of more than 10^6 cyclic
+summands is refused before any group is built (exit 2, naming r and k):
+--n 2 --r 5 --k 9 has 207,228, while --r 100 --k 9 would have about
+1.4 * 10^15 and once ran without end.  At each limit one answer takes at
+most a few seconds in a fresh process (Python 3.11, Xeon server core):
+report --cap 1000 with G = Z/2 + Z/3 about 0.35 s, report --r 10000
+--cap 20 about 0.4 s, homotopy --r 10000 --k 10000 about 2 s, and the
+fuzz suite of selftest --fuzz 100000 about 4.5 s.
 """
 
 import argparse
@@ -55,6 +56,7 @@ EXIT_TABLE = 3
 MAX_CAP = 1000
 MAX_R = 10000
 MAX_K = 10000
+MAX_FUZZ = 100000
 
 
 def _manifold_args(sub):
@@ -218,6 +220,10 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.fuzz < 1:
+        return fail_config("fuzz must be >= 1")
+    if args.fuzz > MAX_FUZZ:
+        return fail_config(f"fuzz {args.fuzz} is over the limit {MAX_FUZZ}")
     ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz)
     return EXIT_OK if ok else EXIT_SELFTEST
 

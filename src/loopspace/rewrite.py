@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
-from .words import NCPoly, Word, _same_alphabet
+from .words import NCPoly, Word, _same_alphabet, find_bigram
 
 
 class QuadraticPresentation:
@@ -72,7 +72,7 @@ def is_irreducible(word: Word, pres: QuadraticPresentation) -> bool:
     if pres.is_free:
         return True
     a, b = pres.leading_pair()
-    return not word.contains_bigram(a, b)
+    return find_bigram(word.indices, a, b) is None
 
 
 def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmost") -> NCPoly:
@@ -87,19 +87,15 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
-    alphabet = pres.alphabet
-    _same_alphabet(p.alphabet, alphabet)
+    _same_alphabet(p.alphabet, pres.alphabet)
     a, b = pres.leading_pair()
-    # a lower term in place of the bigram shifts the word's degree by the
-    # difference of their degrees
-    lead = pres.leading.degree
-    lower = [(lw.indices, lc, lw.degree - lead) for lw, lc in pres.lower_terms._terms.items()]
+    lower = list(pres.lower_terms._terms.items())
 
     done = {}
     pending = dict(p._terms)
     while pending:
         word, coeff = pending.popitem()
-        pos = word.find_bigram(a, b, rightmost=rightmost)
+        pos = find_bigram(word, a, b, rightmost)
         if pos is None:
             s = done.get(word, 0) + coeff
             if s:
@@ -107,16 +103,16 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
             else:
                 done.pop(word, None)
             continue
-        prefix = word.indices[:pos]
-        suffix = word.indices[pos + 2 :]
-        for lower_indices, lc, shift in lower:
-            w2 = Word._unchecked(alphabet, prefix + lower_indices + suffix, word.degree + shift)
+        prefix = word[:pos]
+        suffix = word[pos + 2 :]
+        for lower_word, lc in lower:
+            w2 = prefix + lower_word + suffix
             s = pending.get(w2, 0) + coeff * lc
             if s:
                 pending[w2] = s
             else:
                 pending.pop(w2, None)
-    return NCPoly._unchecked(alphabet, done)
+    return NCPoly._unchecked(pres.alphabet, done)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +122,22 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
 def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     """All irreducible words of degree <= cap, grouped by degree.
 
-    Exponential in cap; meant for low-degree cross-checks of the dynamic
-    programming counts.
+    Returns {degree: [tuple]} for every degree 0..cap: each word is its tuple
+    of letter indices, ``Word(pres.alphabet, indices)`` rebuilds it, and each
+    list is in (length, lex) order.  Exponential in cap; meant for
+    low-degree cross-checks of the dynamic programming counts and for the
+    certificate's columns.
     """
     alphabet = pres.alphabet
     forbidden = pres.leading_pair()
     degrees = alphabet.degrees
     by_degree = {d: [] for d in range(cap + 1)}
-    by_degree[0].append(alphabet.one())
+    by_degree[0].append(())
 
     stack = [((i,), degrees[i - 1]) for i in range(1, alphabet.size + 1) if degrees[i - 1] <= cap]
     while stack:
         indices, deg = stack.pop()
-        by_degree[deg].append(Word._unchecked(alphabet, indices, deg))
+        by_degree[deg].append(indices)
         last = indices[-1]
         for i in range(1, alphabet.size + 1):
             if forbidden and last == forbidden[0] and i == forbidden[1]:
@@ -146,8 +145,8 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
             d2 = deg + degrees[i - 1]
             if d2 <= cap:
                 stack.append((indices + (i,), d2))
-    for d in by_degree:
-        by_degree[d].sort(key=lambda w: (len(w), w.indices))
+    for words in by_degree.values():
+        words.sort(key=lambda w: (len(w), w))
     return by_degree
 
 

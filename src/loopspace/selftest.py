@@ -27,8 +27,7 @@ from .rewrite import enumerate_irreducible_words, hilbert_dims, normal_form
 from .series import loop_generating_series, pbw_series_check, sphere_summand_counts
 from .words import NCPoly, Word
 
-GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2))
-FUZZ_GRID = ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+GRID = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2))
 
 
 @dataclass
@@ -123,7 +122,7 @@ def random_poly(pres, rng, max_degree=8, max_terms=4):
 def suite_confluence_fuzz(count=500, seed=0, max_degree=8):
     name = "confluence-fuzz"
     rng = random.Random(seed)
-    presentations = [loop_presentation(ManifoldModel(n, r)) for n, r in FUZZ_GRID]
+    presentations = [loop_presentation(ManifoldModel(n, r)) for n, r in GRID]
     for i in range(count):
         pres = presentations[i % len(presentations)]
         p = random_poly(pres, rng, max_degree=max_degree)

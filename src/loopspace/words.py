@@ -6,6 +6,10 @@ finitely supported linear combinations of words with exact (integer or
 Fraction) coefficients.  All values are immutable once built and safe to
 share between threads.
 
+Inside polynomials, and in the rewriting and Lyndon layers, a word is its
+tuple of letter indices.  ``Word``, which checks its letters and knows its
+degree, is the boundary type that public methods take and hand out.
+
 ``rewrite_key`` is the rewriting order on words: degree, then length, then
 reverse lexicographic order on letter indices.
 """
@@ -87,15 +91,6 @@ class Word:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degree", sum(degs[i - 1] for i in indices))
 
-    @classmethod
-    def _unchecked(cls, alphabet: Alphabet, indices: tuple, degree: int) -> "Word":
-        """A Word from a tuple of valid letter indices and its known degree, unchecked."""
-        w = object.__new__(cls)
-        _set_alphabet(w, alphabet)
-        _set_indices(w, indices)
-        _set_degree(w, degree)
-        return w
-
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -125,24 +120,14 @@ class Word:
         labels = self.alphabet._labels
         return "".join(labels[i - 1] for i in self.indices)
 
-    def find_bigram(self, a: int, b: int, rightmost=False):
-        """Position of a contiguous occurrence of letters (a, b), else None."""
-        idx = self.indices
-        rng = range(len(idx) - 2, -1, -1) if rightmost else range(len(idx) - 1)
-        for i in rng:
-            if idx[i] == a and idx[i + 1] == b:
-                return i
-        return None
 
-    def contains_bigram(self, a: int, b: int) -> bool:
-        return self.find_bigram(a, b) is not None
-
-
-# Slot setters for Word._unchecked, which skips __init__ and the refusing
-# __setattr__; called directly, they cost less than object.__setattr__.
-_set_alphabet = Word.alphabet.__set__
-_set_indices = Word.indices.__set__
-_set_degree = Word.degree.__set__
+def find_bigram(indices: tuple, a: int, b: int, rightmost=False):
+    """Position of a contiguous occurrence of letters (a, b) in a letter-index tuple, else None."""
+    rng = range(len(indices) - 2, -1, -1) if rightmost else range(len(indices) - 1)
+    for i in rng:
+        if indices[i] == a and indices[i + 1] == b:
+            return i
+    return None
 
 
 def rewrite_key(w: Word):
@@ -155,10 +140,13 @@ def rewrite_key(w: Word):
 
 
 class NCPoly:
-    """Exact-coefficient noncommutative polynomial: a finite map Word -> coeff.
+    """Exact-coefficient noncommutative polynomial: a finite map word -> coeff.
 
-    Coefficients are ints or Fractions; zero terms are never stored.
-    Instances are immutable; arithmetic returns new objects.
+    Terms are stored keyed by letter-index tuples, never by Words.  The
+    constructor and ``coeff`` take Words; ``terms``, ``words``, ``max_word``
+    and ``min_lex_word`` build the Words they return.  Coefficients are ints
+    or Fractions; zero terms are never stored.  Instances are immutable;
+    arithmetic returns new objects.
     """
 
     __slots__ = ("alphabet", "_terms")
@@ -170,13 +158,13 @@ class NCPoly:
                 raise TypeError("NCPoly keys must be Words")
             _same_alphabet(alphabet, word.alphabet)
             if coeff != 0:
-                clean[word] = coeff
+                clean[word.indices] = coeff
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _unchecked(cls, alphabet: Alphabet, terms: dict) -> "NCPoly":
-        """An NCPoly owning ``terms``, unchecked: Words over ``alphabet``, no zero coefficients."""
+        """An NCPoly owning ``terms``, unchecked: valid index tuples, no zero coefficients."""
         p = object.__new__(cls)
         object.__setattr__(p, "alphabet", alphabet)
         object.__setattr__(p, "_terms", terms)
@@ -205,15 +193,21 @@ class NCPoly:
     # ---- inspection ----------------------------------------------------
     def terms(self):
         """Deterministic (word, coeff) pairs, sorted by (degree, length, lex)."""
+        alphabet = self.alphabet
         return sorted(
-            self._terms.items(), key=lambda t: (t[0].degree, len(t[0]), t[0].indices)
+            ((Word(alphabet, t), c) for t, c in self._terms.items()),
+            key=lambda t: (t[0].degree, len(t[0]), t[0].indices),
         )
 
     def coeff(self, word: Word):
-        return self._terms.get(word, 0)
+        """The coefficient of ``word``; 0 for a word over another alphabet."""
+        if word.alphabet != self.alphabet:
+            return 0
+        return self._terms.get(word.indices, 0)
 
     def words(self):
-        return set(self._terms)
+        alphabet = self.alphabet
+        return {Word(alphabet, t) for t in self._terms}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -222,7 +216,7 @@ class NCPoly:
         return len(self._terms)
 
     def homogeneous_degree(self):
-        degs = {w.degree for w in self._terms}
+        degs = {w.degree for w in self.words()}
         if len(degs) != 1:
             return None
         return degs.pop()
@@ -231,12 +225,12 @@ class NCPoly:
         """The maximal word in the rewriting order."""
         if not self._terms:
             raise ValueError("zero polynomial has no maximal word")
-        return max(self._terms, key=rewrite_key)
+        return max(self.words(), key=rewrite_key)
 
     def min_lex_word(self) -> Word:
         if not self._terms:
             raise ValueError("zero polynomial has no minimal word")
-        return min(self._terms, key=lambda w: w.indices)
+        return Word(self.alphabet, min(self._terms))
 
     # ---- arithmetic ----------------------------------------------------
     def __add__(self, other: "NCPoly") -> "NCPoly":
@@ -259,23 +253,22 @@ class NCPoly:
     def scale(self, c) -> "NCPoly":
         if c == 0:
             return NCPoly.zero(self.alphabet)
-        return NCPoly(self.alphabet, {w: c * v for w, v in self._terms.items()})
+        return NCPoly._unchecked(self.alphabet, {w: c * v for w, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         _same_alphabet(self.alphabet, other.alphabet)
         out = {}
-        alphabet = self.alphabet
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
-                w = Word._unchecked(alphabet, w1.indices + w2.indices, w1.degree + w2.degree)
+                w = w1 + w2
                 s = out.get(w, 0) + c1 * c2
                 if s:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        return NCPoly._unchecked(alphabet, out)
+        return NCPoly._unchecked(self.alphabet, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

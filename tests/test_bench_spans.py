@@ -1,5 +1,6 @@
 """Every per-layer span named in BENCHMARK.json must resolve to a function,
-and a report must call every span the traced report-deep run expects.
+and a report, a small certificate and a short selftest must call every span
+the traced report-deep, certify and selftest runs expect.
 
 The traced benchmark run wraps these names and exits 2 when one is missing
 or an expected one is never called, so a deletion, rename or inlining under
@@ -85,15 +86,37 @@ def spy(monkeypatch, span, calls):
             monkeypatch.setattr(module, attr, counted)
 
 
-@pytest.mark.parametrize("as_json", [False, True])
-def test_report_calls_every_report_deep_span(monkeypatch, as_json):
-    expected = expected_calls("report-deep")
+def spy_expected(monkeypatch, workload):
+    """Spy on every span EXPECTED_CALLS lists for the workload; returns (spans, counter)."""
+    expected = expected_calls(workload)
     calls = Counter()
     for span in expected:
         spy(monkeypatch, span, calls)
+    return expected, calls
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_report_calls_every_report_deep_span(monkeypatch, as_json):
+    expected, calls = spy_expected(monkeypatch, "report-deep")
     cli = importlib.import_module("loopspace.cli")
     argv = ["report", "--n", "3", "--r", "2", "--torsion", "2", "--cap", "30"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--json"] * as_json) == 0
     assert sorted(calls) == sorted(expected)
     assert calls["series.sphere_summand_counts"] == 1
+
+
+def test_certificate_calls_every_certify_span(monkeypatch):
+    expected, calls = spy_expected(monkeypatch, "certify")
+    lyndon = importlib.import_module("loopspace.lyndon")
+    manifold = importlib.import_module("loopspace.manifold")
+    lyndon.independence_certificate(manifold.loop_presentation(manifold.ManifoldModel(2, 2)), 4)
+    assert sorted(calls) == sorted(expected)
+
+
+def test_selftest_calls_every_selftest_span(monkeypatch):
+    expected, calls = spy_expected(monkeypatch, "selftest")
+    cli = importlib.import_module("loopspace.cli")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["selftest", "--fuzz", "20"]) == 0
+    assert sorted(calls) == sorted(expected)

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from loopspace import selftest
-from loopspace.cli import main
+from loopspace import cli, selftest
+from loopspace.cli import MAX_FUZZ, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -197,6 +197,15 @@ class TestSelftest:
         verdicts7 = [line.split()[-1] for line in out7.splitlines()[:-1]]
         verdicts11 = [line.split()[-1] for line in out11.splitlines()[:-1]]
         assert verdicts7 == verdicts11 == ["PASS"] * 6
+
+    @pytest.mark.parametrize("fuzz", [0, -3, MAX_FUZZ + 1])
+    def test_fuzz_out_of_range_exits_two_before_any_suite(self, monkeypatch, fuzz):
+        # --fuzz 0 and --fuzz -3 used to pass after checking nothing
+        monkeypatch.setattr(cli, "run_selftest", lambda **_kw: pytest.fail("a suite ran"))
+        code, out, err = run_cli(["selftest", "--fuzz", str(fuzz)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: fuzz ")
 
     def test_injected_fault_fails_naming_suite(self, monkeypatch):
         counts = selftest.sphere_summand_counts

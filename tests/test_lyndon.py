@@ -551,9 +551,9 @@ def _fraction_rank_oracle(pres, cap):
 # Builds the certificate's row layout again on purpose, as an independent
 # oracle: keep it apart from independence_certificate.
 def _nf_row(nf, basis_words):
-    """A normal form as a row of its exact coefficients over the basis words."""
+    """A normal form as a row of its exact coefficients over the basis words' index tuples."""
     index = {w: i for i, w in enumerate(basis_words)}
     row = [0] * len(basis_words)
     for w, c in nf.terms():
-        row[index[w]] = c
+        row[index[w.indices]] = c
     return row

@@ -259,10 +259,10 @@ class TestBasisProperty:
             index = {w: i for i, w in enumerate(irreducible[d])}
             rows = []
             for word in all_words[d]:
-                nf = normal_form(NCPoly.monomial(word), P22)
+                nf = normal_form(NCPoly.monomial(Word(P22.alphabet, word)), P22)
                 row = [0] * len(index)
                 for w2, c in nf.terms():
-                    row[index[w2]] = c
+                    row[index[w2.indices]] = c
                 rows.append(row)
             assert linalg.rank(rows, len(index), char) == dims[d]
 

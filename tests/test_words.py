@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -146,7 +147,7 @@ def _random_homogeneous(rng, degree):
     words = enumerate_irreducible_words(free, degree)[degree]
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        terms[rng.choice(words)] = rng.choice((-2, -1, 1, 2))
+        terms[Word(A22, rng.choice(words))] = rng.choice((-2, -1, 1, 2))
     return NCPoly(A22, terms)
 
 
@@ -181,9 +182,45 @@ class TestBracket:
             assert total.is_zero()
 
 
-# Products, sums, negation, normal forms and the irreducible-word walk build
-# their Words and NCPolys without the public constructors' checks.  Each
-# result must equal its rebuild through those constructors, degree included.
+class TestWordBoundary:
+    """Terms are keyed by index tuples inside; only checked Words come out."""
+
+    def mixed(self):
+        """Degrees 3, 4, 6 and 1 over A22, with int and Fraction coefficients."""
+        u1, u1p, u2 = (NCPoly.letter(A22, i) for i in (1, 2, 3))
+        return u1 * u1p - (u2 * u2 * u1p).scale(Fraction(3, 2)) + u1p * u1p * u1p * 2 - u2
+
+    def test_coeff_of_a_word_over_another_alphabet_is_zero(self):
+        p = self.mixed()
+        assert p.coeff(w(A22, 1, 2)) == 1
+        assert p.coeff(w(AB, 1, 2)) == 0
+
+    def test_handed_out_words_rebuild_with_their_degree(self):
+        p = self.mixed()
+        assert p.homogeneous_degree() is None
+        handed = [word for word, _c in p.terms()] + list(p.words()) + [p.max_word(), p.min_lex_word()]
+        for word in handed:
+            assert isinstance(word, Word), word
+            again = Word(A22, word.indices)
+            assert word == again and word.degree == again.degree, word
+        assert [word.degree for word, _c in p.terms()] == [1, 3, 4, 6]
+        assert p.max_word() == w(A22, 2, 2, 2)
+        assert p.min_lex_word() == w(A22, 1, 2)
+
+    def test_arithmetic_and_constructor_agree_and_hash_alike(self):
+        built = NCPoly(
+            A22,
+            {w(A22, 1, 2): 1, w(A22, 3, 3, 2): Fraction(-3, 2), w(A22, 2, 2, 2): 2, w(A22, 3): -1},
+        )
+        p = self.mixed()
+        assert p == built and hash(p) == hash(built)
+
+
+# Products, sums, negation, scaling and normal forms build their NCPolys with
+# the internal unchecked constructor, keyed by index tuples, and the
+# irreducible-word walk returns bare tuples.  Each result must equal its
+# rebuild through the checked constructors, and every Word it hands out must
+# carry its degree.
 def assert_rebuilds(p):
     for word, _c in p.terms():
         again = Word(word.alphabet, word.indices)
@@ -197,7 +234,7 @@ NON_HOMOGENEOUS = QuadraticPresentation(
     A1234, NCPoly(A1234, {w(A1234, 3, 2): 1, w(A1234, 1, 1): -2})
 )
 FUZZ_PRESENTATIONS = {
-    f"{n},{r}": loop_presentation(ManifoldModel(n, r)) for n, r in selftest.FUZZ_GRID
+    f"{n},{r}": loop_presentation(ManifoldModel(n, r)) for n, r in selftest.GRID
 }
 REWRITTEN = {**FUZZ_PRESENTATIONS, "non-homogeneous": NON_HOMOGENEOUS}
 
@@ -236,7 +273,9 @@ class TestUncheckedConstructors:
 
     @pytest.mark.parametrize("name", REWRITTEN)
     def test_irreducible_words_rebuild(self, name):
+        alphabet = REWRITTEN[name].alphabet
         for degree, words in enumerate_irreducible_words(REWRITTEN[name], 8).items():
-            for word in words:
-                again = Word(word.alphabet, word.indices)
-                assert word == again and word.degree == again.degree == degree, word
+            assert words == sorted(words, key=lambda t: (len(t), t))
+            for indices in words:
+                assert type(indices) is tuple
+                assert Word(alphabet, indices).degree == degree, indices
