@@ -23,7 +23,6 @@ fuzz suite of selftest --fuzz 100000 about 4.5 s.
 """
 
 import argparse
-import json
 import sys
 
 from .decomposition import (
@@ -93,6 +92,13 @@ def build_parser():
     return parser
 
 
+def print_json(doc) -> int:
+    import json  # only --json output needs it; a text answer skips the import
+
+    print(json.dumps(doc, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 def fail_config(message: str):
     print(f"error: {message}", file=sys.stderr)
     return EXIT_CONFIG
@@ -157,8 +163,7 @@ def cmd_report(args) -> int:
     if args.json:
         doc["decomposition_tree"] = to_dict(decomposition)
         doc["fiber_homology"] = fiber.to_dict() if fiber is not None else None
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
+        return print_json(doc)
 
     g = "0" if m.torsion.is_trivial() else str(m.torsion)
     lines = [
@@ -207,8 +212,7 @@ def cmd_homotopy(args) -> int:
         return fail_config(str(e))
 
     if args.json:
-        print(json.dumps(answer.to_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
+        return print_json(answer.to_dict())
     primes = set(answer.inverted_primes)
     suffix = f" (after inverting {primes})" if primes else ""
     print(f"pi_{args.k} = {answer.summand_text()}{suffix}")

@@ -15,7 +15,7 @@ Space expressions serialize to a stable text form ("L(S2) x L(S3) x ...")
 and to a JSON tree; both are meant for golden tests and reports.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
@@ -382,13 +382,13 @@ def _loop_series(space: SpaceExpr, cap: int) -> PowerSeries:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationFlags:
-    rational_type: str            # "elliptic" or "hyperbolic"
-    reason: str
-    no_exponent: bool
-    no_exponent_note: str
-    retract: str | None
+class ClassificationFlags(
+    namedtuple("ClassificationFlags", "rational_type reason no_exponent no_exponent_note retract")
+):
+    """rational_type is "elliptic" or "hyperbolic"; retract is a serialized
+    space, or None when no looped wedge retract is claimed."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -435,12 +435,11 @@ def classify(m: ManifoldModel) -> ClassificationFlags:
     )
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    main: SpaceExpr
-    weak_product: WeakProduct
-    fiber: GradedAbelianGroup | None
-    flags: ClassificationFlags
+class DecompositionReport(namedtuple("DecompositionReport", "main weak_product fiber flags")):
+    """The splitting, the weak product, the fibre homology (None for r = 0)
+    and the classification flags of one manifold."""
+
+    __slots__ = ()
 
 
 def decomposition_report(m: ManifoldModel, cap: int) -> DecompositionReport:

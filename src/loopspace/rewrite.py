@@ -82,12 +82,12 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
     rightmost one, per ``strategy``) by the lower terms; both strategies
     reach the same normal form.  The result contains only irreducible words.
     """
-    if pres.is_free:
-        return p
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rightmost = strategy == "rightmost"
     _same_alphabet(p.alphabet, pres.alphabet)
+    if pres.is_free:
+        return p
+    rightmost = strategy == "rightmost"
     a, b = pres.leading_pair()
     lower = list(pres.lower_terms._terms.items())
 

@@ -9,8 +9,7 @@ the Moebius multiplicities l[w].
 """
 
 import os
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup
 from .errors import TableFormatError, TableRangeError
@@ -18,6 +17,7 @@ from .manifold import ManifoldModel, sigma_primes
 from .series import sphere_summand_counts
 
 ENV_TABLE_PATH = "LOOPSPACE_SPHERE_TABLE"
+BUNDLED_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "sphere_table.tsv")
 
 # The most cyclic summands a homotopy answer may have.  homotopy --n 2 --r 5
 # --k 9 has 207,228 and prints in about 0.3 s; --r 100 --k 9 would have about
@@ -107,24 +107,22 @@ def load_table(text: str) -> SphereTable:
 
 
 def bundled_table_text() -> str:
-    return resources.files("loopspace.data").joinpath("sphere_table.tsv").read_text()
+    with open(BUNDLED_TABLE_PATH, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_table_file(path: str | None = None) -> SphereTable:
     """Table from an explicit path, the environment override, or the bundle."""
-    path = path or os.environ.get(ENV_TABLE_PATH)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            return load_table(fh.read())
-    return load_table(bundled_table_text())
+    path = path or os.environ.get(ENV_TABLE_PATH) or BUNDLED_TABLE_PATH
+    with open(path, encoding="utf-8") as fh:
+        return load_table(fh.read())
 
 
-@dataclass(frozen=True)
-class HomotopyAnswer:
-    k: int
-    inverted_primes: tuple
-    summands: tuple   # (sphere dim m, multiplicity, localized pi_k(S^m))
-    total: FgAbelianGroup
+class HomotopyAnswer(namedtuple("HomotopyAnswer", "k inverted_primes summands total")):
+    """pi_k as summands (sphere dim m, multiplicity, localized pi_k(S^m)),
+    with their direct sum `total` as an FgAbelianGroup."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

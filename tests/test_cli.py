@@ -207,6 +207,11 @@ class TestSelftest:
         assert out == ""
         assert err.startswith("error: fuzz ")
 
+    def test_suite_result_detail_defaults_to_empty(self):
+        result = selftest.SuiteResult("dp-vs-enumeration", True)
+        assert result.detail == ""
+        assert result == selftest.suite_dp_vs_enumeration(cap=4)
+
     def test_injected_fault_fails_naming_suite(self, monkeypatch):
         counts = selftest.sphere_summand_counts
 

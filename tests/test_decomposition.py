@@ -11,6 +11,7 @@ from loopspace.decomposition import (
     Sphere,
     Wedge,
     classify,
+    decomposition_report,
     fiber_homology,
     loop,
     loop_decomposition,
@@ -256,16 +257,12 @@ class TestFiberHomology:
 
 class TestReportFacade:
     def test_bundles_all_pieces(self):
-        from loopspace.decomposition import decomposition_report
-
         rep = decomposition_report(ManifoldModel(2, 2, (2,)), 6)
         assert rep.flags.rational_type == "hyperbolic"
         assert rep.fiber is not None
         assert rep.weak_product.factors[0] == (LocalizedAt((2,), Loop(Sphere(2))), 2)
 
     def test_rank_zero_has_no_fiber(self):
-        from loopspace.decomposition import decomposition_report
-
         rep = decomposition_report(ManifoldModel(2, 0), 6)
         assert rep.fiber is None
         assert rep.main == Sphere(5)
@@ -294,3 +291,44 @@ class TestClassify:
     def test_elliptic_iff_rank_at_most_one(self, r):
         flags = classify(ManifoldModel(2, r))
         assert (flags.rational_type == "elliptic") == (r <= 1)
+
+
+class TestResultTypes:
+    def test_fields_cannot_be_assigned(self):
+        flags = classify(ManifoldModel(2, 2))
+        rep = decomposition_report(ManifoldModel(2, 2), 4)
+        fields = [
+            (flags, ("rational_type", "reason", "no_exponent", "no_exponent_note", "retract")),
+            (rep, ("main", "weak_product", "fiber", "flags")),
+        ]
+        for obj, names in fields:
+            for field in names:
+                with pytest.raises(AttributeError):
+                    setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+
+    def test_same_query_results_compare_equal(self):
+        m = ManifoldModel(2, 2, (2,))
+        assert classify(m) == classify(ManifoldModel(2, 2, (2,)))
+        assert decomposition_report(m, 6) == decomposition_report(m, 6)
+        assert classify(m) != classify(ManifoldModel(2, 1, (2,)))
+
+    def test_flags_to_dict_unchanged(self):
+        assert classify(ManifoldModel(2, 0, (2,))).to_dict() == {
+            "rational_type": "elliptic",
+            "reason": "rational cohomology of S^5",
+            "no_exponent": False,
+            "no_exponent_note": "rationally elliptic; exponent question deferred to sphere literature",
+            "retract": None,
+        }
+        assert classify(ManifoldModel(2, 2, (2, 3))).to_dict() == {
+            "rational_type": "hyperbolic",
+            "reason": "middle rank r >= 2 forces exponential homotopy growth",
+            "no_exponent": True,
+            "no_exponent_note": (
+                "no homotopy exponent at any prime: L(W(S2, S3)) is a retract of the loop "
+                "space, and away from [2, 3] sphere summands of unbounded dimension already appear"
+            ),
+            "retract": "L(W(S2, S3))",
+        }

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loopspace import linalg
-from loopspace.errors import ComputationFailure, PresentationError
+from loopspace.errors import AlphabetMismatch, ComputationFailure, PresentationError
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation, loop_relation
 from loopspace.rewrite import (
     MAX_CELLS,
@@ -120,6 +120,19 @@ class TestNormalForm:
         p = NCPoly.monomial(Word(a, (1, 2, 1, 2)))
         nf = normal_form(p, P22)
         assert normal_form(p - nf, P22).is_zero()
+
+    @pytest.mark.parametrize("pres", [QuadraticPresentation(loop_alphabet(2, 2)), P22])
+    def test_foreign_alphabet_rejected_free_or_not(self, pres):
+        # a free presentation used to return the polynomial before any check
+        other = Alphabet((1, 1), ("a", "b"))
+        with pytest.raises(AlphabetMismatch):
+            normal_form(NCPoly.monomial(Word(other, (1, 2))), pres)
+
+    @pytest.mark.parametrize("pres", [QuadraticPresentation(loop_alphabet(2, 2)), P22])
+    def test_unknown_strategy_rejected_free_or_not(self, pres):
+        p = NCPoly.monomial(Word(pres.alphabet, (1, 2)))
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            normal_form(p, pres, strategy="bogus")
 
 
 class TestIrreducible:

@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 
 import pytest
 
@@ -79,12 +80,18 @@ class TestLoadTable:
         monkeypatch.setenv("LOOPSPACE_SPHERE_TABLE", str(path))
         t = load_table_file()
         assert set(t.entries) == {(2, 2), (3, 2)}
+        monkeypatch.delenv("LOOPSPACE_SPHERE_TABLE")
+        assert load_table_file().entries == TABLE.entries
 
 
 class TestBundledTable:
     def test_checksum(self):
         digest = hashlib.sha256(bundled_table_text().encode()).hexdigest()
         assert digest == BUNDLED_SHA256
+
+    def test_text_is_the_data_file_as_utf8(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "src/loopspace/data/sphere_table.tsv"
+        assert bundled_table_text() == path.read_bytes().decode("utf-8")
 
     def test_diagonal_is_z_everywhere(self):
         for m in range(2, 9):
@@ -209,6 +216,40 @@ class TestAssembly:
             ],
             "total": "0",
         }
+
+
+class TestHomotopyAnswer:
+    def test_fields_cannot_be_assigned(self):
+        a = homotopy_of_manifold(ManifoldModel(2, 1), 3, TABLE)
+        for field in ("k", "inverted_primes", "summands", "total"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_same_query_answers_compare_equal(self):
+        a = homotopy_of_manifold(ManifoldModel(3, 2, (2,)), 7, TABLE)
+        b = homotopy_of_manifold(ManifoldModel(3, 2, (2,)), 7, load_table_file())
+        assert a == b and hash(a) == hash(b)
+        assert a != homotopy_of_manifold(ManifoldModel(3, 2, (2,)), 6, TABLE)
+
+    def test_to_dict_and_text_unchanged(self):
+        a = homotopy_of_manifold(ManifoldModel(2, 2, (3,)), 5, TABLE)
+        assert a.to_dict() == {
+            "k": 5,
+            "inverted_primes": [3],
+            "summands": [
+                {"m": 2, "mult": 2, "group": "Z/2"},
+                {"m": 3, "mult": 3, "group": "Z/2"},
+                {"m": 4, "mult": 5, "group": "Z/2"},
+                {"m": 5, "mult": 10, "group": "Z"},
+            ],
+            "total": "Z^10" + " + Z/2" * 10,
+        }
+        assert a.summand_text() == " + ".join(["Z/2"] * 10 + ["Z^10"])
+        b = homotopy_of_manifold(ManifoldModel(3, 2), 7, TABLE)
+        assert b.summand_text() == "Z/2 + Z/2 + Z^2 + Z/12 + Z/12 + Z/2 + Z/2 + Z/2 + Z/2 + Z^3"
+        assert repr(b).startswith("HomotopyAnswer(k=7, inverted_primes=(), summands=((3, 2, ")
 
 
 class TestExponentReport:
