@@ -113,9 +113,11 @@ def bundled_table_text() -> str:
 
 def load_table_file(path: str | None = None) -> SphereTable:
     """Table from an explicit path, the environment override, or the bundle."""
-    path = path or os.environ.get(ENV_TABLE_PATH) or BUNDLED_TABLE_PATH
-    with open(path, encoding="utf-8") as fh:
-        return load_table(fh.read())
+    path = path or os.environ.get(ENV_TABLE_PATH)
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            return load_table(fh.read())
+    return load_table(bundled_table_text())
 
 
 class HomotopyAnswer(namedtuple("HomotopyAnswer", "k inverted_primes summands total")):

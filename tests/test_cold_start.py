@@ -31,19 +31,10 @@ def run_bare(args, **env):
     return proc.stdout
 
 
-def modules_after_cli_import():
+def test_cli_import_loads_traced_modules_but_not_unused_stdlib():
     code = "import loopspace.cli, sys; print(' '.join(sys.modules))"
-    return set(run_bare(["-c", code]).decode().split())
-
-
-def test_cli_import_skips_unused_stdlib_modules():
-    loaded = modules_after_cli_import()
-    assert "loopspace.cli" in loaded
+    loaded = set(run_bare(["-c", code]).decode().split())
     assert not loaded & set(NOT_AT_IMPORT)
-
-
-def test_cli_import_loads_every_traced_module():
-    loaded = modules_after_cli_import()
     wanted = {"loopspace." + span.partition(".")[0] for span in span_names()}
     assert "loopspace.cli" in wanted and "loopspace.lyndon" in wanted
     assert wanted <= loaded
