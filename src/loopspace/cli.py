@@ -18,7 +18,7 @@ summands is refused before any group is built (exit 2, naming r and k):
 1.4 * 10^15 and once ran without end.  At each limit one answer takes at
 most a few seconds in a fresh process (Python 3.11, Xeon server core):
 report --cap 1000 with G = Z/2 + Z/3 about 0.35 s, report --r 10000
---cap 20 about 0.4 s, homotopy --r 10000 --k 10000 about 2 s, and the
+--cap 20 about 0.4 s, homotopy --r 10000 --k 10000 about 1.1 s, and the
 fuzz suite of selftest --fuzz 100000 about 4.5 s.
 """
 

@@ -339,10 +339,9 @@ def rational_series(expr: SpaceExpr, cap: int) -> PowerSeries:
     if isinstance(expr, LocalizedAt):
         return rational_series(expr.child, cap)
     if isinstance(expr, WeakProduct):
-        out = PowerSeries.one(cap)
-        for e, mult in expr.factors:
-            out = out * rational_series(e, cap).pow_int(mult)
-        return out
+        logs = [(mult, rational_series(e, cap).log().coeffs) for e, mult in expr.factors]
+        p = [sum(mult * c[k] for mult, c in logs) for k in range(cap + 1)]
+        return PowerSeries.from_log_derivative(p, cap)
     if isinstance(expr, Loop):
         return _loop_series(expr.child, cap)
     raise TypeError(f"no series rule for {expr!r}")

@@ -1,38 +1,45 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with integer coefficients.
 
 Supports the generating-series side of the engine: the loop-homology
-denominator polynomial of an (n, r) manifold, its log-coefficients, the
-Moebius counts of sphere summands, and the product identity tying Lie-algebra
-dimensions to the word counts of the quotient algebra.
+denominator polynomial of an (n, r) manifold, its logarithmic derivative,
+the Moebius counts of sphere summands, and the products of powers of series
+that tie Lie-algebra dimensions to the word counts of the quotient algebra.
 
-``log`` and ``inverse`` loop over nonzero terms only, O(cap) on the four-term
-denominator.  For f = 1 + sum a_j t^j, t f' = f t (log f)' gives the integers
-(if the a_j are) P_n = n [t^n] log f = n a_n - sum_(a_j != 0, j < n) a_j P_(n-j).
+Coefficients are integers, and ``log`` and ``inverse`` take a constant term
+of 1 (``inverse`` also -1), so no true rational ever appears.  Both loop
+over nonzero terms only, O(cap) on the four-term denominator.  For
+f = 1 + sum a_j t^j, t f' = f t (log f)' gives the integers
+P_n = n [t^n] log f = n a_n - sum_(a_j != 0, j < n) a_j P_(n-j), and
+``from_log_derivative`` solves the same identity for f given the P_n.
 
->>> geom = PowerSeries.one(5) - PowerSeries.monomial(1, 5)
+>>> geom = PowerSeries.from_polynomial({0: 1, 1: -1}, 5)
 >>> geom.inverse().coefficients()
-[Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
+[1, 1, 1, 1, 1, 1]
+>>> geom.log().coefficients()
+[0, -1, -1, -1, -1, -1]
+>>> PowerSeries.from_log_derivative(geom.log().coeffs, 5) == geom
+True
 """
 
-from fractions import Fraction
+import operator
 
 from .errors import ComputationFailure
 from .numtheory import mobius_sieve
 
 
 class PowerSeries:
-    """Coefficients 0..cap; operations truncate to the smaller cap."""
+    """Integer coefficients 0..cap; operations truncate to the smaller cap."""
 
     __slots__ = ("coeffs", "cap")
 
     def __init__(self, coeffs, cap: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [operator.index(c) for c in coeffs]
         if cap is None:
             cap = len(coeffs) - 1
         if cap < 0:
             raise ValueError("cap must be >= 0")
         if len(coeffs) < cap + 1:
-            coeffs = coeffs + [Fraction(0)] * (cap + 1 - len(coeffs))
+            coeffs = coeffs + [0] * (cap + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs[: cap + 1]))
         object.__setattr__(self, "cap", cap)
 
@@ -45,19 +52,36 @@ class PowerSeries:
         return cls([1], cap)
 
     @classmethod
-    def monomial(cls, exponent: int, cap: int, coeff=1):
-        c = [0] * (cap + 1)
-        if exponent <= cap:
-            c[exponent] = coeff
-        return cls(c, cap)
-
-    @classmethod
     def from_polynomial(cls, coeff_by_exponent: dict, cap: int):
         c = [0] * (cap + 1)
         for e, v in coeff_by_exponent.items():
             if e <= cap:
                 c[e] = v
         return cls(c, cap)
+
+    @classmethod
+    def from_log_derivative(cls, p, cap: int) -> "PowerSeries":
+        """The series h with h_0 = 1 and t h'/h = sum_(k=1..cap) p[k] t^k.
+
+        Solves k h_k = sum_(j=1..k) p_j h_(k-j) over the nonzero p_j.  Every
+        p passed here is the log derivative of a product of integer powers
+        of integral series with constant term 1, such as prod over w of
+        (1 - t^w)^(-l_w) with integer l_w, and such a product is integral.
+        So each division by k is exact, and an inexact one is a bug: a
+        ComputationFailure.
+        """
+        terms = [(j, c) for j, c in enumerate(p[: cap + 1]) if j and c]
+        h = [1] + [0] * cap
+        for k in range(1, cap + 1):
+            s = 0
+            for j, c in terms:
+                if j > k:
+                    break
+                s += c * h[k - j]
+            h[k], rem = divmod(s, k)
+            if rem:
+                raise ComputationFailure(f"h_{k} = {s}/{k} is not an integer")
+        return cls(h, cap)
 
     # ---- basics ----------------------------------------------------------
     def coefficients(self) -> list:
@@ -98,11 +122,9 @@ class PowerSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs], self.cap)
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         cap = self._common_cap(other)
-        out = [Fraction(0)] * (cap + 1)
+        out = [0] * (cap + 1)
         for i, a in enumerate(self.coeffs[: cap + 1]):
             if not a:
                 continue
@@ -112,60 +134,46 @@ class PowerSeries:
                     out[i + j] += a * b
         return PowerSeries(out, cap)
 
-    __rmul__ = __mul__
-
     def _terms(self) -> list:
-        """Nonzero (j, a_j) for j >= 1, integral a_j as int."""
-        ints = (a.numerator if a.denominator == 1 else a for a in self.coeffs)
-        return [(j, a) for j, a in enumerate(ints) if j and a]
+        """Nonzero (j, a_j) for j >= 1."""
+        return [(j, a) for j, a in enumerate(self.coeffs) if j and a]
 
     def inverse(self) -> "PowerSeries":
+        """1/f for a constant term of 1 or -1, the units of the integers."""
         a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ValueError("inverse needs a nonzero constant term")
+        if a0 not in (1, -1):
+            raise ValueError("inverse needs constant term 1 or -1")
         cap = self.cap
         terms = self._terms()
-        inv = [Fraction(0)] * (cap + 1)
-        inv[0] = Fraction(1) / a0
+        inv = [0] * (cap + 1)
+        inv[0] = a0
         for n in range(1, cap + 1):
             s = 0
             for k, a in terms:
                 if k <= n:
                     s += a * inv[n - k]
-            inv[n] = -s / a0
+            inv[n] = -a0 * s
         return PowerSeries(inv, cap)
 
     def log(self) -> "PowerSeries":
+        """The logarithmic derivative t f'/f, whose t^n coefficient is P_n.
+
+        P_n = n [t^n] log f is an integer (module docstring), where the log
+        itself is not.  The method keeps the name ``log`` because the
+        benchmark's per-layer span ``series.PowerSeries.log`` names it.
+        """
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
         cap = self.cap
         terms = self._terms()
-        p = [0] * (cap + 1)  # p[n] = n * log_n, the P_n of the module docstring
+        p = [0] * (cap + 1)
         for j, a in terms:
             p[j] = j * a
         for n in range(2, cap + 1):
             for j, a in terms:
                 if j < n:
                     p[n] -= a * p[n - j]
-        return PowerSeries([0] + [Fraction(p[n], n) for n in range(1, cap + 1)], cap)
-
-    def exp(self) -> "PowerSeries":
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs constant term 0")
-        cap = self.cap
-        out = [Fraction(0)] * (cap + 1)
-        out[0] = Fraction(1)
-        for n in range(1, cap + 1):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += k * self.coeffs[k] * out[n - k]
-            out[n] = s / n
-        return PowerSeries(out, cap)
-
-    def pow_int(self, e: int) -> "PowerSeries":
-        """Integer power of a series with constant term 1, as exp(e log)."""
-        return (self.log() * e).exp()
+        return PowerSeries(p, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +195,17 @@ def loop_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
 
 
 def mobius_counts(denominator: PowerSeries) -> dict:
-    """Moebius-inverted log-coefficients of a denominator polynomial.
+    """Moebius-inverted logarithmic derivative of a denominator polynomial.
 
-    With P_m = m * eta_m, where eta_m is the t^m coefficient of
-    log(denominator), returns l[w] = -(1/w) sum over j | w of mu(j) P_(w/j)
-    for 1 <= w <= cap.  One sieve gives mu(1..cap), and each squarefree j
-    adds -mu(j) P_(w/j) to the sums of its multiples w: O(cap log cap) steps.
-    P_m is an integer when the denominator's coefficients are (module
-    docstring): log returns eta_m = a/b in lowest terms, so b | m gives
-    P_m = a (m // b) without a Fraction product.  The sums are taken in
-    integers and divided by w once; Fraction enters only for non-integral P_m.
-    Every l[w] must come out a non-negative integer; anything else means the
-    series was not the denominator of a graded-algebra Hilbert series and is
-    reported as a hard failure.
+    With P_m the t^m coefficient of ``denominator.log()``, returns
+    l[w] = -(1/w) sum over j | w of mu(j) P_(w/j) for 1 <= w <= cap.  One
+    sieve gives mu(1..cap), and each squarefree j adds -mu(j) P_(w/j) to the
+    sums of its multiples w: O(cap log cap) steps, in integers, with one
+    division by w per count.  Every l[w] must come out a non-negative
+    integer; anything else means the series was not the denominator of a
+    graded-algebra Hilbert series and is reported as a hard failure.
     """
-    eta = denominator.log().coeffs
-    p = [e.numerator * (m // e.denominator) if m % e.denominator == 0 else m * e
-         for m, e in enumerate(eta)]
+    p = denominator.log().coeffs
     cap = denominator.cap
     totals = [0] * (cap + 1)
     for j, mu in enumerate(mobius_sieve(cap)):
@@ -212,12 +214,11 @@ def mobius_counts(denominator: PowerSeries) -> dict:
                 totals[w] -= mu * p[w // j]
     counts = {}
     for w in range(1, cap + 1):
-        total = totals[w]
-        if total % w or total < 0:
-            raise ComputationFailure(
-                f"summand count l[{w}] = {Fraction(total) / w} is not a non-negative integer"
-            )
-        counts[w] = total // w
+        count, rem = divmod(totals[w], w)
+        if rem or count < 0:
+            value = f"{totals[w]}/{w}" if rem else count
+            raise ComputationFailure(f"summand count l[{w}] = {value} is not a non-negative integer")
+        counts[w] = count
     return counts
 
 
@@ -236,15 +237,12 @@ def pbw_series_check(lie_dims: dict, hilbert: list, cap: int) -> bool:
 
     ``hilbert`` lists dimensions by degree from 0, padded with zeros.  The
     product P has t P'/P = sum p_k t^k with p_k = sum over w | k of
-    w * lie_dims[w], so its coefficients are the unique h with h_0 = 1 and
-    k h_k = sum_(j=1..k) p_j h_(k-j); that is checked in integers.
+    w * lie_dims[w], and ``PowerSeries.from_log_derivative`` rebuilds P
+    from the p_k in integers.
     """
-    h = list(hilbert[: cap + 1]) + [0] * (cap + 1 - len(hilbert))
     p = [0] * (cap + 1)
     for w in range(1, cap + 1):
         d = lie_dims.get(w, 0)
         for k in range(w, cap + 1, w):
             p[k] += w * d
-    return h[0] == 1 and all(
-        k * h[k] == sum(p[j] * h[k - j] for j in range(1, k + 1)) for k in range(1, cap + 1)
-    )
+    return PowerSeries(hilbert[: cap + 1], cap) == PowerSeries.from_log_derivative(p, cap)

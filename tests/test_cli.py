@@ -7,7 +7,8 @@ import time
 import pytest
 
 from loopspace import cli, selftest
-from loopspace.cli import MAX_FUZZ, main
+from loopspace.cli import MAX_CAP, MAX_FUZZ, MAX_R, main
+from loopspace.series import loop_generating_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -166,6 +167,14 @@ class TestScaling:
         assert "  from S^4 x64: Z/2 + Z/2" in lines
         assert "  from S^9 x166320: Z" in lines
         assert lines[-1].startswith("total: Z^166320 + ")
+
+    def test_largest_answer_prints_under_the_default_digit_limit(self):
+        # The coefficients of 1/q bound every printed l[w] and loop-homology
+        # dimension, and grow fastest at n = 2.  Python's str() refuses ints
+        # of more than 4300 digits by default, so raising MAX_R or MAX_CAP
+        # past this needs that limit handled first.
+        series = loop_generating_series(2, MAX_R, MAX_CAP).inverse()
+        assert len(str(max(series.coeffs))) <= 4300
 
     @pytest.mark.parametrize(
         "field,argv",

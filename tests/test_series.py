@@ -1,9 +1,11 @@
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from loopspace.decomposition import Sphere, WeakProduct, loop, rational_series, wedge
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import enumerate_lyndon, lie_dims
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
@@ -24,19 +26,26 @@ def poly(d, cap):
 
 
 def random_unit_series(rng, cap):
-    coeffs = [Fraction(1)] + [
-        Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(cap)
-    ]
-    return PowerSeries(coeffs, cap)
+    return PowerSeries([1] + [rng.randint(-4, 4) for _ in range(cap)], cap)
+
+
+def power(series, e):
+    """series^e by repeated multiplication (by the inverse for e < 0)."""
+    base = series if e >= 0 else series.inverse()
+    out = PowerSeries.one(series.cap)
+    for _ in range(abs(e)):
+        out = out * base
+    return out
 
 
 class TestRingOps:
     def test_geometric_series(self):
         inv = poly({0: 1, 1: -1}, 8).inverse()
-        assert inv.coefficients() == [Fraction(1)] * 9
+        assert inv.coefficients() == [1] * 9
 
     def test_log_of_product_oracle(self):
-        # log((1-t)(1-t^2)) = -sum t^k/k - sum t^(2k)/k, summed directly
+        # log((1-t)(1-t^2)) = -sum t^k/k - sum t^(2k)/k, summed directly;
+        # log() returns k times the t^k coefficient
         cap = 8
         got = (poly({0: 1, 1: -1}, cap) * poly({0: 1, 2: -1}, cap)).log()
         expected = [Fraction(0)] * (cap + 1)
@@ -44,13 +53,8 @@ class TestRingOps:
             expected[k] -= Fraction(1, k)
             if 2 * k <= cap:
                 expected[2 * k] -= Fraction(1, k)
-        assert got.coefficients() == expected
-        assert got.coefficients()[1:5] == [
-            Fraction(-1),
-            Fraction(-3, 2),
-            Fraction(-1, 3),
-            Fraction(-3, 4),
-        ]
+        assert got.coefficients() == [k * e for k, e in enumerate(expected)]
+        assert got.coefficients()[1:5] == [-1, -3, -1, -3]
 
     def test_inverse_linear_recurrence_oracle(self):
         # 1/(1 - 2t - 2t^2 + t^3) satisfies a_d = 2a_(d-1) + 2a_(d-2) - a_(d-3)
@@ -59,7 +63,7 @@ class TestRingOps:
         a = [1, 2, 6]
         for d in range(3, cap + 1):
             a.append(2 * a[d - 1] + 2 * a[d - 2] - a[d - 3])
-        assert [c.numerator for c in inv.coefficients()] == a
+        assert inv.coefficients() == a
         assert a[:4] == [1, 2, 6, 15]
 
     def test_mul_inverse_identity(self):
@@ -69,10 +73,11 @@ class TestRingOps:
             assert s * s.inverse() == PowerSeries.one(7)
 
     def test_exp_log_roundtrip(self):
+        # from_log_derivative is exp of the integrated log derivative
         rng = random.Random(43)
         for _ in range(20):
             s = random_unit_series(rng, 7)
-            assert s.log().exp() == s
+            assert PowerSeries.from_log_derivative(s.log().coeffs, 7) == s
 
     def test_log_of_product_is_sum(self):
         rng = random.Random(47)
@@ -90,20 +95,24 @@ class TestRingOps:
         with pytest.raises(ValueError):
             PowerSeries([0, 1], 1).inverse()
         with pytest.raises(ValueError):
-            PowerSeries([2, 1], 1).log()
+            PowerSeries([3, 1]).inverse()  # 1/3 is not an integer
         with pytest.raises(ValueError):
-            PowerSeries([1, 1], 1).exp()
+            PowerSeries([2, 1], 1).log()
+        with pytest.raises(TypeError):
+            PowerSeries([1, Fraction(1, 2)])
+        with pytest.raises(ComputationFailure):
+            PowerSeries.from_log_derivative([0, 1, 0], 2)  # 2 h_2 = 1
 
     def test_pow_int_against_repeated_mul(self):
-        rng = random.Random(53)
-        s = random_unit_series(rng, 6)
-        direct = PowerSeries.one(6)
-        for e in range(5):
-            assert s.pow_int(e) == direct
-            direct = direct * s
-        assert s.pow_int(-2) == s.inverse() * s.inverse()
-        with pytest.raises(ValueError):
-            PowerSeries([2, 1], 3).pow_int(2)
+        # integer powers as weak-product factors, built from log derivatives
+        cap = 12
+        factors = [wedge([Sphere(2), Sphere(3)]), loop(Sphere(3)), loop(wedge([Sphere(2), Sphere(2)]))]
+        series = [rational_series(e, cap) for e in factors]
+        for e, s in zip(factors, series):
+            for mult in (0, 1, 5, -2):
+                assert rational_series(WeakProduct([(e, mult)]), cap) == power(s, mult), (e, mult)
+        mixed = WeakProduct(zip(factors, (0, 1, 5)))
+        assert rational_series(mixed, cap) == series[1] * power(series[2], 5)
 
 
 class TestGeneratingSeries:
@@ -128,7 +137,7 @@ class TestGeneratingSeries:
     def test_inverse_matches_word_counts(self, n, r):
         pres = loop_presentation(ManifoldModel(n, r))
         series = loop_generating_series(n, r, 10).inverse()
-        assert [c.numerator for c in series.coefficients()] == hilbert_dims(pres, 10)
+        assert series.coefficients() == hilbert_dims(pres, 10)
 
 
 class TestMobiusCounts:
@@ -155,22 +164,22 @@ class TestMobiusCounts:
         message = "summand count l[1] = -1 is not a non-negative integer"
         with pytest.raises(ComputationFailure, match=re.escape(message)):
             mobius_counts(PowerSeries([1, 1], 4))
-        assert failure_message(dense_mobius_counts, PowerSeries([1, 1], 4)) == message
+        assert failure_message(dense_mobius_counts, PowerSeries([1, 1], 4).coeffs) == message
 
-    def test_fractional_count_is_hard_failure(self):
+    def test_fractional_count_is_hard_failure(self, monkeypatch):
         # log(1 - t + t^2) has eta_2 = 1/2; the degree-2 count comes out -1.
-        # 1 - t/2 and 1 - 3t + t^2/3 have fractional counts, l[1] and l[2].
-        cases = [
-            ([1, -1, 1], "l[2] = -1"),
-            ([1, Fraction(-1, 2)], "l[1] = 1/2"),
-            ([1, -3, Fraction(1, 3)], "l[2] = 8/3"),
-        ]
-        for coeffs, named in cases:
-            series = PowerSeries(coeffs, 4)
-            message = f"summand count {named} is not a non-negative integer"
-            with pytest.raises(ComputationFailure, match=re.escape(message)):
-                mobius_counts(series)
-            assert failure_message(dense_mobius_counts, series) == message
+        series = PowerSeries([1, -1, 1], 4)
+        message = "summand count l[2] = -1 is not a non-negative integer"
+        with pytest.raises(ComputationFailure, match=re.escape(message)):
+            mobius_counts(series)
+        assert failure_message(dense_mobius_counts, series.coeffs) == message
+        # An integral series is a product of (1 - t^w)^(-l_w) with integer l_w,
+        # so its counts are integers.  P = (0, 0, -1) is the log derivative of
+        # 1 - t^2/2, which is not integral, and gives l[2] = (P_1 - P_2)/2 = 1/2.
+        monkeypatch.setattr(PowerSeries, "log", lambda self: PowerSeries([0, 0, -1]))
+        message = "summand count l[2] = 1/2 is not a non-negative integer"
+        with pytest.raises(ComputationFailure, match=re.escape(message)):
+            mobius_counts(PowerSeries([1, 1, 0]))
 
     def test_free_case_matches_all_lyndon_words(self):
         # 1 - r t^(n-1) - r t^n drops the relation term: every Lyndon word counts
@@ -187,27 +196,36 @@ class TestMobiusCounts:
         assert total20 > 2 * total10
 
 
-def dense_log(series):
-    """The dense O(cap^2) log recurrence over every coefficient: the oracle."""
-    cap = series.cap
+def dense_log(coeffs):
+    """The dense O(cap^2) log recurrence in Fractions over every coefficient: the oracle."""
+    cap = len(coeffs) - 1
     out = [Fraction(0)] * (cap + 1)
     for n in range(1, cap + 1):
-        s = series.coeffs[n] * n
+        s = Fraction(coeffs[n] * n)
         for k in range(1, n):
-            s -= out[k] * k * series.coeffs[n - k]
+            s -= out[k] * k * coeffs[n - k]
         out[n] = s / n
-    return PowerSeries(out, cap)
+    return out
 
 
-def dense_inverse(series):
-    """The dense O(cap^2) inverse recurrence over every coefficient: the oracle."""
-    cap = series.cap
-    inv = [Fraction(0)] * (cap + 1)
-    inv[0] = Fraction(1) / series.coeffs[0]
+def dense_exp(coeffs):
+    """exp of a Fraction list with constant term 0, by n e_n = sum k c_k e_(n-k)."""
+    cap = len(coeffs) - 1
+    out = [Fraction(1)] + [Fraction(0)] * cap
     for n in range(1, cap + 1):
-        s = sum((series.coeffs[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
-        inv[n] = -s / series.coeffs[0]
-    return PowerSeries(inv, cap)
+        out[n] = sum((k * coeffs[k] * out[n - k] for k in range(1, n + 1)), Fraction(0)) / n
+    return out
+
+
+def dense_inverse(coeffs):
+    """The dense O(cap^2) inverse recurrence in Fractions over every coefficient: the oracle."""
+    cap = len(coeffs) - 1
+    inv = [Fraction(0)] * (cap + 1)
+    inv[0] = Fraction(1) / coeffs[0]
+    for n in range(1, cap + 1):
+        s = sum((coeffs[k] * inv[n - k] for k in range(1, n + 1)), Fraction(0))
+        inv[n] = -s / coeffs[0]
+    return inv
 
 
 def divisors(n):
@@ -227,11 +245,11 @@ def mobius(n):
     return mu
 
 
-def dense_mobius_counts(denominator):
+def dense_mobius_counts(coeffs):
     """Moebius inversion of the dense log, in Fraction throughout: the oracle."""
-    eta = dense_log(denominator).coeffs
+    eta = dense_log(coeffs)
     counts = {}
-    for w in range(1, denominator.cap + 1):
+    for w in range(1, len(coeffs)):
         total = sum((-Fraction(mobius(j), j) * eta[w // j] for j in divisors(w)), Fraction(0))
         if total.denominator != 1 or total < 0:
             raise ComputationFailure(f"summand count l[{w}] = {total} is not a non-negative integer")
@@ -239,19 +257,29 @@ def dense_mobius_counts(denominator):
     return counts
 
 
-def failure_message(route, series):
+def failure_message(route, arg):
     with pytest.raises(ComputationFailure) as info:
-        route(series)
+        route(arg)
     return str(info.value)
 
 
-def random_series(rng, cap, density, integral, constant=1):
+def random_coeffs(rng, cap, density, integral, constant=1):
     def coeff():
         if rng.random() >= density:
             return 0
         return Fraction(rng.randint(-5, 5), 1 if integral else rng.randint(1, 6))
 
-    return PowerSeries([constant] + [coeff() for _ in range(cap)], cap)
+    return [Fraction(constant)] + [coeff() for _ in range(cap)]
+
+
+def rescaled(coeffs):
+    """(f(D t), D) for D the lcm of the denominators of f, so that f(D t) is integral.
+
+    [t^n] of the log derivative and of the inverse of f(D t) is D^n times
+    that of f, which is how the integer routes answer a rational series.
+    """
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return PowerSeries([c.numerator * (d**j // c.denominator) for j, c in enumerate(coeffs)]), d
 
 
 SPARSE_CASES = [
@@ -263,45 +291,50 @@ SPARSE_CASES = [
 
 
 class TestSparseRecurrences:
-    """``log`` and ``inverse`` loop over nonzero terms; the dense loops are oracles."""
+    """``log`` and ``inverse`` loop over nonzero terms; the dense Fraction loops are oracles."""
 
     @pytest.mark.parametrize("cap,density,integral", SPARSE_CASES)
     def test_log_matches_dense_oracle(self, cap, density, integral):
         rng = random.Random(f"log {cap} {density} {integral}")
         for _ in range(8):
-            series = random_series(rng, cap, density, integral)
-            assert series.log() == dense_log(series), series
+            coeffs = random_coeffs(rng, cap, density, integral)
+            series, d = rescaled(coeffs)
+            expected = [n * e * d**n for n, e in enumerate(dense_log(coeffs))]
+            assert series.log().coefficients() == expected, coeffs
 
     @pytest.mark.parametrize("cap,density,integral", SPARSE_CASES)
     def test_inverse_matches_dense_oracle(self, cap, density, integral):
         rng = random.Random(f"inverse {cap} {density} {integral}")
-        for constant in (1, -1, 3, Fraction(-2, 5)):
-            series = random_series(rng, cap, density, integral, constant)
-            assert series.inverse() == dense_inverse(series), series
+        for constant in (1, -1):
+            coeffs = random_coeffs(rng, cap, density, integral, constant)
+            series, d = rescaled(coeffs)
+            expected = [c * d**n for n, c in enumerate(dense_inverse(coeffs))]
+            assert series.inverse().coefficients() == expected, coeffs
 
     def test_log_of_integral_series_has_integral_p(self):
         # q = 1 - 2t - 2t^2 + t^3: P_1 = -2, P_2 = 2(-2) - (-2)(-2) = -8,
         # P_3 = 3(1) - (-2)(-8) - (-2)(-2) = -17, and every P_n = n eta_n is an integer
-        eta = loop_generating_series(2, 2, 60).log().coeffs
-        p = [n * e for n, e in enumerate(eta)]
-        assert p[:4] == [0, -2, -8, -17]
-        assert all(c.denominator == 1 for c in p)
+        q = loop_generating_series(2, 2, 60)
+        p = q.log().coeffs
+        assert p[:4] == (0, -2, -8, -17)
+        assert all(type(c) is int for c in p)
+        assert list(p) == [n * e for n, e in enumerate(dense_log(q.coeffs))]
 
     @pytest.mark.parametrize(
         "n,r,cap", [(2, 1, 30), (2, 2, 200), (3, 3, 200), (4, 2, 120), (2, 50, 200)]
     )
     def test_summand_counts_match_dense_log_route(self, n, r, cap):
         assert sphere_summand_counts(n, r, cap) == dense_mobius_counts(
-            loop_generating_series(n, r, cap)
+            loop_generating_series(n, r, cap).coeffs
         )
 
     def test_counts_match_dense_route_on_random_denominators(self):
-        # integer and fractional denominators: the same counts, or the same failure
+        # the same counts, or the same failure
         rng = random.Random(59)
         for _ in range(40):
-            series = random_series(rng, 12, 0.3, rng.random() < 0.5)
+            series, _ = rescaled(random_coeffs(rng, 12, 0.3, True))
             try:
-                expected = dense_mobius_counts(series)
+                expected = dense_mobius_counts(series.coeffs)
             except ComputationFailure as e:
                 assert failure_message(mobius_counts, series) == str(e)
             else:
@@ -309,13 +342,13 @@ class TestSparseRecurrences:
 
 
 def pbw_by_exp(lie_dims, hilbert, cap):
-    """The product expanded as exp of its log in Fraction series: the oracle."""
+    """The product expanded as exp of its log in Fraction lists: the oracle."""
     log_sum = [Fraction(0)] * (cap + 1)
     for w in range(1, cap + 1):
         for k in range(1, cap // w + 1):
             log_sum[w * k] += Fraction(lie_dims.get(w, 0), k)
-    target = PowerSeries(hilbert[: cap + 1], cap)
-    return PowerSeries(log_sum, cap).exp() == target
+    target = list(hilbert[: cap + 1]) + [0] * (cap + 1 - len(hilbert))
+    return dense_exp(log_sum) == target
 
 
 class TestPbwCheck:
