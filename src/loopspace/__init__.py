@@ -2,9 +2,10 @@
 (n-1)-connected (2n+1)-manifolds, specified by (n, r, G).
 
 Everything is exact arithmetic in integers, with Fractions only in relation
-normalisation, nullspaces over Q and the certificate's normal forms; every
-headline number is cross-checkable by an independent combinatorial route,
-and the ``selftest`` command runs those cross-checks.
+normalisation, the rational form algebras, elimination over Q in ``linalg``
+and the certificate's normal forms; every headline number is
+cross-checkable by an independent combinatorial route, and the
+``selftest`` command runs those cross-checks.
 """
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup

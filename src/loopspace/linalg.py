@@ -1,110 +1,77 @@
-"""Exact linear algebra over the rationals or a prime field.
+"""Exact linear algebra over the rationals or a prime field, on sparse rows.
 
-Everything here takes plain lists of numbers: Fractions (or ints) when
-``char == 0``, ints reduced mod p when ``char == p``.  ``rank`` is a sparse,
-forward-only elimination that only counts pivots; ``nullspace`` needs the
-reduced echelon form, which ``row_echelon`` builds by dense Gauss-Jordan
-elimination, and which is also the test oracle for ``rank``.
+A row is a ``{column: value}`` map with every column in ``0..ncols-1``; a
+missing column is zero.  Values are Fractions or ints when ``char == 0``
+and ints, reduced here, when ``char == p``.  A column outside the range
+raises ValueError, and no input map is changed.
+
+One forward elimination, ``_echelon``, serves both entry points.  It
+reduces each row by the stored pivot rows, keyed by leading column, until
+the row is zero or leads in a new column; it then scales the row to lead
+with 1 and stores it.  The two fields differ only in ``% char``.
+
+* ``rank`` is the number of stored rows.  This is sound because the stored
+  rows have pairwise distinct leading columns, so they are independent, and
+  each one is an input row less a combination of earlier stored rows,
+  scaled by a unit, so they span the rows read so far: a row that reduces
+  to zero lies in that span.
+* ``nullspace`` back-substitutes: from the last leading column down, each
+  stored row has its entries in later pivot columns cleared by the rows
+  already cleared.  Those rows are zero in every other pivot column, so a
+  step changes one pivot entry and free columns only.  The result is the
+  reduced echelon form, which is unique, and the kernel basis is read off
+  it.
+
+>>> rank([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 3, 2: 4}], 3)
+2
+>>> nullspace([{0: 1, 2: 2}, {1: 3}], 3)
+[(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1))]
+>>> nullspace([{0: 1, 2: 2}], 3, char=5)
+[(0, 1, 0), (3, 0, 1)]
 
 The prime field serves the Lie-basis independence certificate: a rational
 matrix with denominators prime to p and full rank mod p has full rank over
-Q, and residues mod p stay bounded where Fraction entries grow.  The
-rationals serve the Koszul dual and the weight dimensions of generic
-quadratic algebras, and are the test oracle for the certificate.
+Q, and residues mod p stay bounded where Fraction entries grow.  Both
+fields serve the kernel relations of the form algebras, the Koszul dual and
+the weight dimensions of generic quadratic algebras.
 """
 
 from fractions import Fraction
-from itertools import compress
 
 
-def _reduce_rows(rows, ncols, char):
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
+def _subtract(row, f, prow, char):
+    """row -= f * prow in place, dropping the entries that become zero."""
+    for j, v in prow.items():
+        x = row.get(j, 0) - f * v
         if char:
-            for j, x in enumerate(r):
-                r[j] = x % char
-    return rows
+            x %= char
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
-def row_echelon(rows, ncols, char=0):
-    """Return (pivot_columns, reduced_rows) of the row-reduced echelon form."""
-    m = _reduce_rows(rows, ncols, char)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
+def _echelon(rows, ncols, char):
+    """Echelon rows keyed by leading column, each a fresh map leading with 1."""
+    pivots = {}
+    for r in rows:
+        if r and (min(r) < 0 or max(r) >= ncols):
+            raise ValueError(f"a row has a column outside 0..{ncols - 1}")
+        row = {j: y for j, v in r.items() if (y := v % char if char else v)}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, char) if char else 1 / Fraction(row[lead])
+                pivots[lead] = {j: v * inv % char if char else v * inv for j, v in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = pow(m[rank][col], -1, char) if char else Fraction(1, 1) / m[rank][col]
-        m[rank] = [(x * inv) % char if char else x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                if char:
-                    m[i] = [(a - f * b) % char for a, b in zip(m[i], m[rank])]
-                else:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots, m[:rank]
+            _subtract(row, row[lead], prow, char)
+    return pivots
 
 
 def rank(rows, ncols, char=0) -> int:
-    """Rank of the matrix, by sparse elimination that only counts pivots.
-
-    Each row becomes a {column: value} map with zeros dropped (reduced mod
-    ``char`` first) and is reduced by the stored pivot rows, keyed by their
-    leading column, until it is zero or leads in a new column; then it is
-    stored as the pivot of that column.  No row is rescaled and nothing
-    above a pivot is cleared.  Over Q the factor is ``Fraction(a) / b``, so
-    integer rows stay exact.
-
-    Sound because the stored rows have pairwise distinct leading columns,
-    so they are independent, and each one is an input row less a
-    combination of earlier stored rows, so they span the same space as the
-    rows read so far; a row that reduces to zero lies in that span.  The
-    rank is the number of stored rows.
-    """
-    pivots = {}  # leading column -> (row, inverse of its leading value mod char)
-    columns = range(ncols)
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        if char:
-            row = {j: y for j in compress(columns, r) if (y := r[j] % char)}
-        else:
-            row = {j: r[j] for j in compress(columns, r)}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (row, pow(row[lead], -1, char) if char else None)
-                break
-            prow, inv = pivot
-            if char:
-                f = row[lead] * inv % char
-                for j, v in prow.items():
-                    x = (row.get(j, 0) - f * v) % char
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            else:
-                f = Fraction(row[lead]) / prow[lead]
-                for j, v in prow.items():
-                    x = row.get(j, 0) - f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-    return len(pivots)
+    """Rank of the matrix whose rows are the given {column: value} maps."""
+    return len(_echelon(rows, ncols, char))
 
 
 def nullspace(rows, ncols, char=0):
@@ -112,19 +79,22 @@ def nullspace(rows, ncols, char=0):
 
     The basis is the canonical one read off the reduced echelon form: the
     vector for free column j has a 1 in slot j and pivot entries solving the
-    homogeneous system.
+    homogeneous system.  Vectors are dense tuples of length ``ncols``.
     """
-    pivots, m = row_echelon(rows, ncols, char)
-    pivot_set = set(pivots)
-    one = 1 if char else Fraction(1)
+    pivots = _echelon(rows, ncols, char)
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[c], pivots[c], char)
+    one, zero = (1, 0) if char else (Fraction(1), Fraction(0))
     basis = []
     for j in range(ncols):
-        if j in pivot_set:
+        if j in pivots:
             continue
         v = [0] * ncols
         v[j] = one
-        for i, pc in enumerate(pivots):
-            x = -m[i][j]
+        for pc, row in pivots.items():
+            x = -row.get(j, zero)
             v[pc] = x % char if char else x
         basis.append(tuple(v))
     return basis

@@ -253,9 +253,8 @@ def is_quadratic(form: FormAlgebra) -> bool:
 def kernel_relations(form: FormAlgebra):
     """Exact basis of Ker(V tensor V -> k), in dim(V)^2 coordinates."""
     dim = form.dim_v
-    row = [form.matrix[i][j] for i in range(dim) for j in range(dim)]
-    rows = [row] if any(x != 0 for x in row) else []
-    return nullspace(rows, dim * dim, form.char)
+    row = {i * dim + j: x for i, line in enumerate(form.matrix) for j, x in enumerate(line) if x}
+    return nullspace([row], dim * dim, form.char)
 
 
 def weight3_dim(dim_v: int, relation_vectors, char: int = 0) -> int:

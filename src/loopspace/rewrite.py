@@ -289,37 +289,47 @@ class KoszulDualData:
         return f"KoszulDualData(dim V = {self.dim_v}, dim R-perp = {len(self.perp_basis)})"
 
 
+def _relation_rows(relation_vectors, n2):
+    """Relation vectors of length n2 as sparse {coordinate: coefficient} rows."""
+    rows = []
+    for v in relation_vectors:
+        if len(v) != n2:
+            raise ValueError(f"relation vector length {len(v)} != dim(V)^2 = {n2}")
+        rows.append({j: c for j, c in enumerate(v) if c})
+    return rows
+
+
 def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
     """Annihilator of a relation subspace under the evaluation pairing.
 
     ``relation_vectors`` must be linearly independent vectors of length
     dim(V)^2 (coordinates of V tensor V).  The returned basis spans all
-    functionals vanishing on them; its size is dim(V)^2 - #relations.
+    functionals vanishing on them; its size is dim(V)^2 - #relations, which
+    by rank-nullity is also the independence check.
     """
     m = sum(d for _deg, d in vdims)
     n2 = m * m
-    rows = [list(v) for v in relation_vectors]
-    for v in rows:
-        if len(v) != n2:
-            raise ValueError(f"relation vector length {len(v)} != dim(V)^2 = {n2}")
-    if linalg.rank(rows, n2, char) != len(rows):
-        raise ValueError("relation vectors are linearly dependent")
+    rows = _relation_rows(relation_vectors, n2)
     perp = linalg.nullspace(rows, n2, char)
     if len(perp) != n2 - len(rows):
-        raise ComputationFailure("annihilator dimension mismatch")
+        raise ValueError("relation vectors are linearly dependent")
     return KoszulDualData(vdims, perp)
 
 
-# Largest dense matrix, in rows x columns, that quadratic_weight_dims will
-# build.  The form algebra with s = r + torsion rank has dim V = 2s and
-# 4s^2 - 1 kernel relations, so its weight-3 matrix is 2 * 2s * (4s^2 - 1)
-# rows by (2s)^3 columns, and the Koszul dual of the rank-s loop algebra has
-# the same size.  Over Q (Python 3.11, x86_64 Xeon core; time, process peak
-# RSS) s = 4 is 516,096 cells (0.09 s, 19 MB), s = 5 is 1,980,000 (0.26 s,
-# 31 MB) and s = 6 is 5,930,496 (0.41 s, 61 MB); mod 7 each takes at most
-# 0.4 s.  Since the rank is sparse, time no longer binds; the limit bounds
-# the memory of the dense rows built here.  It admits s <= 6 and refuses
-# s = 7 (14,982,240 cells).
+# Largest number of entries that quadratic_weight_dims lets its elimination
+# hold for one weight.  A weight-w matrix has nrows = (w-1) * dim V^(w-2) *
+# #R rows of at most nnz entries each, nnz the most nonzeros of a relation
+# vector, over ncols = dim V^w columns.  The elimination holds the input rows
+# plus its stored pivot rows; those number at most the rank, so at most
+# min(nrows, ncols), and each has at most ncols entries.  So it never holds
+# more than nrows * nnz + min(nrows, ncols) * ncols entries, and that bound is
+# checked before any row is built.  The form algebra with s = r + torsion
+# rank has dim V = 2s and 4s^2 - 1 kernel relations of at most 2 entries, so
+# its weight-3 bound is 2 * 2s * (4s^2 - 1) * 2 + (2s)^6; the Koszul dual of
+# the rank-s loop algebra has the same size.  Over Q (Python 3.11, one Xeon
+# core; time, process peak RSS) s = 6 takes 0.05 s and 15 MB, and s = 7
+# (bound 7,540,456) 0.08 s and 16 MB; mod 3 and mod 7, s = 7 takes 0.03 s.
+# The limit admits s <= 7 and refuses s = 8 (bound 16,793,536).
 MAX_CELLS = 8_000_000
 
 
@@ -327,43 +337,38 @@ def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0)
     """Weight dimensions of T(V)/(R) for an arbitrary relation span R.
 
     dim A_w = dim V^(tensor w) minus the rank of the span of all
-    V^i tensor R tensor V^j with i+j = w-2, computed by exact elimination.
-    Once some weight hits zero all later weights are zero (the algebra is
-    generated in weight one).  Before building a weight's matrix, its size
-    (w-1) * dim V^(w-2) * #R rows by dim V^w columns is checked against
-    MAX_CELLS, and a larger one raises ComputationFailure.
+    V^i tensor R tensor V^j with i+j = w-2, computed by exact elimination on
+    sparse rows, each a relation shifted into place.  Once some weight hits
+    zero all later weights are zero (the algebra is generated in weight
+    one).  Before building a weight's rows, the bound on the entries its
+    elimination can hold (see MAX_CELLS) is checked, and a larger one
+    raises ComputationFailure.
     """
-    rows0 = [tuple(v) for v in relation_vectors]
-    for v in rows0:
-        if len(v) != dim_v * dim_v:
-            raise ValueError("relation vectors must live in dim(V)^2 coordinates")
+    rels = _relation_rows(relation_vectors, dim_v * dim_v)
+    nnz = max((len(rel) for rel in rels), default=0)
     dims = [1]
     if cap >= 1:
         dims.append(dim_v)
     for w in range(2, cap + 1):
         ncols = dim_v**w
-        if not rows0:
+        if not rels:
             dims.append(ncols)
             continue
-        nrows = (w - 1) * dim_v ** (w - 2) * len(rows0)
-        if nrows * ncols > MAX_CELLS:
+        nrows = (w - 1) * dim_v ** (w - 2) * len(rels)
+        cells = nrows * nnz + min(nrows, ncols) * ncols
+        if cells > MAX_CELLS:
             raise ComputationFailure(
-                f"weight {w} needs {nrows} x {ncols} dense cells, over the "
-                f"limit of {MAX_CELLS}; refusing elimination"
+                f"weight {w} needs {nrows} rows over {ncols} columns, up to {cells} "
+                f"stored entries, over the limit of {MAX_CELLS}; refusing elimination"
             )
         rows = []
         for split in range(w - 1):
-            left = dim_v**split
             right = dim_v ** (w - 2 - split)
-            for rel in rows0:
-                for li in range(left):
+            for rel in rels:
+                for li in range(dim_v**split):
+                    base = li * dim_v * dim_v * right
                     for ri in range(right):
-                        row = [0] * ncols
-                        base = li * dim_v * dim_v * right
-                        for pos, c in enumerate(rel):
-                            if c:
-                                row[base + pos * right + ri] = c
-                        rows.append(row)
+                        rows.append({base + pos * right + ri: c for pos, c in rel.items()})
         dims.append(ncols - linalg.rank(rows, ncols, char))
         if dims[-1] == 0:
             dims.extend([0] * (cap - w))

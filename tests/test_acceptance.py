@@ -20,6 +20,7 @@ from loopspace.decomposition import (
     polynomial_ring_dims,
     rational_series,
 )
+from loopspace.errors import ComputationFailure
 from loopspace.lyndon import independence_certificate, lie_dims
 from loopspace.manifold import (
     FormAlgebra,
@@ -124,14 +125,23 @@ def test_c05_quadraticity():
             (2, 2, (), 0),
             (3, 2, (3,), 3),
             (2, 1, (2, 4), 2),
+            (2, 7, (), 0),  # s = 7, the largest that MAX_CELLS admits
+            (2, 5, (3, 3), 3),  # s = 5 + 2
         ):
             form = form_algebra_of(ManifoldModel(n, r, orders), p)
             assert form.dim_v >= 2  # s >= 1
             assert weight3_dim(form.dim_v, kernel_relations(form), char=p) == 0, (n, r, p)
         counterexample = FormAlgebra(((2, 2),), [[1, 0], [0, 0]])
         assert weight3_dim(2, kernel_relations(counterexample)) >= 1
+        s8 = form_algebra_of(ManifoldModel(2, 8), 0)
+        try:
+            weight3_dim(s8.dim_v, kernel_relations(s8))
+        except ComputationFailure as err:
+            assert str(err).startswith("weight 3 needs 8160 rows over 4096 columns")
+        else:
+            raise AssertionError("the s = 8 form was not refused")
 
-    report(5, "weight-3 dimension: 0 for manifold forms, >= 1 for the square form", check)
+    report(5, "weight-3 dimension: 0 for manifold forms to s = 7, >= 1 for the square form", check)
 
 
 def test_c06_koszul_duality():

@@ -1,9 +1,10 @@
-"""linalg.rank, the sparse forward-only elimination, against row_echelon.
+"""linalg.rank and linalg.nullspace, on sparse rows, against a dense oracle.
 
-``row_echelon`` is the dense Gauss-Jordan reduction that ``nullspace`` reads;
-the length of its pivot list is the rank oracle here, on seeded matrices over
-Q (ints and Fractions), F_7 and F_P, on deliberately dependent or degenerate
-inputs, and on every matrix the independence certificate builds at (2, 2, 7).
+``linalg_oracle`` holds the dense Gauss-Jordan reduction; its rank and its
+canonical kernel basis are the oracles here, on seeded matrices over Q (ints
+and Fractions), F_7 and F_P, on deliberately dependent or degenerate inputs,
+and on every matrix the independence certificate builds at (2, 2, 7).  The
+dense matrices are passed to ``linalg`` through ``sparse``.
 """
 
 import random
@@ -15,11 +16,18 @@ from loopspace import linalg
 from loopspace.lyndon import P, independence_certificate
 from loopspace.manifold import ManifoldModel, loop_presentation
 
+import linalg_oracle
+from linalg_oracle import sparse
+
 FIELDS = ("Q-int", "Q-fraction", 7, P)
 
 
-def oracle(rows, ncols, char=0):
-    return len(linalg.row_echelon(rows, ncols, char)[0])
+oracle = linalg_oracle.rank
+
+
+def rank(rows, ncols, char=0):
+    """linalg.rank of dense rows."""
+    return linalg.rank([sparse(r) for r in rows], ncols, char)
 
 
 def char_of(field):
@@ -59,7 +67,7 @@ def test_rank_matches_echelon_oracle_on_seeded_matrices(field):
     for _ in range(80):
         rows, ncols = random_matrix(rng, field)
         expected = oracle(rows, ncols, char)
-        assert linalg.rank(rows, ncols, char) == expected, (rows, ncols, char)
+        assert rank(rows, ncols, char) == expected, (rows, ncols, char)
         deficient += expected < min(len(rows), ncols)
     assert deficient >= 10  # the seeded set is not all full rank
 
@@ -71,7 +79,7 @@ def test_row_summing_two_others_adds_nothing(field):
     a = [one, 0, 2, 0, 5]
     b = [0, one, 0, 3, 0]
     rows = [a, b, [x + y for x, y in zip(a, b)]]
-    assert linalg.rank(rows, 5, char) == oracle(rows, 5, char) == 2
+    assert rank(rows, 5, char) == oracle(rows, 5, char) == 2
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -79,48 +87,56 @@ def test_zero_and_duplicated_rows(field):
     char = char_of(field)
     row = [0, 1, 0, 4, 2]
     rows = [[0] * 5, row, [0] * 5, list(row), list(row)]
-    assert linalg.rank(rows, 5, char) == oracle(rows, 5, char) == 1
-    assert linalg.rank([[0] * 5] * 3, 5, char) == 0
+    assert rank(rows, 5, char) == oracle(rows, 5, char) == 1
+    assert rank([[0] * 5] * 3, 5, char) == 0
 
 
 @pytest.mark.parametrize("p", [7, P])
 def test_entries_divisible_by_p_are_zero(p):
     rows = [[p, 2 * p, -p], [0, 3 * p, p * p]]
-    assert linalg.rank(rows, 3, p) == oracle(rows, 3, p) == 0
+    assert rank(rows, 3, p) == oracle(rows, 3, p) == 0
     rows = [[p + 1, 2 * p, 1], [1, p, 1 - p]]  # both are (1, 0, 1) mod p
-    assert linalg.rank(rows, 3, p) == oracle(rows, 3, p) == 1
-    assert linalg.rank(rows, 3) == 2  # over Q they differ
+    assert rank(rows, 3, p) == oracle(rows, 3, p) == 1
+    assert rank(rows, 3) == 2  # over Q they differ
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_empty_and_zero_column_matrices(field):
     char = char_of(field)
-    assert linalg.rank([], 0, char) == oracle([], 0, char) == 0
-    assert linalg.rank([], 4, char) == oracle([], 4, char) == 0
-    assert linalg.rank([[], [], []], 0, char) == oracle([[], [], []], 0, char) == 0
+    assert rank([], 0, char) == oracle([], 0, char) == 0
+    assert rank([], 4, char) == oracle([], 4, char) == 0
+    assert rank([[], [], []], 0, char) == oracle([[], [], []], 0, char) == 0
+    assert linalg.nullspace([], 0, char) == linalg_oracle.nullspace([], 0, char) == []
+    assert linalg.nullspace([{}, {}], 2, char) == linalg_oracle.nullspace([[0, 0]] * 2, 2, char)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_ragged_row_raises(field):
+def test_column_out_of_range_raises(field):
+    char = char_of(field)
+    for rows in ([{0: 1}, {3: 1}], [{-1: 1}], [{2: 1, 5: 0}], [{0: 1}, {0: 2, 3: 2}]):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            linalg.rank(rows, 3, char)
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            linalg.nullspace(rows, 3, char)
     with pytest.raises(ValueError):
-        linalg.rank([[1, 0, 0], [0, 1]], 3, char_of(field))
-    with pytest.raises(ValueError):
-        linalg.rank([[1, 0]], 3, char_of(field))
+        linalg.rank([{0: 1}], 0, char)
 
 
 def test_integer_rows_stay_exact_over_q():
     # a float pivot factor 3.0 would cancel the +1 against 3 * 10**20
     rows = [[1, 10**20], [3, 3 * 10**20 + 1]]
-    assert linalg.rank(rows, 2) == oracle(rows, 2) == 2
+    assert rank(rows, 2) == oracle(rows, 2) == 2
     rows = [[3, 1], [1, Fraction(1, 3)]]
-    assert linalg.rank(rows, 2) == oracle(rows, 2) == 1
+    assert rank(rows, 2) == oracle(rows, 2) == 1
 
 
 def test_rank_does_not_change_its_input():
-    rows = [[7, 0, 14], [1, 2, 3]]
+    rows = [{0: 7, 2: 14}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]
     linalg.rank(rows, 3, 7)
     linalg.rank(rows, 3)
-    assert rows == [[7, 0, 14], [1, 2, 3]]
+    linalg.nullspace(rows, 3, 7)
+    linalg.nullspace(rows, 3)
+    assert rows == [{0: 7, 2: 14}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]
 
 
 def test_agrees_on_every_certificate_matrix(monkeypatch):
@@ -136,4 +152,22 @@ def test_agrees_on_every_certificate_matrix(monkeypatch):
     assert len(seen) == 7  # one matrix per degree
     for rows, ncols, char in seen:
         assert char == P
-        assert real_rank(rows, ncols, char) == oracle(rows, ncols, char) == len(rows)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert real_rank(rows, ncols, char) == oracle(dense, ncols, char) == len(rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_nullspace_matches_dense_oracle_on_seeded_matrices(field):
+    # the canonical basis is read off the reduced echelon form, which is
+    # unique, so the sparse back-substitution must give the same vectors
+    rng = random.Random(f"nullspace/{field}")
+    char = char_of(field)
+    deficient = 0
+    for _ in range(80):
+        rows, ncols = random_matrix(rng, field)
+        expected = linalg_oracle.nullspace(rows, ncols, char)
+        got = linalg.nullspace([sparse(r) for r in rows], ncols, char)
+        assert got == expected, (rows, ncols, char)
+        assert repr(got) == repr(expected)  # the same types too: ints mod p, Fractions over Q
+        deficient += oracle(rows, ncols, char) < min(len(rows), ncols)
+    assert deficient >= 10

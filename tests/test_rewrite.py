@@ -26,6 +26,8 @@ from loopspace.selftest import GRID
 from loopspace.series import PowerSeries, loop_generating_series
 from loopspace.words import Alphabet, NCPoly, Word
 
+from linalg_oracle import sparse
+
 P21 = loop_presentation(ManifoldModel(2, 1))
 P22 = loop_presentation(ManifoldModel(2, 2))
 
@@ -277,7 +279,7 @@ class TestBasisProperty:
                 for w2, c in nf.terms():
                     row[index[w2.indices]] = c
                 rows.append(row)
-            assert linalg.rank(rows, len(index), char) == dims[d]
+            assert linalg.rank([sparse(row) for row in rows], len(index), char) == dims[d]
 
 
 class TestKoszul:
@@ -370,20 +372,24 @@ class TestQuadraticWeightDims:
 
     @pytest.mark.parametrize("dim_v,cap", [(4, 9), (64, 3)])
     def test_refuses_oversized_matrix_before_building_it(self, monkeypatch, dim_v, cap):
-        # one relation x1 x2 - x2 x1; the refused weight is the first whose
-        # (w-1) * dim_v^(w-2) * #rel rows by dim_v^w columns pass MAX_CELLS,
-        # and no matrix that large is built; at (4, 9) weight 9 alone would
-        # need 131072 x 262144 cells.  Only sizes matter here, so the spy
-        # records them and skips the elimination.
+        # one relation x1 x2 - x2 x1, so nnz = 2; a weight-w matrix has
+        # (w-1) * dim_v^(w-2) * #rel rows over dim_v^w columns, and its
+        # elimination holds at most nrows * nnz + min(nrows, ncols) * ncols
+        # entries.  The refused weight is the first whose bound passes
+        # MAX_CELLS, and no matrix past the bound is built; at (4, 9) weight 9
+        # alone would have 131072 rows over 262144 columns.  Only sizes matter
+        # here, so the spy records them and skips the elimination.
         rel = [0] * (dim_v * dim_v)
         rel[1], rel[dim_v] = 1, -1
-        sizes = {w: ((w - 1) * dim_v ** (w - 2), dim_v**w) for w in range(2, cap + 1)}
-        weight = min(w for w, (nrows, ncols) in sizes.items() if nrows * ncols > MAX_CELLS)
-        nrows, ncols = sizes[weight]
+        shapes = {w: ((w - 1) * dim_v ** (w - 2), dim_v**w) for w in range(2, cap + 1)}
+        bounds = {w: nrows * 2 + min(nrows, ncols) * ncols for w, (nrows, ncols) in shapes.items()}
+        weight = min(w for w, cells in bounds.items() if cells > MAX_CELLS)
+        nrows, ncols = shapes[weight]
         built = []
 
         def spy(rows, n, char=0):
-            built.append(len(rows) * n)
+            assert all(len(row) == 2 for row in rows)
+            built.append(len(rows) * 2 + min(len(rows), n) * n)
             return 0
 
         monkeypatch.setattr(linalg, "rank", spy)
@@ -391,6 +397,9 @@ class TestQuadraticWeightDims:
         with pytest.raises(ComputationFailure) as err:
             quadratic_weight_dims(dim_v, [rel], cap)
         assert time.monotonic() - start < 2.0
-        assert f"weight {weight} needs {nrows} x {ncols} dense cells" in str(err.value)
-        assert built == [r * c for w, (r, c) in sizes.items() if w < weight]
+        assert (
+            f"weight {weight} needs {nrows} rows over {ncols} columns, "
+            f"up to {bounds[weight]} stored entries" in str(err.value)
+        )
+        assert built == [bounds[w] for w in shapes if w < weight]
         assert max(built, default=0) <= MAX_CELLS
