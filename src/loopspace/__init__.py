@@ -2,8 +2,8 @@
 (n-1)-connected (2n+1)-manifolds, specified by (n, r, G).
 
 Everything is exact arithmetic in integers, with Fractions only in relation
-normalisation, the rational form algebras, elimination over Q in ``linalg``
-and the certificate's normal forms; every headline number is
+normalisation by a leading coefficient other than +-1, elimination over Q in
+``linalg`` and the certificate's normal forms; every headline number is
 cross-checkable by an independent combinatorial route, and the
 ``selftest`` command runs those cross-checks.
 """

@@ -192,8 +192,6 @@ class GradedAbelianGroup:
     def __init__(self, parts=None):
         clean = {}
         for deg, g in (parts or {}).items():
-            if isinstance(g, tuple):
-                g = FgAbelianGroup(g[0], g[1])
             if not isinstance(g, FgAbelianGroup):
                 raise TypeError("degrees must map to FgAbelianGroup")
             if not g.is_zero():

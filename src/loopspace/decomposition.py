@@ -315,12 +315,10 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
 
 def rational_series(expr: SpaceExpr, cap: int) -> PowerSeries:
     """Poincare series of the rational homology, exactly, through t^cap."""
-    if isinstance(expr, Point):
-        return PowerSeries.one(cap)
+    if isinstance(expr, (Point, Moore)):
+        return PowerSeries.one(cap)  # a Moore space is rationally trivial
     if isinstance(expr, Sphere):
         return PowerSeries.from_polynomial({0: 1, expr.m: 1}, cap)
-    if isinstance(expr, Moore):
-        return PowerSeries.one(cap)  # rationally trivial
     if isinstance(expr, Wedge):
         out = PowerSeries.one(cap)
         for c in expr.children:
@@ -348,17 +346,6 @@ def rational_series(expr: SpaceExpr, cap: int) -> PowerSeries:
 
 
 def _loop_series(space: SpaceExpr, cap: int) -> PowerSeries:
-    if isinstance(space, Point):
-        return PowerSeries.one(cap)
-    if isinstance(space, Sphere):
-        m = space.m
-        if m < 2:
-            raise ValueError("loop space rules need a simply connected sphere (dim >= 2)")
-        if m % 2:  # odd sphere: free graded-commutative on one even class
-            return PowerSeries.from_polynomial({0: 1, m - 1: -1}, cap).inverse()
-        numer = PowerSeries.from_polynomial({0: 1, m - 1: 1}, cap)
-        denom = PowerSeries.from_polynomial({0: 1, 2 * m - 2: -1}, cap)
-        return numer * denom.inverse()
     if isinstance(space, Product):
         out = PowerSeries.one(cap)
         for c in space.children:
@@ -366,8 +353,11 @@ def _loop_series(space: SpaceExpr, cap: int) -> PowerSeries:
         return out
     if isinstance(space, LocalizedAt):
         return _loop_series(space.child, cap)
-    if isinstance(space, (Wedge, Smash, Moore)):
-        # suspension-like: tensor algebra on the desuspended reduced homology
+    if isinstance(space, (Point, Sphere, Wedge, Smash, Moore)):
+        # Bott-Samelson: H_*(Loop X; Q) is the tensor algebra on the desuspended
+        # reduced homology of a suspension X.  So Loop(S^m), m >= 2, has series
+        # 1/(1 - t^(m-1)) for both parities: for even m, (1 + t^(m-1)) /
+        # (1 - t^(2m-2)) is the same series.  A point gives 1.
         reduced = rational_series(space, cap + 1) - PowerSeries.one(cap + 1)
         coeffs = reduced.coefficients()
         if coeffs[0] != 0 or coeffs[1] != 0:
@@ -390,13 +380,7 @@ class ClassificationFlags(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "rational_type": self.rational_type,
-            "reason": self.reason,
-            "no_exponent": self.no_exponent,
-            "no_exponent_note": self.no_exponent_note,
-            "retract": self.retract,
-        }
+        return self._asdict()
 
 
 def classify(m: ManifoldModel) -> ClassificationFlags:

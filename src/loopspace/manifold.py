@@ -13,8 +13,6 @@ sum_i (u_i u_i' - u_i' u_i); this module builds that presentation in the
 canonical alphabet order u_1 < u_1' < ... < u_r < u_r'.
 """
 
-from fractions import Fraction
-
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .linalg import nullspace
@@ -22,19 +20,28 @@ from .rewrite import QuadraticPresentation, quadratic_weight_dims
 from .words import Alphabet, NCPoly, Word
 
 
+MAX_TORSION_ORDER = 10**9  # checked before factoring, which is by trial division
+MAX_TORSION_ORDERS = 16
+
+
 def parse_torsion(spec: str) -> FiniteAbelianGroup:
     """Parse the CLI torsion grammar: "-" for trivial, else "2,4,3"."""
     spec = spec.strip()
     if spec in ("-", ""):
         return FiniteAbelianGroup.trivial()
+    pieces = spec.split(",")
+    if len(pieces) > MAX_TORSION_ORDERS:
+        raise ValueError(f"{len(pieces)} cyclic orders, over the limit {MAX_TORSION_ORDERS}")
     orders = []
-    for piece in spec.split(","):
+    for piece in pieces:
         try:
             d = int(piece)
         except ValueError:
             raise ValueError(f"torsion order {piece!r} is not an integer") from None
         if d < 2:
             raise ValueError(f"torsion order {d} must be >= 2")
+        if d > MAX_TORSION_ORDER:
+            raise ValueError(f"torsion order {d} is over the limit {MAX_TORSION_ORDER}")
         orders.append(d)
     return FiniteAbelianGroup.from_cyclic_orders(orders)
 
@@ -161,19 +168,14 @@ class FormAlgebra:
             raise ValueError(f"form matrix must be {dim}x{dim}")
         if char:
             matrix = [[x % char for x in row] for row in matrix]
-        else:
-            matrix = [[Fraction(x) for x in row] for row in matrix]
         degrees = []
         for d, k in self.vdims:
             degrees.extend([d] * k)
         for i in range(dim):
             for j in range(dim):
                 sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
-                lhs = matrix[i][j]
-                rhs = sign * matrix[j][i]
-                if char:
-                    rhs %= char
-                if lhs != rhs:
+                diff = matrix[i][j] - sign * matrix[j][i]
+                if diff % char if char else diff:
                     raise ValueError("pairing is not graded-symmetric")
         self.matrix = tuple(tuple(row) for row in matrix)
         self.degrees = tuple(degrees)
@@ -215,17 +217,15 @@ def form_algebra_of(m: ManifoldModel, p: int = 0) -> FormAlgebra:
 
 def _candidate_vectors(form: FormAlgebra):
     dim = form.dim_v
-    one = 1 if form.char else Fraction(1)
     for i in range(dim):
         v = [0] * dim
-        v[i] = one
+        v[i] = 1
         yield tuple(v)
     for i in range(dim):
         for j in range(i + 1, dim):
-            for sign in (one, -one):
+            for sign in (1, -1):
                 v = [0] * dim
-                v[i] = one
-                v[j] = sign % form.char if form.char else sign
+                v[i], v[j] = 1, sign  # pairing reduces mod the characteristic
                 yield tuple(v)
 
 

@@ -46,7 +46,7 @@ class QuadraticPresentation:
         if lead.indices[0] == lead.indices[1]:
             raise PresentationError("leading bigram must have two distinct letters")
         c = relation.coeff(lead)
-        relation = relation.scale(Fraction(1, 1) / c if c != 1 else 1)
+        relation = relation.scale(c if c in (1, -1) else 1 / Fraction(c))
         self.relation = relation
         self.leading = lead
         self.lower_terms = NCPoly.monomial(lead) - relation
@@ -268,27 +268,6 @@ def relation_vector(relation: NCPoly, dim_v: int) -> list:
     return vec
 
 
-class KoszulDualData:
-    """Dual generators with the annihilator relation space R-perp.
-
-    ``vdims`` echoes the graded dimensions of the input generators (the dual
-    generators have the same count); ``perp_basis`` is an exact basis of the
-    annihilator of the input relation span inside the dim(V)^2 coordinate
-    space, row i*dim(V)+j meaning (dual i) tensor (dual j).
-    """
-
-    def __init__(self, vdims, perp_basis):
-        self.vdims = tuple(vdims)
-        self.perp_basis = [tuple(v) for v in perp_basis]
-
-    @property
-    def dim_v(self):
-        return sum(d for _deg, d in self.vdims)
-
-    def __repr__(self):
-        return f"KoszulDualData(dim V = {self.dim_v}, dim R-perp = {len(self.perp_basis)})"
-
-
 def _relation_rows(relation_vectors, n2):
     """Relation vectors of length n2 as sparse {coordinate: coefficient} rows."""
     rows = []
@@ -299,13 +278,14 @@ def _relation_rows(relation_vectors, n2):
     return rows
 
 
-def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
-    """Annihilator of a relation subspace under the evaluation pairing.
+def koszul_dual(vdims, relation_vectors, char: int = 0) -> list:
+    """Annihilator R-perp of a relation subspace under the evaluation pairing.
 
-    ``relation_vectors`` must be linearly independent vectors of length
-    dim(V)^2 (coordinates of V tensor V).  The returned basis spans all
-    functionals vanishing on them; its size is dim(V)^2 - #relations, which
-    by rank-nullity is also the independence check.
+    ``vdims`` lists the (degree, dim) blocks of V, and ``relation_vectors``
+    linearly independent vectors of length dim(V)^2 (coordinates of V tensor
+    V).  Returns an exact basis of the functionals vanishing on them, as
+    tuples with entry i*dim(V) + j for (dual i) tensor (dual j); its size,
+    dim(V)^2 - #relations, is by rank-nullity the independence check.
     """
     m = sum(d for _deg, d in vdims)
     n2 = m * m
@@ -313,7 +293,7 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> KoszulDualData:
     perp = linalg.nullspace(rows, n2, char)
     if len(perp) != n2 - len(rows):
         raise ValueError("relation vectors are linearly dependent")
-    return KoszulDualData(vdims, perp)
+    return perp
 
 
 # Largest number of entries that quadratic_weight_dims lets its elimination

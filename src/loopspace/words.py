@@ -14,8 +14,6 @@ degree, is the boundary type that public methods take and hand out.
 reverse lexicographic order on letter indices.
 """
 
-from fractions import Fraction
-
 from .errors import AlphabetMismatch
 
 
@@ -255,9 +253,9 @@ class NCPoly:
             return NCPoly.zero(self.alphabet)
         return NCPoly._unchecked(self.alphabet, {w: c * v for w, v in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "NCPoly") -> "NCPoly":
+        if not isinstance(other, NCPoly):
+            return NotImplemented  # scalars go through scale
         _same_alphabet(self.alphabet, other.alphabet)
         out = {}
         for w1, c1 in self._terms.items():
@@ -269,11 +267,6 @@ class NCPoly:
                 else:
                     out.pop(w, None)
         return NCPoly._unchecked(self.alphabet, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         return (

@@ -151,7 +151,7 @@ def test_c06_koszul_duality():
             m = 2 * r
             h_a = weight_dims(pres, 9)
             dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)])
-            h_dual = quadratic_weight_dims(m, dual.perp_basis, 9)
+            h_dual = quadratic_weight_dims(m, dual, 9)
             signed = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
             assert PowerSeries(h_a, 9) * signed == PowerSeries.one(9), r
 

@@ -8,6 +8,7 @@ import pytest
 
 from loopspace import cli, selftest
 from loopspace.cli import MAX_CAP, MAX_FUZZ, MAX_R, main
+from loopspace.manifold import MAX_TORSION_ORDER, MAX_TORSION_ORDERS
 from loopspace.series import loop_generating_series
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -69,6 +70,32 @@ class TestReport:
         code, _out, err = run_cli(["report", "--n", "2", "--r", "1", "--torsion", "2,x"])
         assert code == 2
         assert "torsion" in err
+
+    @pytest.mark.parametrize(
+        "command", [["report", "--cap", "5"], ["homotopy", "--k", "4"]], ids=["report", "homotopy"]
+    )
+    @pytest.mark.parametrize(
+        "torsion, reason",
+        [
+            ("1000000007", "torsion order 1000000007 is over the limit 1000000000"),
+            (",".join(["2"] * 17), "17 cyclic orders, over the limit 16"),
+        ],
+        ids=["order", "count"],
+    )
+    def test_torsion_bounds_exit_two_before_factoring(self, command, torsion, reason):
+        # an order near 10^18 ran past 60 s in trial division, and 100
+        # copies of 2 made a 219 MB text report at --cap 1000
+        start = time.perf_counter()
+        code, out, err = run_cli([command[0], "--n", "2", "--r", "1", "--torsion", torsion, *command[1:]])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: torsion: {reason}\n"
+
+    def test_torsion_at_the_bounds_is_answered(self):
+        torsion = ",".join([str(MAX_TORSION_ORDER)] * MAX_TORSION_ORDERS)
+        code, out, _err = run_cli(["report", "--n", "2", "--r", "1", "--torsion", torsion, "--cap", "3"])
+        assert code == 0
+        assert "torsion primes: {2, 5}" in out
 
     def test_bad_cap(self):
         code, _out, err = run_cli(["report", "--n", "2", "--r", "1", "--torsion", "-", "--cap", "0"])

@@ -125,8 +125,17 @@ class TestRationalSeries:
         s = smash([Sphere(2), Sphere(3)])
         assert rational_series(s, 6) == series_poly({0: 1, 5: 1}, 6)
 
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_loop_of_a_sphere_is_the_tensor_algebra_on_one_class(self, m):
+        # Bott-Samelson, for both parities of m
+        expected = PowerSeries.from_polynomial({0: 1, m - 1: -1}, 30).inverse()
+        assert rational_series(Loop(Sphere(m)), 30) == expected
+
+    def test_loop_of_a_point_is_one(self):
+        assert rational_series(Loop(Point()), 30) == PowerSeries.one(30)
+
     def test_loop_rejects_circle_and_unsupported(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-simply-connected"):
             rational_series(loop(Sphere(1)), 4)
         with pytest.raises(ValueError):
             rational_series(Loop(Loop(Sphere(3))), 4)

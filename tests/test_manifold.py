@@ -143,6 +143,14 @@ class TestFormAlgebra:
         assert form.dim_v == 0
         assert is_quadratic(form)
 
+    def test_rational_gram_entries_stay_integers(self):
+        form = form_algebra_of(ManifoldModel(2, 2), 0)
+        assert all(type(x) is int for row in form.matrix for x in row)
+        # the kernel is what Fraction entries gave, value for value and type for type
+        as_fractions = FormAlgebra(form.vdims, [[Fraction(x) for x in row] for row in form.matrix])
+        typed = [[(type(x), x) for x in v] for v in kernel_relations(form)]
+        assert typed == [[(type(x), x) for x in v] for v in kernel_relations(as_fractions)]
+
     def test_kernel_dimension(self):
         form = form_algebra_of(ManifoldModel(2, 1), 0)
         assert len(kernel_relations(form)) == 3

@@ -166,9 +166,17 @@ class TestPresentation:
 
     def test_leading_normalized_to_coefficient_one(self):
         a = loop_alphabet(2, 1)
-        rel = loop_relation(a) * 7
+        rel = loop_relation(a).scale(7)
         pres = QuadraticPresentation(a, rel)
         assert pres.relation.coeff(pres.leading) == 1
+
+    def test_unit_leading_coefficient_keeps_integer_coefficients(self):
+        a = loop_alphabet(2, 1)
+        pres = QuadraticPresentation(a, loop_relation(a).scale(-1))
+        assert pres.relation == loop_relation(a)
+        assert all(type(c) is int for _w, c in pres.relation.terms())
+        halved = QuadraticPresentation(a, loop_relation(a).scale(2)).relation
+        assert {c for _w, c in halved.terms()} == {Fraction(1), Fraction(-1)}
 
 
 class TestHilbertDims:
@@ -299,13 +307,13 @@ class TestKoszul:
 class TestKoszulDual:
     def test_zero_relations_full_annihilator(self):
         dual = koszul_dual(((1, 2),), [])
-        assert len(dual.perp_basis) == 4
+        assert len(dual) == 4
 
     def test_commutator_annihilator_oracle(self):
         # R = span(v1 v2 - v2 v1) inside (k^2)^(x2); the annihilator is
         # spanned by v1*v1*, v1*v2* + v2*v1*, v2*v2* (4x1 nullspace, frozen)
         dual = koszul_dual(((1, 2),), [[0, 1, -1, 0]])
-        assert set(dual.perp_basis) == {
+        assert set(dual) == {
             (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(1), Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
@@ -315,7 +323,7 @@ class TestKoszulDual:
         pres = loop_presentation(ManifoldModel(2, 1))
         vec = relation_vector(pres.relation, 2)
         dual = koszul_dual(((1, 2),), [vec])
-        assert len(dual.perp_basis) == 3
+        assert len(dual) == 3
 
     def test_dependent_relations_rejected(self):
         with pytest.raises(ValueError):
@@ -350,7 +358,7 @@ class TestQuadraticWeightDims:
         m = 2 * r
         h_a = weight_dims(pres, 9)
         dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)])
-        h_dual = quadratic_weight_dims(m, dual.perp_basis, 9)
+        h_dual = quadratic_weight_dims(m, dual, 9)
         lhs = PowerSeries(h_a, 9)
         rhs = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
         assert lhs * rhs == PowerSeries.one(9)
@@ -362,7 +370,7 @@ class TestQuadraticWeightDims:
         pres = loop_presentation(ManifoldModel(2, r))
         m = 2 * r
         dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)], char=7)
-        assert quadratic_weight_dims(m, dual.perp_basis, 9, char=7) == [1, m, 1] + [0] * 7
+        assert quadratic_weight_dims(m, dual, 9, char=7) == [1, m, 1] + [0] * 7
 
     def test_free_algebra_builds_no_matrix(self, monkeypatch):
         # no relations: dim V^w directly, even where dim V^w columns would be

@@ -139,6 +139,15 @@ class TestNCPoly:
         with pytest.raises(AlphabetMismatch):
             NCPoly.letter(A22, 1) * NCPoly.letter(AB, 1)
 
+    def test_scalars_multiply_only_through_scale(self):
+        p = NCPoly.letter(A22, 1)
+        for scalar in (2, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                p * scalar
+            with pytest.raises(TypeError):
+                scalar * p
+        assert p.scale(2) == p + p
+
 
 def _random_homogeneous(rng, degree):
     from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words
@@ -188,7 +197,7 @@ class TestWordBoundary:
     def mixed(self):
         """Degrees 3, 4, 6 and 1 over A22, with int and Fraction coefficients."""
         u1, u1p, u2 = (NCPoly.letter(A22, i) for i in (1, 2, 3))
-        return u1 * u1p - (u2 * u2 * u1p).scale(Fraction(3, 2)) + u1p * u1p * u1p * 2 - u2
+        return u1 * u1p - (u2 * u2 * u1p).scale(Fraction(3, 2)) + (u1p * u1p * u1p).scale(2) - u2
 
     def test_coeff_of_a_word_over_another_alphabet_is_zero(self):
         p = self.mixed()
