@@ -65,12 +65,6 @@ class FiniteAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
     def primes(self) -> set:
         """Primes p with G tensor Z/p nonzero."""
         out = set()

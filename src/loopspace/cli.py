@@ -8,7 +8,8 @@ Three batch subcommands:
   selftest  the cross-oracle consistency suites
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration
-(message names the offending field), 3 sphere-table range gaps.
+(message names the offending field), 3 sphere-table range gaps or a
+malformed or unreadable table.
 
 Sizes are bounded before any counting starts, so that no question runs or
 allocates without bound: --cap <= 1000, --r <= 10000, --k <= 10000,

@@ -20,14 +20,15 @@ with 1 and stores it.  The two fields differ only in ``% char``.
   already cleared.  Those rows are zero in every other pivot column, so a
   step changes one pivot entry and free columns only.  The result is the
   reduced echelon form, which is unique, and the kernel basis is read off
-  it.
+  it as rows too: one per free column j, holding the int 1 at j and, at
+  each pivot column, minus that pivot row's entry in column j.
 
 >>> rank([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 3, 2: 4}], 3)
 2
 >>> nullspace([{0: 1, 2: 2}, {1: 3}], 3)
-[(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1))]
+[{2: 1, 0: Fraction(-2, 1)}]
 >>> nullspace([{0: 1, 2: 2}], 3, char=5)
-[(0, 1, 0), (3, 0, 1)]
+[{1: 1}, {2: 1, 0: 3}]
 
 The prime field serves the Lie-basis independence certificate: a rational
 matrix with denominators prime to p and full rank mod p has full rank over
@@ -75,26 +76,19 @@ def rank(rows, ncols, char=0) -> int:
 
 
 def nullspace(rows, ncols, char=0):
-    """Basis of the right kernel of the matrix, one vector per free column.
+    """Basis of the right kernel of the matrix, one row per free column.
 
-    The basis is the canonical one read off the reduced echelon form: the
-    vector for free column j has a 1 in slot j and pivot entries solving the
-    homogeneous system.  Vectors are dense tuples of length ``ncols``.
+    The basis is the canonical one read off the reduced echelon form, in
+    ascending free column; each kernel vector is a {column: value} row.
     """
     pivots = _echelon(rows, ncols, char)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         for c in [c for c in row if c != lead and c in pivots]:
             _subtract(row, row[c], pivots[c], char)
-    one, zero = (1, 0) if char else (Fraction(1), Fraction(0))
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [0] * ncols
-        v[j] = one
-        for pc, row in pivots.items():
-            x = -row.get(j, zero)
-            v[pc] = x % char if char else x
-        basis.append(tuple(v))
-    return basis
+    basis = {j: {j: 1} for j in range(ncols) if j not in pivots}
+    for lead, row in pivots.items():
+        for j, x in row.items():
+            if j != lead:  # a free column: back-substitution cleared the pivot ones
+                basis[j][lead] = -x % char if char else -x
+    return list(basis.values())

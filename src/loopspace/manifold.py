@@ -16,7 +16,7 @@ canonical alphabet order u_1 < u_1' < ... < u_r < u_r'.
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .linalg import nullspace
-from .rewrite import QuadraticPresentation, quadratic_weight_dims
+from .rewrite import QuadraticPresentation
 from .words import Alphabet, NCPoly, Word
 
 
@@ -185,15 +185,8 @@ class FormAlgebra:
         return len(self.matrix)
 
     def pairing(self, v, w):
-        """Evaluate the form on two coordinate vectors."""
-        total = 0
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            row = self.matrix[i]
-            for j, b in enumerate(w):
-                if b:
-                    total += a * row[j] * b
+        """Evaluate the form on two {index: coefficient} vectors."""
+        total = sum(a * self.matrix[i][j] * b for i, a in v.items() for j, b in w.items())
         return total % self.char if self.char else total
 
     def __repr__(self):
@@ -218,15 +211,11 @@ def form_algebra_of(m: ManifoldModel, p: int = 0) -> FormAlgebra:
 def _candidate_vectors(form: FormAlgebra):
     dim = form.dim_v
     for i in range(dim):
-        v = [0] * dim
-        v[i] = 1
-        yield tuple(v)
+        yield {i: 1}
     for i in range(dim):
         for j in range(i + 1, dim):
-            for sign in (1, -1):
-                v = [0] * dim
-                v[i], v[j] = 1, sign  # pairing reduces mod the characteristic
-                yield tuple(v)
+            yield {i: 1, j: 1}
+            yield {i: 1, j: -1}  # pairing reduces mod the characteristic
 
 
 def is_quadratic(form: FormAlgebra) -> bool:
@@ -251,16 +240,11 @@ def is_quadratic(form: FormAlgebra) -> bool:
 
 
 def kernel_relations(form: FormAlgebra):
-    """Exact basis of Ker(V tensor V -> k), in dim(V)^2 coordinates."""
+    """Exact basis of Ker(V tensor V -> k) as rows {i*dim(V) + j: coefficient}.
+
+    They go unchanged into rewrite.koszul_dual and quadratic_weight_dims,
+    whose weight 3 is 0 when nothing lives above the form-algebra range
+    (the square form keeps its cube: >= 1)."""
     dim = form.dim_v
     row = {i * dim + j: x for i, line in enumerate(form.matrix) for j, x in enumerate(line) if x}
     return nullspace([row], dim * dim, form.char)
-
-
-def weight3_dim(dim_v: int, relation_vectors, char: int = 0) -> int:
-    """Dimension of weight-3 survivors of the quadratic algebra on V, R.
-
-    Zero certifies that nothing lives above the form-algebra range; the
-    all-but-one-square kernel example keeps its cube and returns >= 1.
-    """
-    return quadratic_weight_dims(dim_v, relation_vectors, 3, char)[3]

@@ -257,49 +257,40 @@ def _has_cycle(edges) -> bool:
 # annihilator relations and generic quadratic weight dimensions
 # ---------------------------------------------------------------------------
 
-def relation_vector(relation: NCPoly, dim_v: int) -> list:
-    """Flatten a length-2 relation into dim(V)^2 coordinates (row-major)."""
-    vec = [0] * (dim_v * dim_v)
-    for w, c in relation.terms():
-        if len(w) != 2:
+def relation_vector(relation: NCPoly, dim_v: int) -> dict:
+    """A length-2 relation as a row over the dim(V)^2 coordinates of V tensor V.
+
+    The word x_i x_j is coordinate (i-1)*dim(V) + (j-1), row-major.
+    """
+    row = {}
+    for word, c in relation._terms.items():
+        if len(word) != 2:
             raise ValueError("relation must be homogeneous of word-length 2")
-        i, j = w.indices
-        vec[(i - 1) * dim_v + (j - 1)] = c
-    return vec
+        i, j = word
+        row[(i - 1) * dim_v + j - 1] = c
+    return row
 
 
-def _relation_rows(relation_vectors, n2):
-    """Relation vectors of length n2 as sparse {coordinate: coefficient} rows."""
-    rows = []
-    for v in relation_vectors:
-        if len(v) != n2:
-            raise ValueError(f"relation vector length {len(v)} != dim(V)^2 = {n2}")
-        rows.append({j: c for j, c in enumerate(v) if c})
-    return rows
-
-
-def koszul_dual(vdims, relation_vectors, char: int = 0) -> list:
+def koszul_dual(dim_v: int, relations, char: int = 0) -> list:
     """Annihilator R-perp of a relation subspace under the evaluation pairing.
 
-    ``vdims`` lists the (degree, dim) blocks of V, and ``relation_vectors``
-    linearly independent vectors of length dim(V)^2 (coordinates of V tensor
-    V).  Returns an exact basis of the functionals vanishing on them, as
-    tuples with entry i*dim(V) + j for (dual i) tensor (dual j); its size,
-    dim(V)^2 - #relations, is by rank-nullity the independence check.
+    ``relations`` are linearly independent {coordinate: coefficient} rows
+    over the dim(V)^2 coordinates of V tensor V.  Returns an exact basis of
+    the functionals vanishing on them, as rows with coordinate
+    i*dim(V) + j for (dual i) tensor (dual j); its size, dim(V)^2 -
+    #relations, is by rank-nullity the independence check.
     """
-    m = sum(d for _deg, d in vdims)
-    n2 = m * m
-    rows = _relation_rows(relation_vectors, n2)
-    perp = linalg.nullspace(rows, n2, char)
-    if len(perp) != n2 - len(rows):
-        raise ValueError("relation vectors are linearly dependent")
+    n2 = dim_v * dim_v
+    perp = linalg.nullspace(relations, n2, char)
+    if len(perp) != n2 - len(relations):
+        raise ValueError("relations are linearly dependent")
     return perp
 
 
 # Largest number of entries that quadratic_weight_dims lets its elimination
 # hold for one weight.  A weight-w matrix has nrows = (w-1) * dim V^(w-2) *
-# #R rows of at most nnz entries each, nnz the most nonzeros of a relation
-# vector, over ncols = dim V^w columns.  The elimination holds the input rows
+# #R rows of at most nnz entries each, nnz the most entries of a relation
+# row, over ncols = dim V^w columns.  The elimination holds the input rows
 # plus its stored pivot rows; those number at most the rank, so at most
 # min(nrows, ncols), and each has at most ncols entries.  So it never holds
 # more than nrows * nnz + min(nrows, ncols) * ncols entries, and that bound is
@@ -313,18 +304,23 @@ def koszul_dual(vdims, relation_vectors, char: int = 0) -> list:
 MAX_CELLS = 8_000_000
 
 
-def quadratic_weight_dims(dim_v: int, relation_vectors, cap: int, char: int = 0) -> list:
+def quadratic_weight_dims(dim_v: int, relations, cap: int, char: int = 0) -> list:
     """Weight dimensions of T(V)/(R) for an arbitrary relation span R.
 
     dim A_w = dim V^(tensor w) minus the rank of the span of all
     V^i tensor R tensor V^j with i+j = w-2, computed by exact elimination on
     sparse rows, each a relation shifted into place.  Once some weight hits
     zero all later weights are zero (the algebra is generated in weight
-    one).  Before building a weight's rows, the bound on the entries its
-    elimination can hold (see MAX_CELLS) is checked, and a larger one
-    raises ComputationFailure.
+    one).  ``relations`` are {coordinate: coefficient} rows over V tensor V,
+    as for koszul_dual; a coordinate outside 0..dim(V)^2 - 1 raises
+    ValueError at every cap.  Before building a weight's rows, the bound on
+    the entries its elimination can hold (see MAX_CELLS) is checked, and a
+    larger one raises ComputationFailure.
     """
-    rels = _relation_rows(relation_vectors, dim_v * dim_v)
+    rels = list(relations)
+    for rel in rels:  # weights 0 and 1 eliminate nothing, and a shift can hide a bad one
+        if rel and (min(rel) < 0 or max(rel) >= dim_v * dim_v):
+            raise ValueError(f"a relation has a coordinate outside 0..{dim_v * dim_v - 1}")
     nnz = max((len(rel) for rel in rels), default=0)
     dims = [1]
     if cap >= 1:

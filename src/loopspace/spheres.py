@@ -11,9 +11,9 @@ the Moebius multiplicities l[w].
 import os
 from collections import namedtuple
 
-from .abelian import FgAbelianGroup, FiniteAbelianGroup
+from .abelian import FgAbelianGroup
 from .errors import TableFormatError, TableRangeError
-from .manifold import ManifoldModel, sigma_primes
+from .manifold import ManifoldModel, parse_torsion, sigma_primes
 from .series import sphere_summand_counts
 
 ENV_TABLE_PATH = "LOOPSPACE_SPHERE_TABLE"
@@ -82,16 +82,10 @@ def load_table(text: str) -> SphereTable:
             raise TableFormatError(f"line {lineno}: k, m, free_rank must be integers") from None
         if m < 1 or k < 0 or rank < 0:
             raise TableFormatError(f"line {lineno}: need m >= 1, k >= 0, free_rank >= 0")
-        if fields[3] == "-":
-            torsion = FiniteAbelianGroup.trivial()
-        else:
-            try:
-                orders = [int(x) for x in fields[3].split(",")]
-            except ValueError:
-                raise TableFormatError(f"line {lineno}: bad torsion list {fields[3]!r}") from None
-            if any(o < 2 for o in orders):
-                raise TableFormatError(f"line {lineno}: torsion orders must be >= 2")
-            torsion = FiniteAbelianGroup.from_cyclic_orders(orders)
+        try:
+            torsion = parse_torsion(fields[3])
+        except ValueError as e:
+            raise TableFormatError(f"line {lineno}: torsion: {e}") from None
         group = FgAbelianGroup(rank, torsion)
         if k < m and not group.is_zero():
             raise TableFormatError(f"line {lineno}: pi_{k}(S^{m}) must be zero below the diagonal")

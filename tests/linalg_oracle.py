@@ -4,7 +4,8 @@
 reduced echelon form column by column, with no shared code with the sparse
 elimination in ``loopspace.linalg``; ``rank`` and ``nullspace`` read the
 rank and the canonical kernel basis off it.  ``sparse`` turns a dense row
-into the ``{column: value}`` map that ``loopspace.linalg`` takes.
+into the ``{column: value}`` map that ``loopspace.linalg`` takes and
+returns, and ``dense`` turns such a map back.
 """
 
 from fractions import Fraction
@@ -13,6 +14,11 @@ from fractions import Fraction
 def sparse(row):
     """A dense row as a {column: value} map with zeros dropped."""
     return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row, ncols):
+    """A {column: value} map as a tuple of length ncols, missing columns 0."""
+    return tuple(row.get(j, 0) for j in range(ncols))
 
 
 def _reduce_rows(rows, ncols, char):

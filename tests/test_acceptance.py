@@ -28,7 +28,6 @@ from loopspace.manifold import (
     form_algebra_of,
     kernel_relations,
     loop_presentation,
-    weight3_dim,
 )
 from loopspace.rewrite import (
     enumerate_irreducible_words,
@@ -130,12 +129,12 @@ def test_c05_quadraticity():
         ):
             form = form_algebra_of(ManifoldModel(n, r, orders), p)
             assert form.dim_v >= 2  # s >= 1
-            assert weight3_dim(form.dim_v, kernel_relations(form), char=p) == 0, (n, r, p)
+            assert quadratic_weight_dims(form.dim_v, kernel_relations(form), 3, p)[3] == 0, (n, r, p)
         counterexample = FormAlgebra(((2, 2),), [[1, 0], [0, 0]])
-        assert weight3_dim(2, kernel_relations(counterexample)) >= 1
+        assert quadratic_weight_dims(2, kernel_relations(counterexample), 3)[3] >= 1
         s8 = form_algebra_of(ManifoldModel(2, 8), 0)
         try:
-            weight3_dim(s8.dim_v, kernel_relations(s8))
+            quadratic_weight_dims(s8.dim_v, kernel_relations(s8), 3)
         except ComputationFailure as err:
             assert str(err).startswith("weight 3 needs 8160 rows over 4096 columns")
         else:
@@ -150,7 +149,7 @@ def test_c06_koszul_duality():
             pres = loop_presentation(ManifoldModel(2, r))
             m = 2 * r
             h_a = weight_dims(pres, 9)
-            dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)])
+            dual = koszul_dual(m, [relation_vector(pres.relation, m)])
             h_dual = quadratic_weight_dims(m, dual, 9)
             signed = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
             assert PowerSeries(h_a, 9) * signed == PowerSeries.one(9), r

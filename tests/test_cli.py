@@ -134,6 +134,16 @@ class TestHomotopy:
         )
         assert code == 3 and "pi_4" in err
 
+    def test_table_torsion_over_the_bound_exits_three_before_factoring(self, tmp_path):
+        # factoring this order by trial division ran past 10 s
+        table = tmp_path / "t.tsv"
+        table.write_text("2 2 1 -\n3 2 1 -\n4 2 0 1000000000000000003\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(["homotopy", "--n", "2", "--r", "1", "--k", "3", "--table", str(table)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("error: table: line 3: torsion: torsion order 1000000000000000003 is over")
+
     def test_missing_table_file(self):
         code, _out, err = run_cli(
             ["homotopy", "--n", "2", "--r", "1", "--torsion", "-", "--k", "3", "--table", "/no/such/file"]

@@ -6,10 +6,13 @@ import loopspace
 
 
 def test_module_doctests_pass():
-    attempted = 0
+    attempted = {}
     for info in pkgutil.iter_modules(loopspace.__path__):
         module = importlib.import_module(f"loopspace.{info.name}")
         result = doctest.testmod(module)
         assert result.failed == 0, info.name
-        attempted += result.attempted
-    assert attempted >= 8  # series.py and abelian.py; 0 would mean none ran
+        attempted[info.name] = result.attempted
+    assert sum(attempted.values()) >= 8  # 0 would mean none ran
+    # linalg's documents the row format that nullspace returns
+    for name in ("linalg", "series", "abelian"):
+        assert attempted[name] >= 1, name

@@ -17,7 +17,7 @@ from loopspace.lyndon import P, independence_certificate
 from loopspace.manifold import ManifoldModel, loop_presentation
 
 import linalg_oracle
-from linalg_oracle import sparse
+from linalg_oracle import dense, sparse
 
 FIELDS = ("Q-int", "Q-fraction", 7, P)
 
@@ -107,7 +107,8 @@ def test_empty_and_zero_column_matrices(field):
     assert rank([], 4, char) == oracle([], 4, char) == 0
     assert rank([[], [], []], 0, char) == oracle([[], [], []], 0, char) == 0
     assert linalg.nullspace([], 0, char) == linalg_oracle.nullspace([], 0, char) == []
-    assert linalg.nullspace([{}, {}], 2, char) == linalg_oracle.nullspace([[0, 0]] * 2, 2, char)
+    got = [dense(v, 2) for v in linalg.nullspace([{}, {}], 2, char)]
+    assert got == linalg_oracle.nullspace([[0, 0]] * 2, 2, char)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -167,7 +168,19 @@ def test_nullspace_matches_dense_oracle_on_seeded_matrices(field):
         rows, ncols = random_matrix(rng, field)
         expected = linalg_oracle.nullspace(rows, ncols, char)
         got = linalg.nullspace([sparse(r) for r in rows], ncols, char)
-        assert got == expected, (rows, ncols, char)
-        assert repr(got) == repr(expected)  # the same types too: ints mod p, Fractions over Q
+        assert [dense(v, ncols) for v in got] == expected, (rows, ncols, char)
+        pivots, _reduced = linalg_oracle.row_echelon(rows, ncols, char)
+        free = [j for j in range(ncols) if j not in pivots]
+        for v, e, j in zip(got, expected, free):
+            # the same types too: the free entry is the int 1, every other
+            # entry is the oracle's (an int mod p, a Fraction over Q)
+            assert (type(v[j]), v[j]) == (int, 1)
+            assert all((type(x), x) == (type(e[c]), e[c]) for c, x in v.items() if c != j)
+            if char:
+                assert all(type(x) is int for x in v.values())
+            for r in rows:
+                dot = sum(x * v.get(c, 0) for c, x in enumerate(r))
+                assert (dot % char if char else dot) == 0, (rows, v)
+        assert linalg.rank(got, ncols, char) == len(got)
         deficient += oracle(rows, ncols, char) < min(len(rows), ncols)
     assert deficient >= 10

@@ -17,7 +17,6 @@ from loopspace.manifold import (
     loop_presentation,
     parse_torsion,
     sigma_primes,
-    weight3_dim,
 )
 from loopspace.rewrite import hilbert_dims, quadratic_weight_dims
 from loopspace.series import loop_generating_series
@@ -31,8 +30,8 @@ def rank(rows, ncols):
 
 
 def in_row_span(vector, rows, ncols):
-    """True iff vector lies in the row span of rows (adding it keeps the rank)."""
-    return rank(list(rows) + [list(vector)], ncols) == rank(rows, ncols)
+    """True iff the dense vector lies in the span of the {column: value} rows."""
+    return linalg.rank(list(rows) + [sparse(vector)], ncols) == linalg.rank(rows, ncols)
 
 
 class TestModel:
@@ -148,8 +147,8 @@ class TestFormAlgebra:
         assert all(type(x) is int for row in form.matrix for x in row)
         # the kernel is what Fraction entries gave, value for value and type for type
         as_fractions = FormAlgebra(form.vdims, [[Fraction(x) for x in row] for row in form.matrix])
-        typed = [[(type(x), x) for x in v] for v in kernel_relations(form)]
-        assert typed == [[(type(x), x) for x in v] for v in kernel_relations(as_fractions)]
+        typed = [[(j, type(x), x) for j, x in v.items()] for v in kernel_relations(form)]
+        assert typed == [[(j, type(x), x) for j, x in v.items()] for v in kernel_relations(as_fractions)]
 
     def test_kernel_dimension(self):
         form = form_algebra_of(ManifoldModel(2, 1), 0)
@@ -198,7 +197,7 @@ class TestFormAlgebra:
             [0, 0, 0, 1],   # w1' w1'
             [0, 1, -1, 0],  # w1 w1' - w1' w1
         ]
-        assert rank(kernel, 4) == rank(listed, 4) == 3
+        assert linalg.rank(kernel, 4) == rank(listed, 4) == 3
         for row in listed:
             assert in_row_span(row, kernel, 4)
 
@@ -206,7 +205,7 @@ class TestFormAlgebra:
 class TestWeightThree:
     def test_manifold_form_weight_three_vanishes(self):
         form = form_algebra_of(ManifoldModel(2, 1), 0)
-        assert weight3_dim(form.dim_v, kernel_relations(form)) == 0
+        assert quadratic_weight_dims(form.dim_v, kernel_relations(form), 3)[3] == 0
 
     @pytest.mark.parametrize(
         "m,p", [(ManifoldModel(2, 4), 0), (ManifoldModel(2, 2, (3, 3)), 3), (ManifoldModel(2, 5), 5)]
@@ -216,19 +215,18 @@ class TestWeightThree:
         # cells, inside rewrite.MAX_CELLS
         form = form_algebra_of(m, p)
         assert form.dim_v in (8, 10)
-        assert weight3_dim(form.dim_v, kernel_relations(form), p) == 0
+        assert quadratic_weight_dims(form.dim_v, kernel_relations(form), 3, p)[3] == 0
 
     def test_counterexample_cube_survives(self):
         form = FormAlgebra(((2, 1),), [[1]])
         rels = kernel_relations(form)
         assert rels == []
-        assert weight3_dim(1, rels) == 1
+        assert quadratic_weight_dims(1, rels, 3)[3] == 1
         form2 = FormAlgebra(((2, 2),), [[1, 0], [0, 0]])
-        assert weight3_dim(2, kernel_relations(form2)) == 1
+        assert quadratic_weight_dims(2, kernel_relations(form2), 3)[3] == 1
 
     def test_full_relation_space_kills_everything(self):
-        rels = [[1 if i == j else 0 for i in range(4)] for j in range(4)]
-        assert weight3_dim(2, rels) == 0
+        assert quadratic_weight_dims(2, [{j: 1} for j in range(4)], 3)[3] == 0
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_good_prime_matches_rational_dims(self, p):

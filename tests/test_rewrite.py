@@ -306,28 +306,37 @@ class TestKoszul:
 
 class TestKoszulDual:
     def test_zero_relations_full_annihilator(self):
-        dual = koszul_dual(((1, 2),), [])
-        assert len(dual) == 4
+        dual = koszul_dual(2, [])
+        assert dual == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
     def test_commutator_annihilator_oracle(self):
         # R = span(v1 v2 - v2 v1) inside (k^2)^(x2); the annihilator is
         # spanned by v1*v1*, v1*v2* + v2*v1*, v2*v2* (4x1 nullspace, frozen)
-        dual = koszul_dual(((1, 2),), [[0, 1, -1, 0]])
-        assert set(dual) == {
-            (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-        }
+        dual = koszul_dual(2, [{1: 1, 2: -1}])
+        assert dual == [{0: 1}, {1: 1, 2: 1}, {3: 1}]
 
     def test_manifold_relation_rank_one_dual(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         vec = relation_vector(pres.relation, 2)
-        dual = koszul_dual(((1, 2),), [vec])
+        assert vec == {1: 1, 2: -1}
+        dual = koszul_dual(2, [vec])
         assert len(dual) == 3
 
     def test_dependent_relations_rejected(self):
         with pytest.raises(ValueError):
-            koszul_dual(((1, 2),), [[0, 1, -1, 0], [0, 2, -2, 0]])
+            koszul_dual(2, [{1: 1, 2: -1}, {1: 2, 2: -2}])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_coordinate_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            koszul_dual(2, [{1: 1, bad: -1}])
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_relation_vector_rejects_other_lengths(self, length):
+        a = Alphabet.from_degrees((1, 1))
+        rel = NCPoly(a, {Word(a, (1, 2)): 1, Word(a, (2,) * length): -1})
+        with pytest.raises(ValueError, match="word-length 2"):
+            relation_vector(rel, 2)
 
 
 class TestQuadraticWeightDims:
@@ -335,11 +344,7 @@ class TestQuadraticWeightDims:
         assert quadratic_weight_dims(2, [], 4) == [1, 2, 4, 8, 16]
 
     def test_full_relation_space(self):
-        rels = []
-        for i in range(4):
-            row = [0] * 4
-            row[i] = 1
-            rels.append(row)
+        rels = [{i: 1} for i in range(4)]
         assert quadratic_weight_dims(2, rels, 5) == [1, 2, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("r", [1, 2])
@@ -357,7 +362,7 @@ class TestQuadraticWeightDims:
         pres = loop_presentation(ManifoldModel(2, r))
         m = 2 * r
         h_a = weight_dims(pres, 9)
-        dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)])
+        dual = koszul_dual(m, [relation_vector(pres.relation, m)])
         h_dual = quadratic_weight_dims(m, dual, 9)
         lhs = PowerSeries(h_a, 9)
         rhs = PowerSeries([c * (-1) ** i for i, c in enumerate(h_dual)], 9)
@@ -369,8 +374,16 @@ class TestQuadraticWeightDims:
         # (2r)^3 columns, inside MAX_CELLS; mod 7 to keep it quick
         pres = loop_presentation(ManifoldModel(2, r))
         m = 2 * r
-        dual = koszul_dual(((1, m),), [relation_vector(pres.relation, m)], char=7)
+        dual = koszul_dual(m, [relation_vector(pres.relation, m)], char=7)
         assert quadratic_weight_dims(m, dual, 9, char=7) == [1, m, 1] + [0] * 7
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [-1, 4, 5])
+    def test_coordinate_out_of_range_rejected_at_every_cap(self, cap, bad):
+        # weights 0 and 1 build no matrix for linalg to check, so the
+        # relations are checked before any weight
+        with pytest.raises(ValueError, match=r"relation has a coordinate outside 0\.\.3"):
+            quadratic_weight_dims(2, [{1: 1, bad: -1}], cap)
 
     def test_free_algebra_builds_no_matrix(self, monkeypatch):
         # no relations: dim V^w directly, even where dim V^w columns would be
@@ -387,8 +400,7 @@ class TestQuadraticWeightDims:
         # MAX_CELLS, and no matrix past the bound is built; at (4, 9) weight 9
         # alone would have 131072 rows over 262144 columns.  Only sizes matter
         # here, so the spy records them and skips the elimination.
-        rel = [0] * (dim_v * dim_v)
-        rel[1], rel[dim_v] = 1, -1
+        rel = {1: 1, dim_v: -1}
         shapes = {w: ((w - 1) * dim_v ** (w - 2), dim_v**w) for w in range(2, cap + 1)}
         bounds = {w: nrows * 2 + min(nrows, ncols) * ncols for w, (nrows, ncols) in shapes.items()}
         weight = min(w for w, cells in bounds.items() if cells > MAX_CELLS)

@@ -73,6 +73,22 @@ class TestLoadTable:
             load_table("2 2 1 -\n4 2 0 2")
         assert "gap" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "torsion,reason",
+        [
+            ("1000000007", "torsion order 1000000007 is over the limit 1000000000"),
+            (",".join(["2"] * 17), "17 cyclic orders, over the limit 16"),
+            ("2,1", "torsion order 1 must be >= 2"),
+            ("2,x", "torsion order 'x' is not an integer"),
+        ],
+        ids=["order", "count", "one", "non-integer"],
+    )
+    def test_torsion_column_has_the_cli_bounds_and_names_its_line(self, torsion, reason):
+        # an order near 10^18 once sent the table loader into trial division
+        with pytest.raises(TableFormatError) as err:
+            load_table(f"# header\n3 2 1 -\n4 2 0 {torsion}\n")
+        assert str(err.value) == f"line 3: torsion: {reason}"
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "tiny.tsv"
         path.write_text("2 2 1 -\n3 2 1 -\n")
