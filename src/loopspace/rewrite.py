@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
-from .words import NCPoly, Word, _same_alphabet, find_bigram
+from .words import NCPoly, _same_alphabet, find_bigram
 
 
 class QuadraticPresentation:
@@ -65,14 +65,6 @@ class QuadraticPresentation:
         if self.is_free:
             return f"QuadraticPresentation(free, {self.alphabet!r})"
         return f"QuadraticPresentation({self.relation} = 0, leading {self.leading})"
-
-
-def is_irreducible(word: Word, pres: QuadraticPresentation) -> bool:
-    """True iff the leading bigram does not occur contiguously in the word."""
-    if pres.is_free:
-        return True
-    a, b = pres.leading_pair()
-    return find_bigram(word.indices, a, b) is None
 
 
 def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmost") -> NCPoly:
@@ -260,12 +252,17 @@ def _has_cycle(edges) -> bool:
 def relation_vector(relation: NCPoly, dim_v: int) -> dict:
     """A length-2 relation as a row over the dim(V)^2 coordinates of V tensor V.
 
-    The word x_i x_j is coordinate (i-1)*dim(V) + (j-1), row-major.
+    The word x_i x_j is coordinate (i-1)*dim(V) + (j-1), row-major.  A
+    letter outside 1..dim(V) raises ValueError: it would land on another
+    word's coordinate.
     """
     row = {}
     for word, c in relation._terms.items():
         if len(word) != 2:
             raise ValueError("relation must be homogeneous of word-length 2")
+        for letter in word:
+            if not 1 <= letter <= dim_v:
+                raise ValueError(f"letter x{letter} is outside x1..x{dim_v}")
         i, j = word
         row[(i - 1) * dim_v + j - 1] = c
     return row

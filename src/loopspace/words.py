@@ -213,12 +213,6 @@ class NCPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def homogeneous_degree(self):
-        degs = {w.degree for w in self.words()}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
     def max_word(self) -> Word:
         """The maximal word in the rewriting order."""
         if not self._terms:

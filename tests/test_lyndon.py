@@ -11,7 +11,6 @@ from loopspace.lyndon import (
     enumerate_lyndon,
     exclusion_bigram,
     independence_certificate,
-    is_lyndon,
     lie_dims,
     standard_factorization,
     standard_lyndon,
@@ -26,6 +25,7 @@ from loopspace.words import Alphabet, NCPoly, Word, bracket
 
 import linalg_oracle
 from linalg_oracle import sparse
+from word_oracles import is_lyndon
 
 AB = Alphabet.from_degrees((1, 1), labels=("a", "b"))
 
@@ -184,6 +184,14 @@ def assert_walk_matches_reference(weights, cap, forbidden):
     assert _walk_lyndon(weights, cap, forbidden) == counts, case
 
 
+def _word_count(weights, cap):
+    """The number of nonempty words of degree <= cap."""
+    counts = [1] + [0] * cap
+    for d in range(1, cap + 1):
+        counts[d] = sum(counts[d - w] for w in weights if w <= d)
+    return sum(counts) - 1
+
+
 class TestWalk:
     def test_matches_reference_on_random_alphabets(self):
         rng = random.Random(20181)
@@ -192,6 +200,21 @@ class TestWalk:
             weights = tuple(rng.randint(1, 3) for _ in range(q))
             forbidden = rng.choice([None, (rng.randrange(q), rng.randrange(q))])
             assert_walk_matches_reference(weights, rng.randint(0, 9), forbidden)
+
+    def test_matches_reference_where_the_memo_is_reused(self):
+        # Deep walks, whose subtrees near the cap repeat at several levels.
+        # Each alphabet gets the largest cap <= 13 under a word budget, and
+        # the forbidden pair cycles through none, (a, a), (a, b) and (b, a).
+        rng = random.Random(1605)
+        for case in range(48):
+            q = rng.randint(1, 4)
+            weights = tuple(rng.randint(1, 3) for _ in range(q))
+            a, b = sorted(rng.sample(range(q), 2)) if q > 1 else (0, 0)
+            forbidden = (None, (a, a), (a, b), (b, a))[case % 4]
+            cap = 13
+            while _word_count(weights, cap) > 200_000:
+                cap -= 1
+            assert_walk_matches_reference(weights, cap, forbidden)
 
     @pytest.mark.parametrize("n,r", GRID)
     def test_matches_reference_on_loop_alphabets(self, n, r):
@@ -378,6 +401,10 @@ class TestLieDims:
         pres = loop_presentation(ManifoldModel(n, r))
         assert lie_dims(pres, 10) == sphere_summand_counts(n, r, 10)
 
+    @pytest.mark.parametrize("n,r,cap", [(2, 2, 16), (2, 3, 14), (3, 3, 20)])
+    def test_cross_oracle_against_mobius_past_selftest_caps(self, n, r, cap):
+        pres = loop_presentation(ManifoldModel(n, r))
+        assert lie_dims(pres, cap) == sphere_summand_counts(n, r, cap)
 
     def test_shares_no_arithmetic_with_mobius(self, monkeypatch):
         expected = sphere_summand_counts(2, 2, 10)

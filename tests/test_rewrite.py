@@ -14,7 +14,6 @@ from loopspace.rewrite import (
     QuadraticPresentation,
     enumerate_irreducible_words,
     hilbert_dims,
-    is_irreducible,
     is_koszul_single_relation,
     koszul_dual,
     normal_form,
@@ -27,6 +26,7 @@ from loopspace.series import PowerSeries, loop_generating_series
 from loopspace.words import Alphabet, NCPoly, Word
 
 from linalg_oracle import sparse
+from word_oracles import is_irreducible
 
 P21 = loop_presentation(ManifoldModel(2, 1))
 P22 = loop_presentation(ManifoldModel(2, 2))
@@ -337,6 +337,14 @@ class TestKoszulDual:
         rel = NCPoly(a, {Word(a, (1, 2)): 1, Word(a, (2,) * length): -1})
         with pytest.raises(ValueError, match="word-length 2"):
             relation_vector(rel, 2)
+
+    def test_relation_vector_rejects_letters_past_dim_v(self):
+        # x1x3 and x2x1 both land on coordinate 2 when dim(V) = 2
+        a = Alphabet.from_degrees((1, 1, 1))
+        rel = NCPoly(a, {Word(a, (1, 3)): 1, Word(a, (2, 1)): -1})
+        with pytest.raises(ValueError, match=r"x3 is outside x1\.\.x2"):
+            relation_vector(rel, 2)
+        assert relation_vector(rel, 3) == {2: 1, 3: -1}
 
 
 class TestQuadraticWeightDims:
