@@ -9,7 +9,9 @@
 Z/2 + Z/4
 """
 
+import operator
 from collections import defaultdict
+from itertools import groupby
 
 from .numtheory import factorint, prime_divisors
 
@@ -24,7 +26,7 @@ class FiniteAbelianGroup:
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors=()):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(operator.index(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
@@ -32,6 +34,13 @@ class FiniteAbelianGroup:
             if b % a:
                 raise ValueError(f"broken divisibility chain {factors}")
         object.__setattr__(self, "invariant_factors", factors)
+
+    @classmethod
+    def _unchecked(cls, factors: tuple) -> "FiniteAbelianGroup":
+        """A group with these factors, unchecked: a tuple of ints >= 2, each dividing the next."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "invariant_factors", factors)
+        return g
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteAbelianGroup is immutable")
@@ -41,7 +50,7 @@ class FiniteAbelianGroup:
         """Normalize Z/o1 + Z/o2 + ... (orders 1 allowed and dropped)."""
         by_prime = defaultdict(list)
         for o in orders:
-            o = int(o)
+            o = operator.index(o)
             if o < 1:
                 raise ValueError(f"cyclic order {o} must be >= 1")
             for p, e in factorint(o):
@@ -95,14 +104,16 @@ class FiniteAbelianGroup:
         """Direct sum of k copies of the group.
 
         Repeating each invariant factor k times keeps the divisibility chain,
-        and invariant factors are unique, so nothing needs renormalising.
+        and invariant factors are unique, so nothing needs renormalising or
+        re-checking: the repeated tuple goes to the group unchecked, one
+        allocation per factor and no Python step per copy.
         """
         if k < 0:
             raise ValueError("power must be >= 0")
         factors = []
         for d in self.invariant_factors:
-            factors += [d] * k  # allocated at once: a k too large fails here
-        return FiniteAbelianGroup(factors)
+            factors += (d,) * k  # allocated at once: a k too large fails here
+        return FiniteAbelianGroup._unchecked(tuple(factors))
 
     def __eq__(self, other):
         return (
@@ -116,7 +127,10 @@ class FiniteAbelianGroup:
     def __str__(self):
         if not self.invariant_factors:
             return "0"
-        return " + ".join(f"Z/{d}" for d in self.invariant_factors)
+        parts = []
+        for d, run in groupby(self.invariant_factors):  # each run of equal factors at once
+            parts += [f"Z/{d}"] * len(tuple(run))
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.invariant_factors)})"
@@ -133,6 +147,7 @@ class FgAbelianGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int = 0, torsion: FiniteAbelianGroup | None = None):
+        rank = operator.index(rank)
         if rank < 0:
             raise ValueError("rank must be >= 0")
         object.__setattr__(self, "rank", rank)

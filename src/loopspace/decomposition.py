@@ -262,7 +262,7 @@ def weak_product_decomposition(m: ManifoldModel, cap: int, *, counts=None) -> We
     w <= cap.  For r = 0 the single factor is the looped top sphere.
     ``counts`` takes l[1..cap] when the caller already has them.
     """
-    primes = sigma_primes(m)
+    primes = sorted(sigma_primes(m))
     if m.r < 1:
         return WeakProduct([(localized(primes, loop(Sphere(m.dim))), 1)])
     if counts is None:
@@ -270,7 +270,9 @@ def weak_product_decomposition(m: ManifoldModel, cap: int, *, counts=None) -> We
     factors = []
     for w in range(1, cap + 1):
         if counts[w]:
-            factors.append((localized(primes, loop(Sphere(w + 1))), counts[w]))
+            # a looped sphere is never a point: loop() and localized() have nothing to simplify
+            looped = Loop(Sphere(w + 1))
+            factors.append((LocalizedAt(primes, looped) if primes else looped, counts[w]))
     return WeakProduct(factors)
 
 
@@ -296,7 +298,10 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
 
         H_D = Z^((r-1)(p[D-n] + p[D-n-1])) + G^(p[D-n]),
 
-    built once per degree: O(cap) groups, plus the G^(p[D-n]) factors.
+    built once per degree: O(cap) groups and O(cap) Python steps.  Each
+    G^(p[D-n]) repeats G's invariant factors without re-checking the chain
+    (see FiniteAbelianGroup.power), so its p[D-n] copies cost one tuple
+    allocation per factor of G, not a Python step per copy.
     """
     if m.r < 1:
         raise SphereFallback(m.n, sigma_primes(m))

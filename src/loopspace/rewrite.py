@@ -8,12 +8,13 @@ avoiding the bigram; those irreducible words are a basis of the quotient
 algebra.
 
 On top of the rewriting engine this module counts irreducible words per
-degree (transfer-matrix dynamic programming, cross-checkable against brute
-enumeration), decides the single-relation Koszulness criterion, and computes
-annihilator ("Koszul dual") relation spaces plus weight dimensions of
-arbitrary quadratic algebras by exact rank.
+degree (a linear recurrence over letter weights, cross-checkable against
+brute enumeration), decides the single-relation Koszulness criterion, and
+computes annihilator ("Koszul dual") relation spaces plus weight dimensions
+of arbitrary quadratic algebras by exact rank.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -146,37 +147,39 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     """Number of irreducible words in each degree 0..cap.
 
     ``weights`` overrides the letter degrees (e.g. all-ones for the weight
-    grading).  Transfer-matrix recursion on the last letter: appending x_j to
-    the S_d words of degree d adds S_d words ending in x_j, less those ending
-    in x_a when x_a x_j is the forbidden bigram: O(letters) additions per
-    degree.  Degree d feeds only degrees up to d + max(weights), so only that
-    many rows of per-letter counts are kept, each cleared once read.
+    grading).  With S_d the count in degree d and x_a x_b the forbidden
+    bigram, a nonempty irreducible word is an irreducible word u followed by
+    a letter x_j, and u x_j is irreducible unless u ends in x_a and j = b.
+    Since a != b, appending x_a never makes the forbidden bigram, so exactly
+    S_(e - w_a) words of degree e end in x_a.  Hence S_0 = 1 and
+
+        S_d = sum_w c_w S_(d-w) - S_(d - w_a - w_b),
+
+    with c_w the number of letters of weight w <= cap; the correction applies
+    only when d >= w_a + w_b and is dropped for a free presentation.  That is
+    O(distinct weights) additions per degree, O(cap) in all for a loop
+    presentation, whose 2r letters have just the two weights n-1 and n.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    alphabet = pres.alphabet
-    q = alphabet.size
-    wts = tuple(weights) if weights is not None else alphabet.degrees
+    q = pres.alphabet.size
+    wts = tuple(weights) if weights is not None else pres.alphabet.degrees
     if len(wts) != q or any(w < 1 for w in wts):
         raise ValueError("weights must assign a positive weight to every letter")
+    classes = sorted(Counter(w for w in wts if w <= cap).items())  # (w, c_w), lightest first
     forbidden = pres.leading_pair()
-    f_last, f_next = (forbidden[0] - 1, forbidden[1] - 1) if forbidden else (None, None)
+    skip = wts[forbidden[0] - 1] + wts[forbidden[1] - 1] if forbidden else cap + 1
 
-    # ring[d % width][i] = number of irreducible words of degree d ending in letter i+1
-    width = min(max(wts), cap) + 1  # a letter heavier than cap is never placed
-    ring = [[0] * q for _ in range(width)]
-    for i in range(q):
-        if wts[i] <= cap:
-            ring[wts[i]][i] += 1
-    dims = [0] * (cap + 1)
-    for d in range(cap + 1):
-        row = ring[d % width]
-        ring[d % width] = [0] * q
-        dims[d] = total = sum(row)
-        for nxt, w in enumerate(wts):
-            if d + w <= cap:
-                ring[(d + w) % width][nxt] += (total - row[f_last]) if nxt == f_next else total
-    dims[0] += 1  # empty word
+    dims = [1] + [0] * cap
+    for d in range(1, cap + 1):
+        total = 0
+        for w, c in classes:
+            if w > d:
+                break
+            total += c * dims[d - w]
+        if d >= skip:
+            total -= dims[d - skip]
+        dims[d] = total
     return dims
 
 

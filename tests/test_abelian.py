@@ -4,6 +4,7 @@ from collections import defaultdict
 import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from loopspace.manifold import ManifoldModel
 from loopspace.numtheory import factorint
 
 
@@ -24,6 +25,13 @@ def per_index_sorting_from_cyclic_orders(orders):
                 d *= p ** exps[i]
         factors.append(d)
     return FiniteAbelianGroup(sorted(factors))
+
+
+def per_factor_str(g):
+    """The former text form, one join item per invariant factor: the oracle."""
+    if not g.invariant_factors:
+        return "0"
+    return " + ".join(f"Z/{d}" for d in g.invariant_factors)
 
 
 def random_orders(rng):
@@ -92,6 +100,42 @@ class TestFiniteAbelianGroup:
         assert str(FiniteAbelianGroup.trivial()) == "0"
         assert str(FiniteAbelianGroup((2, 12))) == "Z/2 + Z/12"
 
+    def test_power_matches_checked_constructor(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            g = FiniteAbelianGroup.from_cyclic_orders(random_orders(rng))
+            for k in range(6):
+                got = g.power(k)
+                assert got == FiniteAbelianGroup(sorted(g.invariant_factors * k)), (g, k)
+                assert type(got.invariant_factors) is tuple
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup((2,)).power(-1)
+
+    def test_str_matches_per_factor_join(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            g = FiniteAbelianGroup.from_cyclic_orders(random_orders(rng))
+            for k in (0, 1, 3):
+                assert str(g.power(k)) == per_factor_str(g.power(k))
+        for factors in ((), (2,), (2, 2), (2, 4, 4, 4, 8), (3, 3, 6, 12, 12)):
+            g = FiniteAbelianGroup(factors)
+            assert str(g) == per_factor_str(g)
+
+    @pytest.mark.parametrize("bad", [(2.5, 4.0), (2.0,), ("6",), (2, 4.0)])
+    def test_non_integer_factors_rejected(self, bad):
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup(bad)
+
+    @pytest.mark.parametrize("bad", [[2.9, 4], [4, 2.0], ["6"]])
+    def test_non_integer_cyclic_orders_rejected(self, bad):
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup.from_cyclic_orders(bad)
+
+    def test_non_integer_manifold_torsion_rejected(self):
+        with pytest.raises(TypeError):
+            ManifoldModel(2, 1, [2.7])
+        assert ManifoldModel(2, 1, [2, 3]).torsion.invariant_factors == (6,)
+
 
 class TestFgAbelianGroup:
     def test_str_formats(self):
@@ -111,6 +155,11 @@ class TestFgAbelianGroup:
     def test_localize_identity_at_empty_set(self):
         g = FgAbelianGroup(2, FiniteAbelianGroup.from_cyclic_orders([4, 3]))
         assert g.localize(set()) == g
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+    def test_non_integer_rank_rejected(self, bad):
+        with pytest.raises(TypeError):
+            FgAbelianGroup(bad)
 
     def test_power(self):
         g = FgAbelianGroup(1, FiniteAbelianGroup((2,)))

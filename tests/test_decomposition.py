@@ -259,6 +259,19 @@ class TestFiberHomology:
             expected = FgAbelianGroup(rank, m.torsion.power(torsion_copies))
             assert got.part(degree) == expected, degree
 
+    @pytest.mark.parametrize("n,r,orders", [(3, 2, (2,)), (4, 5, (3,))])
+    def test_dict_matches_checked_constructor(self, n, r, orders):
+        # the closed form with every torsion part re-checked by FiniteAbelianGroup
+        m = ManifoldModel(n, r, orders)
+        cap = 60
+        poly = polynomial_ring_dims(n, cap)
+        expected = {}
+        for d in range(cap - n + 1):
+            below = poly[d - 1] if d else 0
+            torsion = FiniteAbelianGroup(sorted(m.torsion.invariant_factors * poly[d]))
+            expected[d + n] = FgAbelianGroup((r - 1) * (poly[d] + below), torsion)
+        assert fiber_homology(m, cap).to_dict() == GradedAbelianGroup(expected).to_dict()
+
     def test_rank_zero_raises(self):
         with pytest.raises(SphereFallback):
             fiber_homology(ManifoldModel(2, 0), 5)

@@ -211,7 +211,7 @@ class TestHilbertDims:
             assert len(words[d]) == dims[d]
 
     def test_dp_scales_to_degree_forty(self):
-        # enumeration is exponential; the transfer-matrix count is linear in
+        # enumeration is exponential; the weight-class recurrence is linear in
         # the cap and must match the series inverse far beyond desk scale
         pres = loop_presentation(ManifoldModel(2, 3))
         series = loop_generating_series(2, 3, 40).inverse()
@@ -236,8 +236,9 @@ class TestHilbertDims:
         assert weight_dims(free, 25) == [(2 * r) ** w for w in range(26)]
 
     def test_peak_memory_is_a_window_of_rows(self):
-        # a row per degree, (cap + 1) * 2r counts, is about 34 MB at r = cap = 300;
-        # only min(max weight, cap) + 1 rows may be alive at once
+        # a row per degree, (cap + 1) * 2r counts, is about 34 MB at r = cap = 300,
+        # and a window of min(max weight, cap) + 1 per-letter rows about 0.7 MB;
+        # summing over weight classes keeps no per-letter row at all
         r = cap = 300
         pres = loop_presentation(ManifoldModel(2, r))
         tracemalloc.start()
@@ -251,6 +252,7 @@ class TestHilbertDims:
         window = width * pres.alphabet.size * largest
         returned = sys.getsizeof(dims) + sum(sys.getsizeof(d) for d in dims)
         assert peak < 2 * (window + returned) < 2_000_000
+        assert peak < 2 * returned < window
 
     def test_forbidden_pair_of_later_letters(self):
         # the forbidden bigram x_3 x_2 runs backwards, away from letters 1 and 2
@@ -267,6 +269,85 @@ class TestHilbertDims:
         plus = QuadraticPresentation(a, loop_relation(a))
         minus = QuadraticPresentation(a, -loop_relation(a))
         assert hilbert_dims(plus, 12) == hilbert_dims(minus, 12)
+
+
+def monomial_presentation(degrees, pair):
+    """The alphabet with these degrees, modulo x_a x_b = 0 for pair (a, b), or free for None."""
+    alphabet = Alphabet.from_degrees(degrees)
+    if pair is None:
+        return QuadraticPresentation(alphabet)
+    return QuadraticPresentation(alphabet, NCPoly.monomial(Word(alphabet, pair)))
+
+
+def random_weighted_presentation(rng, kind, cap):
+    """q <= 5 letters of weight 1-4 (so weights repeat), sometimes one heavier
+    than cap; ``kind`` picks the forbidden pair: "free", "equal" (its two
+    letters share a weight) or "unequal"."""
+    q = rng.randint(1 if kind == "free" else 2, 5)
+    degrees = [rng.randint(1, 4) for _ in range(q)]
+    if rng.random() < 0.3:
+        degrees[rng.randrange(q)] = cap + rng.randint(1, 3)
+    if kind == "free":
+        return monomial_presentation(degrees, None)
+    a, b = rng.sample(range(1, q + 1), 2)
+    if kind == "equal":
+        degrees[b - 1] = degrees[a - 1]
+    elif degrees[b - 1] == degrees[a - 1]:
+        degrees[b - 1] += rng.randint(1, 2)
+    return monomial_presentation(degrees, (a, b))
+
+
+class TestWeightClassRecurrence:
+    """hilbert_dims sums over weight classes; the per-letter-pair transfer
+    loop and exhaustive enumeration are its oracles."""
+
+    KINDS = ("free", "equal", "unequal")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_pair_oracle_on_random_alphabets(self, kind):
+        rng = random.Random(f"weights-{kind}")
+        for _ in range(150):
+            cap = rng.randint(0, 30)
+            pres = random_weighted_presentation(rng, kind, cap)
+            degrees = pres.alphabet.degrees
+            assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap), (degrees, cap)
+            weights = [rng.randint(1, 4) for _ in degrees]
+            assert hilbert_dims(pres, cap, weights) == per_pair_hilbert_dims(pres, cap, weights), (
+                degrees, weights, cap)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_brute_force_on_random_alphabets(self, kind):
+        rng = random.Random(f"brute-{kind}")
+        for _ in range(60):
+            cap = rng.randint(0, 7)
+            pres = random_weighted_presentation(rng, kind, cap)
+            assert hilbert_dims(pres, cap) == brute_force_counts(pres, cap), (
+                pres.alphabet.degrees, pres.leading_pair(), cap)
+
+    @pytest.mark.parametrize("degrees,pair", [
+        ((1, 1, 2, 2), (1, 2)),   # repeated weights, the pair shares one
+        ((1, 1, 2, 2), (2, 3)),   # repeated weights, the pair's differ
+        ((2, 1, 9), (1, 2)),      # the third letter is heavier than every cap below
+        ((3, 1, 1), (3, 2)),      # pair (a, b) with a > b and w_a > w_b
+        ((1, 2, 3), None),
+    ])
+    def test_named_cases_at_small_caps(self, degrees, pair):
+        pres = monomial_presentation(degrees, pair)
+        for cap in (0, 1, 2, 3, 8):
+            assert hilbert_dims(pres, cap) == brute_force_counts(pres, cap), cap
+            assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap), cap
+        assert hilbert_dims(pres, 0) == [1]
+        assert hilbert_dims(pres, 1) == [1, sum(1 for w in degrees if w == 1)]
+
+    def test_weights_override_ignores_letter_degrees(self):
+        pres = monomial_presentation((5, 7, 9), (1, 2))
+        # by length: (3^w words) less those holding x1 x2
+        assert hilbert_dims(pres, 4, (1, 1, 1)) == [1, 3, 8, 21, 55]
+        assert hilbert_dims(pres, 4, (1, 1, 1)) == per_pair_hilbert_dims(pres, 4, (1, 1, 1))
+
+    def test_rank_twenty_at_cap_two_hundred_is_one_over_q(self):
+        pres = loop_presentation(ManifoldModel(2, 20))
+        assert hilbert_dims(pres, 200) == inverse_q_dims(2, 20, 200)
 
 
 class TestBasisProperty:
@@ -357,7 +438,7 @@ class TestQuadraticWeightDims:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_rank_route_matches_dp_route(self, r):
-        # generic elimination and transfer-matrix counting agree on the
+        # generic elimination and the weight-class recurrence agree on the
         # single-relation algebra, letter weights all one
         pres = loop_presentation(ManifoldModel(2, r))
         vec = relation_vector(pres.relation, 2 * r)
