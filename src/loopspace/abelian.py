@@ -10,7 +10,7 @@ Z/2 + Z/4
 """
 
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import groupby
 
 from .numtheory import factorint, prime_divisors
@@ -47,25 +47,32 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "FiniteAbelianGroup":
-        """Normalize Z/o1 + Z/o2 + ... (orders 1 allowed and dropped)."""
-        by_prime = defaultdict(list)
-        for o in orders:
-            o = operator.index(o)
+        """Normalize Z/o1 + Z/o2 + ... (orders 1 allowed and dropped).
+
+        The i-th largest invariant factor is the product over the primes p of
+        p to the i-th largest exponent of p among the orders.  Equal orders are
+        factored once and equal factors built in runs: cost follows distinct orders.
+        """
+        copies_of = defaultdict(Counter)  # p -> {p^e: copies}
+        for o, copies in Counter(map(operator.index, orders)).items():
             if o < 1:
                 raise ValueError(f"cyclic order {o} must be >= 1")
             for p, e in factorint(o):
-                by_prime[p].append(e)
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        width = max((len(v) for v in by_prime.values()), default=0)
+                copies_of[p][p**e] += copies
+        runs = [sorted(c.items()) for c in copies_of.values()]  # largest power last
         factors = []
-        for i in range(width):  # i-th largest prime power per prime
+        while runs:
+            count = min(run[-1][1] for run in runs)
             d = 1
-            for p, exps in by_prime.items():
-                if i < len(exps):
-                    d *= p ** exps[i]
-            factors.append(d)
-        return cls(sorted(factors))
+            for run in runs:
+                q, c = run.pop()
+                d *= q
+                if c > count:
+                    run.append((q, c - count))
+            factors += (d,) * count
+            runs = [run for run in runs if run]
+        factors.reverse()  # each factor divides the one before it, as each prime's powers fall
+        return cls._unchecked(tuple(factors))
 
     @classmethod
     def trivial(cls):
@@ -204,7 +211,7 @@ class GradedAbelianGroup:
             if not isinstance(g, FgAbelianGroup):
                 raise TypeError("degrees must map to FgAbelianGroup")
             if not g.is_zero():
-                clean[int(deg)] = g
+                clean[operator.index(deg)] = g
         self._parts = dict(sorted(clean.items()))
 
     def degrees(self):
@@ -212,9 +219,6 @@ class GradedAbelianGroup:
 
     def part(self, degree: int) -> FgAbelianGroup:
         return self._parts.get(degree, FgAbelianGroup.zero())
-
-    def items(self):
-        return list(self._parts.items())
 
     def __eq__(self, other):
         return isinstance(other, GradedAbelianGroup) and self._parts == other._parts

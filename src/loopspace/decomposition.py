@@ -15,6 +15,7 @@ Space expressions serialize to a stable text form ("L(S2) x L(S3) x ...")
 and to a JSON tree; both are meant for golden tests and reports.
 """
 
+import operator
 from collections import namedtuple
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
@@ -118,7 +119,7 @@ class WeakProduct(SpaceExpr):
     """Homotopy colimit of finite sub-products of (expr, multiplicity) pairs."""
 
     def __init__(self, factors):
-        self.factors = tuple((e, int(m)) for e, m in factors)
+        self.factors = tuple((e, operator.index(m)) for e, m in factors)
 
     def _key(self):
         return self.factors

@@ -13,11 +13,13 @@ sum_i (u_i u_i' - u_i' u_i); this module builds that presentation in the
 canonical alphabet order u_1 < u_1' < ... < u_r < u_r'.
 """
 
+import operator
+
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .linalg import nullspace
 from .rewrite import QuadraticPresentation
-from .words import Alphabet, NCPoly, Word
+from .words import Alphabet, NCPoly
 
 
 MAX_TORSION_ORDER = 10**9  # checked before factoring, which is by trial division
@@ -52,6 +54,7 @@ class ManifoldModel:
     __slots__ = ("n", "r", "torsion")
 
     def __init__(self, n: int, r: int, torsion=None):
+        n, r = operator.index(n), operator.index(r)
         if n < 2:
             raise ValueError("n must be >= 2")
         if r < 0:
@@ -87,19 +90,6 @@ def homology(m: ManifoldModel) -> GradedAbelianGroup:
     )
 
 
-def cohomology(m: ManifoldModel) -> GradedAbelianGroup:
-    """Universal coefficients: torsion climbs one degree above homology."""
-    n, r = m.n, m.r
-    return GradedAbelianGroup(
-        {
-            0: FgAbelianGroup(1),
-            n: FgAbelianGroup(r),
-            n + 1: FgAbelianGroup(r, m.torsion),
-            2 * n + 1: FgAbelianGroup(1),
-        }
-    )
-
-
 def sigma_primes(m: ManifoldModel) -> set:
     """Primes p with G tensor Z/p nonzero; these get inverted downstream."""
     return m.torsion.primes()
@@ -128,11 +118,10 @@ def loop_alphabet(n: int, r: int) -> Alphabet:
 def loop_relation(alphabet: Alphabet) -> NCPoly:
     """sum_i (u_i u_i' - u_i' u_i) over the canonical alphabet."""
     terms = {}
-    for i in range(1, alphabet.size // 2 + 1):
-        a, b = 2 * i - 1, 2 * i
-        terms[Word(alphabet, (a, b))] = 1
-        terms[Word(alphabet, (b, a))] = -1
-    return NCPoly(alphabet, terms)
+    for a in range(1, alphabet.size, 2):
+        terms[a, a + 1] = 1
+        terms[a + 1, a] = -1
+    return NCPoly._unchecked(alphabet, terms)  # index-tuple terms, valid by construction
 
 
 def loop_presentation(m: ManifoldModel) -> QuadraticPresentation:
@@ -160,7 +149,7 @@ class FormAlgebra:
     """
 
     def __init__(self, vdims, matrix, char: int = 0):
-        self.vdims = tuple((int(d), int(k)) for d, k in vdims)
+        self.vdims = tuple((operator.index(d), operator.index(k)) for d, k in vdims)
         self.char = char
         dim = sum(k for _d, k in self.vdims)
         matrix = [list(row) for row in matrix]

@@ -41,7 +41,7 @@ class QuadraticPresentation:
             self.lower_terms = None
             return
 
-        if any(len(w) != 2 for w in relation.words()):
+        if any(len(t) != 2 for t in relation._terms):
             raise PresentationError("relation must be homogeneous of word-length 2")
         lead = relation.max_word()
         if lead.indices[0] == lead.indices[1]:

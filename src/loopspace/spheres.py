@@ -11,16 +11,15 @@ the Moebius multiplicities l[w].
 import os
 from collections import namedtuple
 
-from .abelian import FgAbelianGroup
+from .abelian import FgAbelianGroup, FiniteAbelianGroup
 from .errors import TableFormatError, TableRangeError
 from .manifold import ManifoldModel, parse_torsion, sigma_primes
 from .series import sphere_summand_counts
 
-ENV_TABLE_PATH = "LOOPSPACE_SPHERE_TABLE"
 BUNDLED_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "sphere_table.tsv")
 
 # The most cyclic summands a homotopy answer may have.  homotopy --n 2 --r 5
-# --k 9 has 207,228 and prints in about 0.3 s; --r 100 --k 9 would have about
+# --k 9 has 207,228 and prints in about 0.1 s; --r 100 --k 9 would have about
 # 1.4 * 10^15.
 MAX_SUMMANDS = 10**6
 
@@ -106,12 +105,9 @@ def bundled_table_text() -> str:
 
 
 def load_table_file(path: str | None = None) -> SphereTable:
-    """Table from an explicit path, the environment override, or the bundle."""
-    path = path or os.environ.get(ENV_TABLE_PATH)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            return load_table(fh.read())
-    return load_table(bundled_table_text())
+    """The table in the file at ``path`` (the CLI's --table), else the bundled table."""
+    with open(path or BUNDLED_TABLE_PATH, encoding="utf-8") as fh:
+        return load_table(fh.read())
 
 
 class HomotopyAnswer(namedtuple("HomotopyAnswer", "k inverted_primes summands total")):
@@ -171,9 +167,9 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
             f"pi_{k} at r={m.r} has {size} cyclic summands, over the limit {MAX_SUMMANDS}; "
             "lower r or k"
         )
-    total = FgAbelianGroup.zero()
-    for _sphere, mult, g in summands:
-        total = total.direct_sum(g.power(mult))
+    orders = [d for _s, mult, g in summands for d in g.torsion.power(mult).invariant_factors]
+    rank = sum(mult * g.rank for _s, mult, g in summands)
+    total = FgAbelianGroup(rank, FiniteAbelianGroup.from_cyclic_orders(orders))
     return HomotopyAnswer(
         k=k,
         inverted_primes=tuple(sorted(primes)),

@@ -10,8 +10,9 @@ Inside polynomials, and in the rewriting and Lyndon layers, a word is its
 tuple of letter indices.  ``Word``, which checks its letters and knows its
 degree, is the boundary type that public methods take and hand out.
 
-``rewrite_key`` is the rewriting order on words: degree, then length, then
-reverse lexicographic order on letter indices.
+``index_key`` is the rewriting order on index tuples, and ``rewrite_key`` on
+Words: degree, then length, then reverse lexicographic order on letter
+indices.
 """
 
 from .errors import AlphabetMismatch
@@ -128,13 +129,17 @@ def find_bigram(indices: tuple, a: int, b: int, rightmost=False):
     return None
 
 
-def rewrite_key(w: Word):
-    """Sort key for the rewriting order: degree, then length, then reverse lex.
-
-    Larger key = larger in the rewriting order, so the lex-*smallest* word of
-    a given degree and length is the maximal one.
+def index_key(degrees, indices: tuple):
+    """Sort key for the rewriting order on a letter-index tuple: degree, then
+    length, then reverse lex.  Larger key = larger in the rewriting order, so
+    the lex-*smallest* word of a given degree and length is the maximal one.
     """
-    return (w.degree, len(w), tuple(-i for i in w.indices))
+    return (sum(degrees[i - 1] for i in indices), len(indices), tuple(-i for i in indices))
+
+
+def rewrite_key(w: Word):
+    """``index_key`` of a Word."""
+    return index_key(w.alphabet.degrees, w.indices)
 
 
 class NCPoly:
@@ -217,7 +222,8 @@ class NCPoly:
         """The maximal word in the rewriting order."""
         if not self._terms:
             raise ValueError("zero polynomial has no maximal word")
-        return max(self.words(), key=rewrite_key)
+        degrees = self.alphabet.degrees
+        return Word(self.alphabet, max(self._terms, key=lambda t: index_key(degrees, t)))
 
     def min_lex_word(self) -> Word:
         if not self._terms:

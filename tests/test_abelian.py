@@ -177,3 +177,9 @@ class TestGradedAbelianGroup:
         g = GradedAbelianGroup({2: FgAbelianGroup(2, FiniteAbelianGroup((3,)))})
         assert str(g) == "H_2 = Z^2 + Z/3"
         assert g.to_dict() == {"2": "Z^2 + Z/3"}
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+    def test_non_integer_degree_rejected(self, bad):
+        # int() used to truncate 2.5 to degree 2
+        with pytest.raises(TypeError):
+            GradedAbelianGroup({bad: FgAbelianGroup(1)})

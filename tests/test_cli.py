@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from loopspace import cli, selftest
 from loopspace.cli import MAX_CAP, MAX_FUZZ, MAX_R, main
+from loopspace.errors import ComputationFailure
 from loopspace.manifold import MAX_TORSION_ORDER, MAX_TORSION_ORDERS
 from loopspace.series import loop_generating_series
 
@@ -23,12 +27,36 @@ GOLDEN_CASES = {
 }
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Runs one CLI question after `import loopspace.cli` and reports its CPU time
+# on stderr, so the budget leaves out interpreter start and import.
+TIMED_QUESTION = """\
+import sys, time
+from loopspace.cli import main
+start = time.process_time()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(time.process_time() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def run_cli(argv):
     buf = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, buf.getvalue(), err.getvalue()
+
+
+def fresh_question_cpu_s(argv):
+    """CPU seconds of one CLI question in a fresh interpreter, import excluded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_QUESTION, *argv], env=env, capture_output=True, check=True, timeout=60
+    )
+    return float(proc.stderr.decode().splitlines()[-1])
 
 
 class TestGolden:
@@ -205,6 +233,22 @@ class TestScaling:
         assert "  from S^9 x166320: Z" in lines
         assert lines[-1].startswith("total: Z^166320 + ")
 
+    @pytest.mark.parametrize(
+        "argv, budget_s",
+        [
+            # CPU on a Python 3.11 Xeon core: 0.10 s when the total was
+            # renormalised once per sphere, 0.02 s now
+            (["homotopy", "--n", "2", "--r", "5", "--k", "9"], 0.06),
+            # 0.24-0.31 s when the relation's 20,000 terms were built as Words
+            # three times over, 0.06-0.10 s now
+            (["report", "--n", "2", "--r", "10000", "--cap", "20"], 0.18),
+        ],
+        ids=["homotopy-r5-k9", "report-r10000"],
+    )
+    def test_fresh_process_question_under_budget(self, argv, budget_s):
+        # best of three, so that one descheduled run does not fail the check
+        assert min(fresh_question_cpu_s(argv) for _ in range(3)) < budget_s
+
     def test_largest_answer_prints_under_the_default_digit_limit(self):
         # The coefficients of 1/q bound every printed l[w] and loop-homology
         # dimension, and grow fastest at n = 2.  Python's str() refuses ints
@@ -228,6 +272,43 @@ class TestScaling:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field} 100000000 is over the limit")
+
+
+# Each takes a route the selftest suites call and returns a broken copy of it.
+def drop_a_top_degree_word(enumerate_words):
+    def broken(pres, cap):
+        words = enumerate_words(pres, cap)
+        words[cap] = words[cap][1:]
+        return words
+
+    return broken
+
+
+def add_one_at_the_top_degree(hilbert_dims):
+    def broken(pres, cap):
+        dims = hilbert_dims(pres, cap)
+        return dims[:-1] + [dims[-1] + 1]
+
+    return broken
+
+
+def series_of_one_more_rank(loop_generating_series):
+    return lambda n, r, cap: loop_generating_series(n, r + 1, cap)
+
+
+def double_the_rightmost_normal_form(normal_form):
+    def broken(p, pres, strategy="leftmost"):
+        q = normal_form(p, pres, strategy)
+        return q.scale(2) if strategy == "rightmost" else q
+
+    return broken
+
+
+def refuse_every_certificate(_independence_certificate):
+    def broken(pres, cap):
+        raise ComputationFailure("injected")
+
+    return broken
 
 
 class TestSelftest:
@@ -256,7 +337,7 @@ class TestSelftest:
     def test_suite_result_detail_defaults_to_empty(self):
         result = selftest.SuiteResult("dp-vs-enumeration", True)
         assert result.detail == ""
-        assert result == selftest.suite_dp_vs_enumeration(cap=4)
+        assert result == selftest.suite_dp_vs_enumeration()
 
     def test_injected_fault_fails_naming_suite(self, monkeypatch):
         counts = selftest.sphere_summand_counts
@@ -270,3 +351,21 @@ class TestSelftest:
         code, out, _ = run_cli(["selftest", "--fuzz", "10"])
         assert code == 1
         assert "FAIL (mobius-vs-lyndon" in out
+
+    @pytest.mark.parametrize(
+        "suite, route, break_route",
+        [
+            ("dp-vs-enumeration", "enumerate_irreducible_words", drop_a_top_degree_word),
+            ("pbw-identity", "hilbert_dims", add_one_at_the_top_degree),
+            ("master-series", "loop_generating_series", series_of_one_more_rank),
+            ("confluence-fuzz", "normal_form", double_the_rightmost_normal_form),
+            ("independence", "independence_certificate", refuse_every_certificate),
+        ],
+        ids=["dp-vs-enumeration", "pbw-identity", "master-series", "confluence-fuzz", "independence"],
+    )
+    def test_each_suite_fails_on_a_broken_route(self, monkeypatch, suite, route, break_route):
+        monkeypatch.setattr(selftest, route, break_route(getattr(selftest, route)))
+        code, out, _ = run_cli(["selftest", "--fuzz", "10"])
+        assert code == 1
+        assert f"FAIL ({suite}" in out
+

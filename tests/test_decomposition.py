@@ -9,6 +9,7 @@ from loopspace.decomposition import (
     Moore,
     Point,
     Sphere,
+    WeakProduct,
     Wedge,
     classify,
     decomposition_report,
@@ -103,6 +104,12 @@ class TestConstructors:
             Moore(FiniteAbelianGroup.trivial(), 2)
         with pytest.raises(ValueError):
             Moore(FiniteAbelianGroup((2,)), 1)
+
+    @pytest.mark.parametrize("mult", [2.5, 2.0, "2"])
+    def test_weak_product_rejects_non_integer_multiplicity(self, mult):
+        # int() used to truncate a multiplicity 2.5 to 2
+        with pytest.raises(TypeError):
+            WeakProduct([(Sphere(2), mult)])
 
 
 class TestRationalSeries:

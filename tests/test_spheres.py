@@ -89,14 +89,6 @@ class TestLoadTable:
             load_table(f"# header\n3 2 1 -\n4 2 0 {torsion}\n")
         assert str(err.value) == f"line 3: torsion: {reason}"
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "tiny.tsv"
-        path.write_text("2 2 1 -\n3 2 1 -\n")
-        monkeypatch.setenv("LOOPSPACE_SPHERE_TABLE", str(path))
-        t = load_table_file()
-        assert set(t.entries) == {(2, 2), (3, 2)}
-        monkeypatch.delenv("LOOPSPACE_SPHERE_TABLE")
-        assert load_table_file().entries == load_table(bundled_table_text()).entries
 
 
 class TestBundledTable:
