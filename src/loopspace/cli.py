@@ -21,7 +21,7 @@ summands is refused before any group is built (exit 2, naming r and k):
 most a few seconds in a fresh process (Python 3.11, Xeon server core):
 report --cap 1000 with G = Z/2 + Z/3 about 0.2 s, report --r 10000
 --cap 20 about 0.2 s, homotopy --r 10000 --k 10000 about 1.1 s, the fuzz
-suite of selftest --fuzz 100000 about 4.5 s, and report --n 2 --cap 1000
+suite of selftest --fuzz 100000 about 3.1 s, and report --n 2 --cap 1000
 --json with sixteen orders 999999937 about 0.95 s and 214 MB.
 """
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
-from .words import NCPoly, _same_alphabet, find_bigram
+from .words import NCPoly, _same_alphabet
 
 
 class QuadraticPresentation:
@@ -27,8 +27,9 @@ class QuadraticPresentation:
 
     The relation is normalized so that its order-maximal word (the "leading"
     bigram) has coefficient 1; ``lower_terms`` is the polynomial it rewrites
-    to, i.e. relation = leading - lower_terms.  A presentation with
-    ``relation=None`` is the free tensor algebra.
+    to, i.e. relation = leading - lower_terms, and ``_lower_items`` holds its
+    (index tuple, coefficient) pairs for ``normal_form``.  A presentation
+    with ``relation=None`` is the free tensor algebra.
     """
 
     def __init__(self, alphabet, relation: NCPoly | None = None):
@@ -39,6 +40,7 @@ class QuadraticPresentation:
             self.relation = None
             self.leading = None
             self.lower_terms = None
+            self._lower_items = ()
             return
 
         if any(len(t) != 2 for t in relation._terms):
@@ -51,6 +53,7 @@ class QuadraticPresentation:
         self.relation = relation
         self.leading = lead
         self.lower_terms = NCPoly.monomial(lead) - relation
+        self._lower_items = tuple(self.lower_terms._terms.items())
 
     @property
     def is_free(self) -> bool:
@@ -81,14 +84,21 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
     if pres.is_free:
         return p
     rightmost = strategy == "rightmost"
-    a, b = pres.leading_pair()
-    lower = list(pres.lower_terms._terms.items())
+    a, b = pres.leading.indices
+    lower = pres._lower_items
 
     done = {}
     pending = dict(p._terms)
     while pending:
         word, coeff = pending.popitem()
-        pos = find_bigram(word, a, b, rightmost)
+        pos = None
+        if a in word:
+            last = len(word) - 1
+            scan = range(last - 1, -1, -1) if rightmost else range(last)
+            for i in scan:
+                if word[i] == a and word[i + 1] == b:
+                    pos = i
+                    break
         if pos is None:
             s = done.get(word, 0) + coeff
             if s:
@@ -116,30 +126,32 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     """All irreducible words of degree <= cap, grouped by degree.
 
     Returns {degree: [tuple]} for every degree 0..cap: each word is its tuple
-    of letter indices, ``Word(pres.alphabet, indices)`` rebuilds it, and each
-    list is in (length, lex) order.  Exponential in cap; meant for
+    of letter indices, and ``Word(pres.alphabet, indices)`` rebuilds it.  The
+    words are built one length at a time, each length's words extended in
+    lex order by each allowed letter in increasing order, so every length
+    comes out in lex order after all shorter words, and each degree's list is
+    in (length, lex) order with no sort.  Exponential in cap; meant for
     low-degree cross-checks of the dynamic programming counts and for the
     certificate's columns.
     """
-    alphabet = pres.alphabet
-    forbidden = pres.leading_pair()
-    degrees = alphabet.degrees
+    degrees = pres.alphabet.degrees
+    a, b = pres.leading_pair() or (None, None)
+    letters = [(i, w) for i, w in enumerate(degrees, 1) if w <= cap]
+    after_a = [(i, w) for i, w in letters if i != b]
     by_degree = {d: [] for d in range(cap + 1)}
     by_degree[0].append(())
 
-    stack = [((i,), degrees[i - 1]) for i in range(1, alphabet.size + 1) if degrees[i - 1] <= cap]
-    while stack:
-        indices, deg = stack.pop()
-        by_degree[deg].append(indices)
-        last = indices[-1]
-        for i in range(1, alphabet.size + 1):
-            if forbidden and last == forbidden[0] and i == forbidden[1]:
-                continue
-            d2 = deg + degrees[i - 1]
-            if d2 <= cap:
-                stack.append((indices + (i,), d2))
-    for words in by_degree.values():
-        words.sort(key=lambda w: (len(w), w))
+    level = [((), 0)]  # the words of one length, in lex order, with their degrees
+    while level:
+        longer = []
+        for word, deg in level:
+            for i, w in after_a if word and word[-1] == a else letters:
+                d2 = deg + w
+                if d2 <= cap:
+                    w2 = word + (i,)
+                    longer.append((w2, d2))
+                    by_degree[d2].append(w2)
+        level = longer
     return by_degree
 
 

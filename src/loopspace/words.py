@@ -120,15 +120,6 @@ class Word:
         return "".join(labels[i - 1] for i in self.indices)
 
 
-def find_bigram(indices: tuple, a: int, b: int, rightmost=False):
-    """Position of a contiguous occurrence of letters (a, b) in a letter-index tuple, else None."""
-    rng = range(len(indices) - 2, -1, -1) if rightmost else range(len(indices) - 1)
-    for i in rng:
-        if indices[i] == a and indices[i + 1] == b:
-            return i
-    return None
-
-
 def index_key(degrees, indices: tuple):
     """Sort key for the rewriting order on a letter-index tuple: degree, then
     length, then reverse lex.  Larger key = larger in the rewriting order, so
@@ -219,11 +210,24 @@ class NCPoly:
         return len(self._terms)
 
     def max_word(self) -> Word:
-        """The maximal word in the rewriting order."""
+        """The maximal word in the rewriting order.
+
+        Only the terms of top degree, then of top length among those, are
+        compared further; at equal degree and length the reverse-lex maximum
+        is the lex-smallest index tuple.
+        """
         if not self._terms:
             raise ValueError("zero polynomial has no maximal word")
-        degrees = self.alphabet.degrees
-        return Word(self.alphabet, max(self._terms, key=lambda t: index_key(degrees, t)))
+        weight = (0,) + self.alphabet.degrees  # weight[i] is the degree of letter i
+        top, tops = -1, []
+        for t in self._terms:
+            d = sum(map(weight.__getitem__, t))
+            if d > top:
+                top, tops = d, [t]
+            elif d == top:
+                tops.append(t)
+        longest = max(map(len, tops))
+        return Word(self.alphabet, min(t for t in tops if len(t) == longest))
 
     def min_lex_word(self) -> Word:
         if not self._terms:

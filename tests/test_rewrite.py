@@ -26,7 +26,7 @@ from loopspace.series import PowerSeries, loop_generating_series
 from loopspace.words import Alphabet, NCPoly, Word
 
 from linalg_oracle import sparse
-from word_oracles import is_irreducible
+from word_oracles import irreducible_words_by_stack, is_irreducible
 
 P21 = loop_presentation(ManifoldModel(2, 1))
 P22 = loop_presentation(ManifoldModel(2, 2))
@@ -348,6 +348,25 @@ class TestWeightClassRecurrence:
     def test_rank_twenty_at_cap_two_hundred_is_one_over_q(self):
         pres = loop_presentation(ManifoldModel(2, 20))
         assert hilbert_dims(pres, 200) == inverse_q_dims(2, 20, 200)
+
+
+class TestEnumerationOrder:
+    """The length-by-length walk lists each degree in (length, lex) order as
+    built; a stack walk sorted afterwards is its oracle, order included."""
+
+    @pytest.mark.parametrize("kind", TestWeightClassRecurrence.KINDS)
+    def test_matches_stack_and_sort_on_random_alphabets(self, kind):
+        rng = random.Random(f"enumeration-{kind}")
+        for cap in range(10):
+            for _ in range(8):
+                pres = random_weighted_presentation(rng, kind, cap)
+                assert enumerate_irreducible_words(pres, cap) == irreducible_words_by_stack(pres, cap), (
+                    pres.alphabet.degrees, pres.leading_pair(), cap)
+
+    @pytest.mark.parametrize("n,r", GRID)
+    def test_matches_stack_and_sort_on_the_grid(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        assert enumerate_irreducible_words(pres, 9) == irreducible_words_by_stack(pres, 9)
 
 
 class TestBasisProperty:

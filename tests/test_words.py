@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,9 +9,14 @@ from loopspace.lyndon import standard_lyndon
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace import selftest
-from loopspace.words import Alphabet, NCPoly, Word, bracket, rewrite_key
+from loopspace.words import Alphabet, NCPoly, Word, bracket, index_key, rewrite_key
 
-from word_oracles import homogeneous_degree
+from word_oracles import (
+    find_bigram,
+    homogeneous_degree,
+    normal_form_by_find_bigram,
+    random_poly_by_randint,
+)
 
 
 A22 = loop_alphabet(2, 2)   # u1 < u1' < u2 < u2', degrees 1, 2, 1, 2
@@ -86,6 +92,23 @@ class TestRewriteKey:
     def test_max_word_is_rewrite_maximum(self):
         p = NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 2, 1): -1, w(A22, 3, 4): 2, w(A22, 1, 1): 5})
         assert p.max_word() == w(A22, 1, 2)
+
+    @pytest.mark.parametrize("degrees", [(1, 2, 1, 2), (1, 1, 2, 3), (2, 2, 2)])
+    def test_max_word_is_index_key_max(self, degrees):
+        # short words over repeated degrees: the top degree and length are often shared
+        alphabet = Alphabet.from_degrees(degrees)
+        rng = random.Random(f"max_word/{degrees}")
+        tied = 0
+        for _ in range(300):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                word = tuple(rng.randint(1, len(degrees)) for _ in range(rng.randint(0, 3)))
+                terms[Word(alphabet, word)] = rng.choice((-1, 1, 2))
+            p = NCPoly(alphabet, terms)
+            keys = sorted((index_key(degrees, t) for t in p._terms), reverse=True)
+            tied += len(keys) > 1 and keys[0][:2] == keys[1][:2]
+            assert p.max_word().indices == max(p._terms, key=lambda t: index_key(degrees, t))
+        assert tied >= 20
 
 
 class TestWord:
@@ -290,3 +313,72 @@ class TestUncheckedConstructors:
             for indices in words:
                 assert type(indices) is tuple
                 assert Word(alphabet, indices).degree == degree, indices
+
+
+# The fuzz's polynomials are fixed by its seed: the letter draws, the term
+# order and the dropped zero sums must match the plain randint route, and
+# the first draws of seeds 0 and 3 are pinned by digest.
+FUZZ_DIGESTS = {
+    0: "d7115cb1762553efb562ecb612dabb895b1f9daac2e07c81643e0dfcf02800f9",
+    3: "7a0ff4d785f8289d8cf132f079d5bee2683a991527dba4d9cd97f4468baa1690",
+}
+
+
+class TestFuzzOracles:
+    @pytest.mark.parametrize("name", REWRITTEN)
+    def test_random_poly_draws_as_randint_does(self, name):
+        pres = REWRITTEN[name]
+        for seed in range(5):
+            fast, plain = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                p, q = selftest.random_poly(pres, fast), random_poly_by_randint(pres, plain)
+                assert p.alphabet is pres.alphabet
+                assert list(p._terms.items()) == list(q._terms.items())
+            assert fast.random() == plain.random()  # the same number of draws
+
+    def test_random_poly_drops_zero_sums(self):
+        pres = FUZZ_PRESENTATIONS["3,1"]  # two letters: words repeat, and some cancel out
+        rng = random.Random(1)
+        polys = [selftest.random_poly(pres, rng) for _ in range(2000)]
+        assert all(0 not in p._terms.values() for p in polys)
+        assert sum(p.is_zero() for p in polys) >= 3
+
+    @pytest.mark.parametrize("seed", sorted(FUZZ_DIGESTS))
+    def test_fuzz_inputs_are_pinned(self, seed):
+        presentations = list(FUZZ_PRESENTATIONS.values())  # GRID order, as the fuzz cycles
+        rng = random.Random(seed)
+        digest = hashlib.sha256()
+        for i in range(50):
+            p = selftest.random_poly(presentations[i % len(presentations)], rng)
+            digest.update(repr(list(p._terms.items())).encode())
+        assert digest.hexdigest() == FUZZ_DIGESTS[seed]
+
+    def test_find_bigram(self):
+        assert find_bigram((3, 1, 2, 1, 2), 1, 2) == 1
+        assert find_bigram((3, 1, 2, 1, 2), 1, 2, rightmost=True) == 3
+        assert find_bigram((2, 1, 3, 1), 1, 2) is None
+
+    @pytest.mark.parametrize("name", REWRITTEN)
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_normal_form_matches_find_bigram_route(self, name, strategy):
+        pres = REWRITTEN[name]
+        a, b = pres.leading_pair()
+        alphabet = pres.alphabet
+        edge_cases = [
+            (b, b, a, b),        # the bigram at the last position
+            (a, b),              # the bigram alone
+            (b, a, a),           # a, but never followed by b
+            (a, a, a),
+            (a, b, b, a, b),     # repeated ab
+            (a, b, a, b),
+            (a, a, b, b),
+        ]
+        polys = [NCPoly.monomial(Word(alphabet, word)) for word in edge_cases]
+        polys.append(NCPoly(alphabet, {Word(alphabet, word): k for k, word in enumerate(edge_cases, 1)}))
+        rng = random.Random(f"find_bigram/{name}")
+        polys += [selftest.random_poly(pres, rng) for _ in range(200)]
+        for p in polys:
+            got = normal_form(p, pres, strategy=strategy)
+            want = normal_form_by_find_bigram(p, pres, strategy=strategy)
+            assert got == want
+            assert list(got._terms.items()) == list(want._terms.items())  # the same steps
