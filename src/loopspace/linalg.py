@@ -8,7 +8,10 @@ raises ValueError, and no input map is changed.
 One forward elimination, ``_echelon``, serves both entry points.  It
 reduces each row by the stored pivot rows, keyed by leading column, until
 the row is zero or leads in a new column; it then scales the row to lead
-with 1 and stores it.  The two fields differ only in ``% char``.
+with 1 and stores it.  Over F_p a row that already leads with 1 is stored
+as it is: it is a fresh map, reduced mod p, so no input map is shared.  The
+two fields differ only in ``% char`` and that shortcut; over Q every stored
+row is rescaled, which keeps its values Fractions.
 
 * ``rank`` is the number of stored rows.  This is sound because the stored
   rows have pairwise distinct leading columns, so they are independent, and
@@ -63,8 +66,12 @@ def _echelon(rows, ncols, char):
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(row[lead], -1, char) if char else 1 / Fraction(row[lead])
-                pivots[lead] = {j: v * inv % char if char else v * inv for j, v in row.items()}
+                x = row[lead]
+                if char and x == 1:
+                    pivots[lead] = row  # already a fresh reduced map leading with 1
+                else:
+                    inv = pow(x, -1, char) if char else 1 / Fraction(x)
+                    pivots[lead] = {j: v * inv % char if char else v * inv for j, v in row.items()}
                 break
             _subtract(row, row[lead], prow, char)
     return pivots

@@ -10,6 +10,12 @@ Inside polynomials, and in the rewriting and Lyndon layers, a word is its
 tuple of letter indices.  ``Word``, which checks its letters and knows its
 degree, is the boundary type that public methods take and hand out.
 
+``Word._unchecked`` and ``NCPoly._unchecked`` skip those checks.  They are
+for code that builds its index tuples from the alphabet's own range, and so
+knows them valid: the Lyndon walk, which also knows each word's degree, and
+the polynomial arithmetic, rewriting and fuzzing, which drop zero
+coefficients themselves.
+
 ``index_key`` is the rewriting order on index tuples, and ``rewrite_key`` on
 Words: degree, then length, then reverse lexicographic order on letter
 indices.
@@ -89,6 +95,15 @@ class Word:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degree", sum(degs[i - 1] for i in indices))
+
+    @classmethod
+    def _unchecked(cls, alphabet: Alphabet, indices: tuple, degree: int) -> "Word":
+        """A Word of ``indices``, unchecked: a valid index tuple of this degree."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "indices", indices)
+        object.__setattr__(w, "degree", degree)
+        return w
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
@@ -301,5 +316,26 @@ class NCPoly:
 
 
 def bracket(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Commutator [p, q] = pq - qp in the tensor algebra (ungraded)."""
-    return p * q - q * p
+    """Commutator [p, q] = pq - qp in the tensor algebra (ungraded).
+
+    One pass over the pairs of terms adds c * e at uv and subtracts it at vu;
+    the terms that cancel are dropped once, at the end.
+
+    >>> ab = Alphabet.from_degrees((1, 1), labels=("a", "b"))
+    >>> a, b = NCPoly.letter(ab, 1), NCPoly.letter(ab, 2)
+    >>> bracket(a, b * b.scale(3))
+    3*abb - 3*bba
+    >>> bracket(a + b, a + b)
+    0
+    """
+    _same_alphabet(p.alphabet, q.alphabet)
+    out = {}
+    get = out.get
+    for u, c in p._terms.items():
+        for v, e in q._terms.items():
+            ce = c * e
+            uv = u + v
+            out[uv] = get(uv, 0) + ce
+            vu = v + u
+            out[vu] = get(vu, 0) - ce
+    return NCPoly._unchecked(p.alphabet, {w: c for w, c in out.items() if c})

@@ -184,3 +184,26 @@ def test_nullspace_matches_dense_oracle_on_seeded_matrices(field):
         assert linalg.rank(got, ncols, char) == len(got)
         deficient += oracle(rows, ncols, char) < min(len(rows), ncols)
     assert deficient >= 10
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_rows_leading_with_one_over_a_prime_field(p):
+    # a reduced row that already leads with 1 is stored as it is: the stored
+    # map must still be a fresh one, so back-substitution leaves the input be
+    rng = random.Random(f"lead-one/{p}")
+    deficient = 0
+    for _ in range(80):
+        rows, ncols = random_matrix(rng, p)
+        for r in rows:
+            lead = next((j for j, x in enumerate(r) if x % p), None)
+            if lead is not None:
+                r[lead] = rng.choice((1, p + 1, 1 - p))  # 1 mod p, reduced or not
+        maps = [sparse(r) for r in rows]
+        before = [dict(m) for m in maps]
+        assert linalg.rank(maps, ncols, p) == oracle(rows, ncols, p), (rows, ncols)
+        got = linalg.nullspace(maps, ncols, p)
+        assert [dense(v, ncols) for v in got] == linalg_oracle.nullspace(rows, ncols, p)
+        assert maps == before
+        assert all(m is not v for m in maps for v in got)
+        deficient += oracle(rows, ncols, p) < min(len(rows), ncols)
+    assert deficient >= 10

@@ -120,6 +120,22 @@ class TestEnumeration:
                 ):
                     assert all(a < b for a, b in zip(words, words[1:])), (n, r, d)
 
+    @pytest.mark.parametrize("n,r", GRID)
+    def test_walk_built_words_match_checked_words(self, n, r):
+        # the walk builds its Words unchecked, with the degree it already knows
+        pres = loop_presentation(ManifoldModel(n, r))
+        alphabet = pres.alphabet
+        listed = enumerate_lyndon(alphabet, 7)
+        standard = standard_lyndon(pres, 7)
+        for d in range(1, 8):
+            for word in listed[d] + [w for w, _b in standard[d]]:
+                checked = Word(alphabet, word.indices)
+                assert word == checked and word.alphabet is alphabet
+                assert type(word.indices) is tuple
+                assert (word.degree, hash(word), str(word)) == (
+                    d, hash(checked), str(checked)
+                ), word
+
     def test_enumeration_complete_and_duplicate_free(self):
         a = loop_alphabet(2, 2)
         by_degree = enumerate_lyndon(a, 5)
@@ -524,6 +540,41 @@ class TestIndependence:
         assert str(err.value) == f"degree 3: NF(b({word})) is not +-{word} plus lex-larger words"
         assert str(word) == "u1u2u2"
 
+    def test_lex_smaller_term_fails_triangularity(self, monkeypatch):
+        import loopspace.lyndon as lyndon_mod
+
+        pres = loop_presentation(ManifoldModel(2, 2))
+        word, target = standard_lyndon(pres, 3)[3][1]
+        smaller = Word(pres.alphabet, (1, 1, 1))
+        assert smaller.indices < word.indices and smaller.degree == 3
+
+        def lowered(p, pr):
+            nf = normal_form(p, pr)
+            return nf + NCPoly.monomial(smaller, 5) if p == target else nf
+
+        monkeypatch.setattr(lyndon_mod, "normal_form", lowered)
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(pres, 3)
+        assert str(err.value) == f"degree 3: NF(b({word})) is not +-{word} plus lex-larger words"
+
+    def test_standard_word_over_another_alphabet_fails_triangularity(self, monkeypatch):
+        import loopspace.lyndon as lyndon_mod
+
+        pres = loop_presentation(ManifoldModel(2, 2))
+        other = Alphabet.from_degrees(pres.alphabet.degrees, labels=("a", "b", "c", "d"))
+        real = lyndon_mod.standard_lyndon
+
+        def relabelled(p, cap):
+            table = real(p, cap)
+            word, b = table[2][0]
+            table[2][0] = (Word(other, word.indices), b)
+            return table
+
+        monkeypatch.setattr(lyndon_mod, "standard_lyndon", relabelled)
+        with pytest.raises(ComputationFailure) as err:
+            independence_certificate(pres, 2)
+        assert str(err.value) == "degree 2: NF(b(ac)) is not +-ac plus lex-larger words"
+
     def test_row_summing_two_others_is_hard_failure(self, monkeypatch):
         import loopspace.lyndon as lyndon_mod
 
@@ -540,6 +591,32 @@ class TestIndependence:
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 3)
         assert str(err.value) == "degree 3: NF(b(u1u2')) is not +-u1u2' plus lex-larger words"
+
+    def test_negated_bracketing_takes_the_rescale_path(self, monkeypatch):
+        # -b(l) leads with -1, so its row leads with P - 1 and linalg must
+        # rescale it; the certificate holds all the same
+        import loopspace.lyndon as lyndon_mod
+
+        pres = loop_presentation(ManifoldModel(2, 2))
+        expected = independence_certificate(pres, 5)
+        real_standard, real_rank = lyndon_mod.standard_lyndon, linalg.rank
+        leads = []
+
+        def negated(p, cap):
+            table = real_standard(p, cap)
+            word, b = table[4][1]
+            table[4][1] = (word, -b)
+            return table
+
+        def spy(rows, ncols, char=0):
+            leads.append(sorted(row[min(row)] for row in rows))
+            return real_rank(rows, ncols, char)
+
+        monkeypatch.setattr(lyndon_mod, "standard_lyndon", negated)
+        monkeypatch.setattr(linalg, "rank", spy)
+        assert independence_certificate(pres, 5) == expected
+        assert [d for d, got in enumerate(leads, 1) if got != [1] * len(got)] == [4]
+        assert leads[3].count(P - 1) == 1
 
     def test_rank_check_runs_mod_p(self, monkeypatch):
         calls = []

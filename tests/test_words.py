@@ -215,6 +215,49 @@ class TestBracket:
             )
             assert total.is_zero()
 
+    @staticmethod
+    def mixed_poly(rng):
+        """Up to five terms over A22: words of length 0-4, int and Fraction coefficients."""
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            word = Word(A22, tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))))
+            c = rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3)))
+            terms[word] = terms.get(word, 0) + c
+        return NCPoly(A22, terms)
+
+    def test_one_pass_equals_two_products(self):
+        rng = random.Random(20)
+        cancelled = 0
+        for _ in range(300):
+            p, q = self.mixed_poly(rng), self.mixed_poly(rng)
+            if rng.random() < 0.3:
+                q = q + p.scale(Fraction(2, 3))  # shared words make uv = vu collisions likely
+            got = bracket(p, q)
+            assert got == p * q - q * p
+            assert 0 not in got._terms.values()
+            cancelled += got.term_count() < 2 * p.term_count() * q.term_count()
+        assert cancelled >= 50  # terms really do cancel or merge
+
+    def test_exact_cancellation(self):
+        rng = random.Random(21)
+        x, y = NCPoly.letter(A22, 1), NCPoly.letter(A22, 2)
+        assert (bracket(x, y) + bracket(y, x)).is_zero()
+        assert bracket(x, x)._terms == {}
+        # words that commute cancel too: powers of one letter, and the unit
+        power = NCPoly.monomial(w(A22, 3, 3), Fraction(7, 2))
+        assert bracket(power, NCPoly.letter(A22, 3))._terms == {}
+        unit = NCPoly.one(A22).scale(Fraction(-1, 4))
+        for _ in range(50):
+            p = self.mixed_poly(rng)
+            assert bracket(p, p)._terms == {}
+            assert bracket(p, unit)._terms == {}
+
+    def test_mismatched_alphabets_rejected(self):
+        with pytest.raises(AlphabetMismatch):
+            bracket(NCPoly.letter(A22, 1), NCPoly.letter(AB, 1))
+        with pytest.raises(AlphabetMismatch):
+            bracket(NCPoly.zero(AB), NCPoly.zero(A22))
+
 
 class TestWordBoundary:
     """Terms are keyed by index tuples inside; only checked Words come out."""
