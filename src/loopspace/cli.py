@@ -14,15 +14,16 @@ malformed or unreadable table.
 Sizes are bounded before any counting starts, so that no question runs or
 allocates without bound: --cap <= 1000, --r <= 10000, --k <= 10000,
 1 <= --fuzz <= 100000, and at most 16 torsion orders of at most 10^9 each
-(exit 2).  A homotopy answer of more than 10^6 cyclic
-summands is refused before any group is built (exit 2, naming r and k):
---n 2 --r 5 --k 9 has 207,228, while --r 100 --k 9 would have about
-1.4 * 10^15 and once ran without end.  At each limit one answer takes at
-most a few seconds in a fresh process (Python 3.11, Xeon server core):
-report --cap 1000 with G = Z/2 + Z/3 about 0.2 s, report --r 10000
---cap 20 about 0.2 s, homotopy --r 10000 --k 10000 about 1.1 s, the fuzz
-suite of selftest --fuzz 100000 about 3.1 s, and report --n 2 --cap 1000
---json with sixteen orders 999999937 about 0.95 s and 214 MB.
+(exit 2).  --seed must be >= 0 (exit 2): Random(-s) repeats the fuzz of s.
+A homotopy answer of more than 10^6 cyclic summands is refused before any
+group is built (exit 2, naming r and k): --n 2 --r 5 --k 9 has 207,228,
+while --r 100 --k 9 would have about 1.4 * 10^15 and once ran without end.
+At each limit one answer takes at most a few seconds in a fresh process
+(Python 3.11, Xeon server core): report --cap 1000 with G = Z/2 + Z/3
+about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
+--k 10000 about 1.1 s, the fuzz suite of selftest --fuzz 100000 about
+2.2 s, and report --n 2 --cap 1000 --json with sixteen orders 999999937
+about 0.95 s and 214 MB.
 """
 
 import argparse
@@ -222,6 +223,8 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:
+        return fail_config("seed must be >= 0")
     if args.fuzz < 1:
         return fail_config("fuzz must be >= 1")
     if args.fuzz > MAX_FUZZ:

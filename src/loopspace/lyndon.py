@@ -67,8 +67,8 @@ def standard_factorization(indices):
 # ---------------------------------------------------------------------------
 
 # The walk memoises the counts below a node with at most this many letters to
-# go.  On selftest, three is slower, and five is no faster but raises the peak
-# memory by over 2%.
+# go.  On selftest, three is a quarter slower, and five is no faster but raises
+# the peak memory by over 2%.
 _MEMO_LETTERS = 4
 
 
@@ -81,11 +81,11 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
     of counted, and the counts returned are the lists' lengths.
 
     ``rec`` returns the Lyndon words strictly below its node, counted by the
-    degree they gain over it.  When only counting, it memoises that result
-    for a node near the cap.  Take the node word[:t] of period p, with
-    ``room = cap - degree``: at most ``j = room // least`` letters follow
-    it.  A letter appended at position t + k (k < j) is pruned or accepted
-    by four things only:
+    degree they gain over it.  When only counting, a parent looks up each
+    child near the cap in a memo and calls it only on a miss.  Take a node
+    word[:t] of period p and ``room = cap - degree``: at most
+    ``j = room // least`` letters follow it, and the one appended at
+    t + k (k < j) is pruned or accepted by four things only:
 
     * the room left, which fixes the weights that still fit;
     * the letter before it, which the forbidden bigram reads.  For k = 0
@@ -129,38 +129,33 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
         tries.append([by_flag[last == fa] for last in range(q)])
 
     word = [0] * (cap // least + 1)
-    memo = {} if words is None else None
-    memo_room = (_MEMO_LETTERS + 1) * least
+    memo = {}
+    memo_room = (_MEMO_LETTERS + 1) * least if words is None else 0
 
-    def rec(t, period, degree):
-        # word[:t] is a prenecklace of this period and degree, with room
-        # left for at least one more letter
+    def rec(t, period, room, key=None):
+        # word[:t] is a prenecklace of this period, with room under the cap
+        # for at least one more letter; its counts go to memo[key]
         start = word[t - period]
-        room = cap - degree
-        key = None
-        if memo is not None and room < memo_room:
-            j = room // least
-            if t >= j:
-                key = (room, word[t - 1], *(word[t - period : t] * j)[:j], *word[: j - 1])
-                below = memo.get(key)
-                if below is not None:
-                    return below
         inner = room - least
         below = 0
         for letter, weight, shift in tries[start][word[t - 1]][room]:
-            if letter == start:
-                if weight <= inner:
+            if letter != start:
+                if words is None:
+                    below += 1 << shift
+                else:
                     word[t] = letter
-                    below += rec(t + 1, period, degree + weight) << shift
+                    words[~(room - weight)].append(tuple(word[: t + 1]))  # cap - room + weight
+            if weight > inner:
                 continue
-            if words is None:
-                below += 1 << shift
+            p = period if letter == start else t + 1
+            word[t] = letter
+            left = room - weight
+            if left < memo_room and t >= (j := left // least) - 1:
+                k = (left, letter, *(word[t + 1 - p : t + 1] * j)[:j], *word[: j - 1])
+                got = memo.get(k)
+                below += (rec(t + 1, p, left, k) if got is None else got) << shift
             else:
-                word[t] = letter
-                words[degree + weight].append(tuple(word[: t + 1]))
-            if weight <= inner:
-                word[t] = letter
-                below += rec(t + 1, t + 1, degree + weight) << shift
+                below += rec(t + 1, p, left) << shift
         if key is not None:
             memo[key] = below
         return below
@@ -175,11 +170,10 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
                 words[weight].append((first,))
             if weight + least <= cap:
                 word[0] = first
-                total += rec(1, 1, weight) << weight * slot
+                total += rec(1, 1, cap - weight) << weight * slot
                 # a key with j >= 2 holds word[0], so under the next first
                 # letter only the few j = 1 keys could recur
-                if memo:
-                    memo.clear()
+                memo.clear()
     if words is not None:
         return [len(listed) for listed in words]
     mask = (1 << slot) - 1
@@ -270,7 +264,7 @@ def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
     visits every prenecklace with room for more than four more letters, but
     each distinct subtree below those only once.  So the cost still grows
     exponentially with cap, but far more slowly than the number of words:
-    about 0.05 s for the 860,718 words at (n, r, cap) = (2, 3, 12) and 1.4 s
+    about 0.03 s for the 860,718 words at (n, r, cap) = (2, 3, 12) and 1.3 s
     for the 19,159,996 at (2, 2, 20), in CPU time on one core of a Xeon
     under Python 3.11.  It shares no arithmetic with the Moebius counts,
     which makes it their independent oracle at small caps.

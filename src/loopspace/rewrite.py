@@ -140,6 +140,7 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     after_a = [(i, w) for i, w in letters if i != b]
     by_degree = {d: [] for d in range(cap + 1)}
     by_degree[0].append(())
+    full = cap - min((w for _, w in letters), default=0)  # the most a word may weigh to extend
 
     level = [((), 0)]  # the words of one length, in lex order, with their degrees
     while level:
@@ -149,8 +150,9 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
                 d2 = deg + w
                 if d2 <= cap:
                     w2 = word + (i,)
-                    longer.append((w2, d2))
                     by_degree[d2].append(w2)
+                    if d2 <= full:
+                        longer.append((w2, d2))
         level = longer
     return by_degree
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from loopspace import linalg, numtheory, series
 from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.lyndon import (
+    _MEMO_LETTERS,
     P,
     enumerate_lyndon,
     exclusion_bigram,
@@ -208,6 +210,48 @@ def _word_count(weights, cap):
     return sum(counts) - 1
 
 
+def memo_hits(weights, cap, forbidden):
+    """{j: memo hits at nodes with j letters to go}, replayed on the plain
+    walk with the key of lyndon._walk_lyndon's docstring: a node below a
+    first letter whose key an earlier node under that first letter had.  A
+    hit's subtree is not walked, as in the walk itself."""
+    q, least = len(weights), min(weights)
+    fa, fb = forbidden if forbidden else (-1, -1)
+    hits, seen = {}, set()
+
+    def rec(word, period, degree):
+        t, room = len(word), cap - degree
+        j = room // least
+        if t >= 2 and room < (_MEMO_LETTERS + 1) * least and t >= j:
+            key = (room, word[-1], *(word[t - period :] * j)[:j], *word[: j - 1])
+            if key in seen:
+                hits[j] = hits.get(j, 0) + 1
+                return
+            seen.add(key)
+        start = word[t - period]
+        for letter in range(start, q):
+            if not (word[-1] == fa and letter == fb) and degree + weights[letter] <= cap:
+                rec(word + (letter,), period if letter == start else t + 1, degree + weights[letter])
+
+    for first in range(q):
+        seen.clear()
+        if weights[first] <= cap:
+            rec((first,), 1, weights[first])
+    return hits
+
+
+# Word lists of the walk's listing mode, pinned by the digest of their repr
+# (the lists by degree, in order) as the walk listed them before the memo
+# lookup moved into the parent's loop.
+LISTING_DIGESTS = {
+    ((1, 2, 1, 2), 10, (0, 2)): "48b23479d975d98a6bd41688bcb077274a4900cf6edb23f2fd8406d054359606",
+    ((2, 3, 2, 3), 14, (2, 0)): "63d5c142ae6088939bb37d2c4b171beaea4e501a19d9e005b779ea86bfe8fdbd",
+    ((1, 2, 3), 9, (0, 2)): "6d02aefb6cfa5e8ed6296023915f61fa5baa7488238284706fe1a6e8bafe6693",
+    ((1, 2, 3), 9, (2, 0)): "52b74ee9c747f676fa5fa63586db285b41346f23ffc62626fb64a1cb25e48412",
+    ((1, 1), 12, None): "befe27ff1e1028dcce496c61eadc27c430bb6855742fbbd821d46da45f93cf1c",
+}
+
+
 class TestWalk:
     def test_matches_reference_on_random_alphabets(self):
         rng = random.Random(20181)
@@ -237,6 +281,38 @@ class TestWalk:
         pres = loop_presentation(ManifoldModel(n, r))
         for forbidden in (_forbidden(pres), None):
             assert_walk_matches_reference(pres.alphabet.degrees, 10, forbidden)
+
+    # Caps deep enough that child nodes hit the memo with every number of
+    # letters to go, the forbidden bigram read in both letter orders.
+    @pytest.mark.parametrize("weights,cap,forbidden", [
+        ((1, 2, 1, 2), 12, (0, 1)),
+        ((1, 2, 1, 2), 12, (1, 0)),
+        ((2, 3, 2, 3), 22, (0, 1)),
+        ((2, 3, 2, 3), 22, (1, 0)),
+        ((1, 1, 1), 10, (0, 2)),
+        ((1, 1, 1), 10, (2, 0)),
+    ])
+    def test_matches_reference_where_children_hit_the_memo(self, weights, cap, forbidden):
+        hits = memo_hits(weights, cap, forbidden)
+        assert all(hits.get(j, 0) > 0 for j in range(1, _MEMO_LETTERS + 1)), hits
+        assert_walk_matches_reference(weights, cap, forbidden)
+
+    def test_matches_reference_where_a_first_letter_is_near_the_cap(self):
+        # at cap < (_MEMO_LETTERS + 1) * least + the first letter's weight,
+        # the node of a first letter already has room for at most four more
+        for weights in ((1, 2), (2, 3, 2, 3), (1, 1, 1), (3,), (2, 1, 4)):
+            q = len(weights)
+            for cap in range(1, (_MEMO_LETTERS + 1) * min(weights) + max(weights) + 1):
+                for forbidden in (None, (0, q - 1), (q - 1, 0)):
+                    assert_walk_matches_reference(weights, cap, forbidden)
+
+    @pytest.mark.parametrize("case", LISTING_DIGESTS)
+    def test_listing_is_pinned(self, case):
+        weights, cap, forbidden = case
+        listed = [[] for _ in range(cap + 1)]
+        counts = _walk_lyndon(weights, cap, forbidden, listed)
+        assert counts == _walk_lyndon(weights, cap, forbidden) == [len(ws) for ws in listed]
+        assert hashlib.sha256(repr(listed).encode()).hexdigest() == LISTING_DIGESTS[case]
 
 
 class TestFactorization:

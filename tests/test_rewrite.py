@@ -368,6 +368,15 @@ class TestEnumerationOrder:
         pres = loop_presentation(ManifoldModel(n, r))
         assert enumerate_irreducible_words(pres, 9) == irreducible_words_by_stack(pres, 9)
 
+    # Words heavier than cap - least are listed but not extended; with two
+    # weights that bound cuts through a length at every cap.
+    @pytest.mark.parametrize("degrees", [(1, 2) * 3, (2, 3) * 2])
+    @pytest.mark.parametrize("pair", [None, (1, 2), (2, 1), (2, 4)])
+    def test_matches_stack_and_sort_at_every_small_cap(self, degrees, pair):
+        pres = monomial_presentation(degrees, pair)
+        for cap in range(1, 9):
+            assert enumerate_irreducible_words(pres, cap) == irreducible_words_by_stack(pres, cap), cap
+
 
 class TestBasisProperty:
     @pytest.mark.parametrize("char", [0, 2, 3, 5])
