@@ -9,7 +9,7 @@ cross-checkable by an independent combinatorial route, and the
 """
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
-from .decomposition import classify, decomposition_report, loop_decomposition, rational_series
+from .decomposition import classify, loop_decomposition, rational_series
 from .lyndon import enumerate_lyndon, independence_certificate, lie_dims, standard_lyndon
 from .manifold import ManifoldModel, homology, loop_presentation, sigma_primes
 from .rewrite import QuadraticPresentation, hilbert_dims, normal_form
@@ -26,7 +26,6 @@ __all__ = [
     "PowerSeries",
     "QuadraticPresentation",
     "classify",
-    "decomposition_report",
     "enumerate_lyndon",
     "hilbert_dims",
     "homology",

@@ -22,8 +22,9 @@ At each limit one answer takes at most a few seconds in a fresh process
 (Python 3.11, Xeon server core): report --cap 1000 with G = Z/2 + Z/3
 about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
 --k 10000 about 1.1 s, the fuzz suite of selftest --fuzz 100000 about
-2.2 s, and report --n 2 --cap 1000 --json with sixteen orders 999999937
-about 0.95 s and 214 MB.
+2.2 s, and the worst torsion, report --n 2 --r 1 --cap 1000 --json with
+sixteen orders 999999937, 0.7-1.0 s of CPU and 214 MB (about 0.2 s and
+15 MB as text).
 """
 
 import argparse
@@ -130,12 +131,14 @@ def cmd_report(args) -> int:
 
     cap = args.cap
     primes = sorted(sigma_primes(m))
+    primes_text = str(set(primes) or "{}")
+    hom = homology(m)
     doc = {
         "n": m.n,
         "r": m.r,
         "torsion": list(m.torsion.invariant_factors),
         "dim": m.dim,
-        "homology": homology(m).to_dict(),
+        "homology": hom.to_dict(),
         "sigma_primes": primes,
         "coefficient_ring": coefficient_ring_label(m),
         "cap": cap,
@@ -147,32 +150,28 @@ def cmd_report(args) -> int:
     if m.r >= 1:
         dims = hilbert_dims(loop_presentation(m), cap)
         counts = sphere_summand_counts(m.n, m.r, cap)
-        weak = weak_product_decomposition(m, cap, counts=counts)
         doc["loop_homology_dims"] = dims
         doc["summand_counts"] = {str(w): counts[w] for w in sorted(counts)}
-        doc["weak_product"] = serialize(weak)
-        # run in text mode too: tests/test_bench_spans.py wants every report-deep span called
-        fiber = fiber_homology(m, cap)
+        doc["weak_product"] = serialize(weak_product_decomposition(m, cap, counts=counts))
     else:
         doc["loop_homology_dims"] = None
         doc["summand_counts"] = None
         doc["weak_product"] = None
-        fiber = None
-        doc["sphere_fallback"] = f"M = S^{m.dim} after inverting {set(primes) or '{}'}"
+        doc["sphere_fallback"] = f"M = S^{m.dim} after inverting {primes_text}"
 
     if args.json:
         doc["decomposition_tree"] = to_dict(decomposition)
-        doc["fiber_homology"] = fiber.to_dict() if fiber is not None else None
+        doc["fiber_homology"] = fiber_homology(m, cap).to_dict() if m.r >= 1 else None
         return print_json(doc)
 
     lines = [
         f"manifold: n={m.n} r={m.r} G={m.torsion} (dimension {m.dim})",
-        f"homology: {homology(m)}",
-        f"torsion primes: {set(primes) or '{}'}",
+        f"homology: {hom}",
+        f"torsion primes: {primes_text}",
         f"coefficient ring: {doc['coefficient_ring']}",
     ]
     if m.r >= 1:
-        dims_text = " ".join(str(d) for d in doc["loop_homology_dims"])
+        dims_text = " ".join(str(d) for d in dims)
         counts_text = " ".join(f"l[{w}]={counts[w]}" for w in sorted(counts))
         lines += [
             f"loop homology dims (degrees 0..{cap}): {dims_text}",
@@ -181,7 +180,7 @@ def cmd_report(args) -> int:
             f"weak product (loop degrees <= {cap}): {doc['weak_product']}",
         ]
     else:
-        lines.append(f"M ≃ S^{m.dim} after inverting {set(primes) or '{}'}")
+        lines.append(f"M ≃ S^{m.dim} after inverting {primes_text}")
     lines.append(f"classification: {flags.rational_type} ({flags.reason})")
     lines.append(f"exponents: {flags.no_exponent_note}")
     print("\n".join(lines))
@@ -199,7 +198,7 @@ def cmd_homotopy(args) -> int:
         return fail_config(str(e))
     try:
         table = load_table_file(args.table)
-    except (OSError, TableFormatError) as e:
+    except (OSError, UnicodeDecodeError, TableFormatError) as e:
         print(f"error: table: {e}", file=sys.stderr)
         return EXIT_TABLE
     try:

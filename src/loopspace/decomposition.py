@@ -423,18 +423,3 @@ def classify(m: ManifoldModel) -> ClassificationFlags:
         retract=witness,
     )
 
-
-class DecompositionReport(namedtuple("DecompositionReport", "main weak_product fiber flags")):
-    """The splitting, the weak product, the fibre homology (None for r = 0)
-    and the classification flags of one manifold."""
-
-    __slots__ = ()
-
-
-def decomposition_report(m: ManifoldModel, cap: int) -> DecompositionReport:
-    return DecompositionReport(
-        main=loop_decomposition(m),
-        weak_product=weak_product_decomposition(m, cap),
-        fiber=fiber_homology(m, cap) if m.r >= 1 else None,
-        flags=classify(m),
-    )

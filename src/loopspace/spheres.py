@@ -2,7 +2,8 @@
 
 The bundled TSV ships pi_k(S^m) for 2 <= m <= 8 over the classical Toda
 range; below the diagonal the groups are zero and on it they are Z, so those
-never need table rows.  Queries outside the loaded range raise instead of
+never need table rows.  Each row's free rank is checked against Serre's
+theorem at load.  Queries outside the loaded range raise instead of
 guessing.  Homotopy groups of an (n, r, G) manifold are assembled, away from
 the primes dividing |G|, as the direct sum over sphere summands S^(w+1) with
 the Moebius multiplicities l[w].
@@ -64,7 +65,8 @@ def load_table(text: str) -> SphereTable:
     """Parse TSV lines "k m free_rank torsion [source]"; '#' starts a comment.
 
     Rejects, with the offending line number: malformed fields, duplicate
-    entries, nonzero groups below the diagonal and non-Z diagonal entries.
+    entries, nonzero groups below the diagonal, non-Z diagonal entries and
+    free ranks that Serre's theorem forbids.
     """
     entries = {}
     provenance = {}
@@ -90,6 +92,10 @@ def load_table(text: str) -> SphereTable:
             raise TableFormatError(f"line {lineno}: pi_{k}(S^{m}) must be zero below the diagonal")
         if k == m and group != FgAbelianGroup(1):
             raise TableFormatError(f"line {lineno}: pi_{m}(S^{m}) must be Z")
+        # Serre: pi_k(S^m) is finite above the diagonal, except pi_(2m-1)(S^m) = Z + finite, m even
+        hopf = m % 2 == 0 and k == 2 * m - 1
+        if k > m and rank != hopf:
+            raise TableFormatError(f"line {lineno}: pi_{k}(S^{m}) must have free rank {int(hopf)}")
         if k < m:
             continue  # implied zero; do not store
         if (k, m) in entries:

@@ -22,9 +22,12 @@ NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "random", "importlib.resource
 
 
 def run_bare(args, **env):
-    """Run `python -S <args>` with only src/ on the path; returns stdout bytes."""
+    """Run `python -S <args>` with only src/ on the path; returns stdout bytes.
+
+    No bytecode is written: a stale src/ __pycache__ would skew later timings.
+    """
     full_env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    full_env.update(PYTHONPATH=str(ROOT / "src"), **env)
+    full_env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", **env)
     proc = subprocess.run(
         [sys.executable, "-S", *args], env=full_env, capture_output=True, check=True, timeout=60
     )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from loopspace.cli import main
 from loopspace.decomposition import (
     LocalizedAt,
     Loop,
@@ -12,7 +13,6 @@ from loopspace.decomposition import (
     WeakProduct,
     Wedge,
     classify,
-    decomposition_report,
     fiber_homology,
     loop,
     loop_decomposition,
@@ -57,6 +57,7 @@ class TestTreeShapes:
         assert got == LocalizedAt((2,), Sphere(5))
         assert serialize(got) == "S5[1/2]"
         assert serialize(loop_decomposition(ManifoldModel(3, 0))) == "S7"
+        assert loop_decomposition(ManifoldModel(2, 0)) == Sphere(5)
 
     def test_torsion_wedge_contents(self):
         z = torsion_wedge(ManifoldModel(2, 3, (2, 4)))
@@ -80,6 +81,7 @@ class TestTreeShapes:
         without_g = weak_product_decomposition(ManifoldModel(2, 2), 2)
         assert all(isinstance(e, LocalizedAt) for e, _ in with_g.factors)
         assert all(isinstance(e, Loop) for e, _ in without_g.factors)
+        assert with_g.factors[0] == (LocalizedAt((2,), Loop(Sphere(2))), 2)
 
 
 class TestConstructors:
@@ -283,18 +285,11 @@ class TestFiberHomology:
         with pytest.raises(SphereFallback):
             fiber_homology(ManifoldModel(2, 0), 5)
 
-
-class TestReportFacade:
-    def test_bundles_all_pieces(self):
-        rep = decomposition_report(ManifoldModel(2, 2, (2,)), 6)
-        assert rep.flags.rational_type == "hyperbolic"
-        assert rep.fiber is not None
-        assert rep.weak_product.factors[0] == (LocalizedAt((2,), Loop(Sphere(2))), 2)
-
-    def test_rank_zero_has_no_fiber(self):
-        rep = decomposition_report(ManifoldModel(2, 0), 6)
-        assert rep.fiber is None
-        assert rep.main == Sphere(5)
+    def test_rank_zero_report_has_no_fiber(self, capsys):
+        assert main(["report", "--n", "2", "--r", "0", "--torsion", "-", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fiber_homology"] is None
+        assert doc["decomposition"] == "S5"
 
 
 class TestClassify:
@@ -325,22 +320,18 @@ class TestClassify:
 class TestResultTypes:
     def test_fields_cannot_be_assigned(self):
         flags = classify(ManifoldModel(2, 2))
-        rep = decomposition_report(ManifoldModel(2, 2), 4)
-        fields = [
-            (flags, ("rational_type", "reason", "no_exponent", "no_exponent_note", "retract")),
-            (rep, ("main", "weak_product", "fiber", "flags")),
-        ]
-        for obj, names in fields:
-            for field in names:
-                with pytest.raises(AttributeError):
-                    setattr(obj, field, None)
+        for field in ("rational_type", "reason", "no_exponent", "no_exponent_note", "retract"):
             with pytest.raises(AttributeError):
-                obj.extra = 1
+                setattr(flags, field, None)
+        with pytest.raises(AttributeError):
+            flags.extra = 1
 
     def test_same_query_results_compare_equal(self):
-        m = ManifoldModel(2, 2, (2,))
-        assert classify(m) == classify(ManifoldModel(2, 2, (2,)))
-        assert decomposition_report(m, 6) == decomposition_report(m, 6)
+        m, same = ManifoldModel(2, 2, (2,)), ManifoldModel(2, 2, (2,))
+        assert classify(m) == classify(same)
+        assert loop_decomposition(m) == loop_decomposition(same)
+        assert weak_product_decomposition(m, 6) == weak_product_decomposition(same, 6)
+        assert fiber_homology(m, 6) == fiber_homology(same, 6)
         assert classify(m) != classify(ManifoldModel(2, 1, (2,)))
 
     def test_flags_to_dict_unchanged(self):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
+from loopspace.cli import main
 from loopspace.decomposition import classify
 from loopspace.errors import TableFormatError, TableRangeError
 from loopspace.manifold import ManifoldModel
@@ -88,6 +89,30 @@ class TestLoadTable:
         with pytest.raises(TableFormatError) as err:
             load_table(f"# header\n3 2 1 -\n4 2 0 {torsion}\n")
         assert str(err.value) == f"line 3: torsion: {reason}"
+
+    @pytest.mark.parametrize(
+        "text,line,rank",
+        [
+            ("3 2 99999999999999999999 -", 1, 1),  # once blamed r and k instead of the table
+            ("2 2 1 -\n3 2 0 -", 2, 1),  # the Hopf class of pi_3(S^2) dropped
+            ("4 3 1 -", 1, 0),
+            ("8 4 0 2\n7 4 0 12", 2, 1),
+        ],
+        ids=["huge", "hopf-dropped", "odd-sphere", "hopf-dropped-beside-torsion"],
+    )
+    def test_free_rank_must_agree_with_serre(self, text, line, rank):
+        with pytest.raises(TableFormatError) as err:
+            load_table(text)
+        assert str(err.value).startswith(f"line {line}: ")
+        assert str(err.value).endswith(f"must have free rank {rank}")
+
+    def test_table_file_that_is_not_utf8_exits_three(self, tmp_path, capsys):
+        table = tmp_path / "t.tsv"
+        table.write_bytes(b"3 2 1 - \xff\n")
+        code = main(["homotopy", "--n", "2", "--r", "1", "--k", "3", "--table", str(table)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: table: ")
 
 
 
