@@ -39,7 +39,7 @@ class FiniteAbelianGroup:
     def _unchecked(cls, factors: tuple) -> "FiniteAbelianGroup":
         """A group with these factors, unchecked: a tuple of ints >= 2, each dividing the next."""
         g = object.__new__(cls)
-        object.__setattr__(g, "invariant_factors", factors)
+        _set_invariant_factors(g, factors)
         return g
 
     def __setattr__(self, *a):
@@ -141,6 +141,10 @@ class FiniteAbelianGroup:
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.invariant_factors)})"
+
+
+# ``_unchecked`` stores through the slot descriptor, bypassing __setattr__.
+_set_invariant_factors = FiniteAbelianGroup.invariant_factors.__set__
 
 
 class FgAbelianGroup:

@@ -40,8 +40,6 @@ fields serve the kernel relations of the form algebras, the Koszul dual and
 the weight dimensions of generic quadratic algebras.
 """
 
-from fractions import Fraction
-
 
 def _subtract(row, f, prow, char):
     """row -= f * prow in place, dropping the entries that become zero."""
@@ -57,6 +55,8 @@ def _subtract(row, f, prow, char):
 
 def _echelon(rows, ncols, char):
     """Echelon rows keyed by leading column, each a fresh map leading with 1."""
+    if not char:
+        from fractions import Fraction  # loaded by the first elimination over Q
     pivots = {}
     for r in rows:
         if r and (min(r) < 0 or max(r) >= ncols):

@@ -67,8 +67,8 @@ def standard_factorization(indices):
 # ---------------------------------------------------------------------------
 
 # The walk memoises the counts below a node with at most this many letters to
-# go.  On selftest, three is a quarter slower, and five is no faster but raises
-# the peak memory by over 2%.
+# go.  On selftest, three is about 15% slower, and five is about 2% slower and
+# raises the peak memory by under 1%.
 _MEMO_LETTERS = 4
 
 
@@ -98,7 +98,17 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
       word[:j - 1], fixed above the node.
 
     So nodes with equal room, last letter, j continuation letters and
-    word[:j - 1] root equal subtrees, and each is walked once.
+    word[:j - 1] root equal subtrees, and each is walked once.  The key is
+    (room, last letter, continuation, word[:j - 1]), the two letter runs as
+    tuples of fixed length j and j - 1, so it tells nodes apart exactly as
+    the flat tuple of all 2j + 1 entries would.  A child that raises the
+    period has p = t + 1 >= j, so its periodic continuation, word[:t + 1]
+    repeated, begins with word[:j]: its key is (room, letter, word[:j],
+    word[:j - 1]).  Both runs are prefixes of length <= _MEMO_LETTERS,
+    which ``heads`` holds as tuples from the shallow nodes above, so such
+    a key is built without a slice (save at a node no deeper than j - 1,
+    whose child's word[:j] ends in the new letter).  Only the one child per
+    node that keeps the period slices its periodic continuation.
     """
     q = len(weights)
     least, top = min(weights), max(weights)
@@ -131,10 +141,15 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
     word = [0] * (cap // least + 1)
     memo = {}
     memo_room = (_MEMO_LETTERS + 1) * least if words is None else 0
+    # heads[i] is tuple(word[:i]) for i <= min(t, _MEMO_LETTERS) at a node
+    # word[:t]: each node of depth <= _MEMO_LETTERS sets its own on entry
+    heads = [()] * (_MEMO_LETTERS + 1)
 
     def rec(t, period, room, key=None):
         # word[:t] is a prenecklace of this period, with room under the cap
         # for at least one more letter; its counts go to memo[key]
+        if t <= _MEMO_LETTERS:
+            heads[t] = tuple(word[:t])
         start = word[t - period]
         inner = room - least
         below = 0
@@ -151,7 +166,11 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
             word[t] = letter
             left = room - weight
             if left < memo_room and t >= (j := left // least) - 1:
-                k = (left, letter, *(word[t + 1 - p : t + 1] * j)[:j], *word[: j - 1])
+                if p > period and j <= t:
+                    ahead = heads[j]  # the period rose, so the continuation is word[:j]
+                else:
+                    ahead = tuple((word[t + 1 - p : t + 1] * j)[:j])
+                k = (left, letter, ahead, heads[j - 1])
                 got = memo.get(k)
                 below += (rec(t + 1, p, left, k) if got is None else got) << shift
             else:
@@ -264,10 +283,11 @@ def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
     visits every prenecklace with room for more than four more letters, but
     each distinct subtree below those only once.  So the cost still grows
     exponentially with cap, but far more slowly than the number of words:
-    about 0.03 s for the 860,718 words at (n, r, cap) = (2, 3, 12) and 1.3 s
-    for the 19,159,996 at (2, 2, 20), in CPU time on one core of a Xeon
-    under Python 3.11.  It shares no arithmetic with the Moebius counts,
-    which makes it their independent oracle at small caps.
+    about 0.017 s for the 860,718 words at (n, r, cap) = (2, 3, 12) and
+    0.6 s for the 19,159,996 at (2, 2, 20), in CPU time on one core of a
+    Xeon under Python 3.11 (medians of 21 and 5 runs).  It shares no
+    arithmetic with the Moebius counts, which makes it their independent
+    oracle at small caps.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")

@@ -15,7 +15,6 @@ of arbitrary quadratic algebras by exact rank.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
@@ -49,7 +48,11 @@ class QuadraticPresentation:
         if lead.indices[0] == lead.indices[1]:
             raise PresentationError("leading bigram must have two distinct letters")
         c = relation.coeff(lead)
-        relation = relation.scale(c if c in (1, -1) else 1 / Fraction(c))
+        if c not in (1, -1):
+            from fractions import Fraction  # only a non-unit leading coefficient needs it
+
+            c = 1 / Fraction(c)
+        relation = relation.scale(c)
         self.relation = relation
         self.leading = lead
         self.lower_terms = NCPoly.monomial(lead) - relation

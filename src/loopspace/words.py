@@ -100,9 +100,9 @@ class Word:
     def _unchecked(cls, alphabet: Alphabet, indices: tuple, degree: int) -> "Word":
         """A Word of ``indices``, unchecked: a valid index tuple of this degree."""
         w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "indices", indices)
-        object.__setattr__(w, "degree", degree)
+        _set_word_alphabet(w, alphabet)
+        _set_word_indices(w, indices)
+        _set_word_degree(w, degree)
         return w
 
     def __setattr__(self, *a):
@@ -133,6 +133,13 @@ class Word:
             return "1"
         labels = self.alphabet._labels
         return "".join(labels[i - 1] for i in self.indices)
+
+
+# The unchecked constructors store each slot through its descriptor's
+# __set__, one C call that bypasses the refusing __setattr__.
+_set_word_alphabet = Word.alphabet.__set__
+_set_word_indices = Word.indices.__set__
+_set_word_degree = Word.degree.__set__
 
 
 def index_key(degrees, indices: tuple):
@@ -175,8 +182,8 @@ class NCPoly:
     def _unchecked(cls, alphabet: Alphabet, terms: dict) -> "NCPoly":
         """An NCPoly owning ``terms``, unchecked: valid index tuples, no zero coefficients."""
         p = object.__new__(cls)
-        object.__setattr__(p, "alphabet", alphabet)
-        object.__setattr__(p, "_terms", terms)
+        _set_poly_alphabet(p, alphabet)
+        _set_poly_terms(p, terms)
         return p
 
     def __setattr__(self, *a):
@@ -313,6 +320,10 @@ class NCPoly:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+_set_poly_alphabet = NCPoly.alphabet.__set__
+_set_poly_terms = NCPoly._terms.__set__
 
 
 def bracket(p: NCPoly, q: NCPoly) -> NCPoly:

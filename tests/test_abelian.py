@@ -111,6 +111,14 @@ class TestFiniteAbelianGroup:
         with pytest.raises(ValueError):
             FiniteAbelianGroup((2,)).power(-1)
 
+    def test_unchecked_equals_checked_and_stays_immutable(self):
+        g, twin = FiniteAbelianGroup._unchecked((2, 4, 12)), FiniteAbelianGroup((2, 4, 12))
+        assert g == twin and hash(g) == hash(twin) and str(g) == str(twin)
+        for name in ("invariant_factors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, (3,))
+        assert g.invariant_factors == (2, 4, 12)
+
     def test_str_matches_per_factor_join(self):
         rng = random.Random(10)
         for _ in range(200):

@@ -18,7 +18,9 @@ GOLDEN = ROOT / "tests" / "golden"
 TABLE_FILE = ROOT / "src" / "loopspace" / "data" / "sphere_table.tsv"
 
 # stdlib modules no report, homotopy or selftest answer needs at import time
-NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "random", "importlib.resources")
+NOT_AT_IMPORT = (
+    "dataclasses", "inspect", "json", "random", "importlib.resources", "fractions", "decimal"
+)
 
 
 def run_bare(args, **env):

@@ -210,11 +210,27 @@ def _word_count(weights, cap):
     return sum(counts) - 1
 
 
-def memo_hits(weights, cap, forbidden):
-    """{j: memo hits at nodes with j letters to go}, replayed on the plain
-    walk with the key of lyndon._walk_lyndon's docstring: a node below a
-    first letter whose key an earlier node under that first letter had.  A
-    hit's subtree is not walked, as in the walk itself."""
+def flat_key(word, period, room, j):
+    """The memo key of lyndon._walk_lyndon's docstring, as one flat tuple:
+    room, last letter, j continuation letters and word[:j - 1]."""
+    return (room, word[-1], *(word[len(word) - period :] * j)[:j], *word[: j - 1])
+
+
+def nested_key(word, period, room, j):
+    """The walk's key: a node whose last letter raised the period to its
+    length continues with word[:j]; only one that kept it slices its
+    periodic continuation."""
+    t = len(word)
+    ahead = word[:j] if period == t else (word[t - period :] * j)[:j]
+    return (room, word[-1], ahead, word[: j - 1])
+
+
+def memo_hits(weights, cap, forbidden, key=flat_key):
+    """{(j, raised): memo hits at nodes with j letters to go}, replayed on
+    the plain walk: a node below a first letter whose key an earlier node
+    under that first letter had.  ``raised`` tells whether the node's last
+    letter raised the period (to the node's length) or kept it.  A hit's
+    subtree is not walked, as in the walk itself."""
     q, least = len(weights), min(weights)
     fa, fb = forbidden if forbidden else (-1, -1)
     hits, seen = {}, set()
@@ -223,11 +239,12 @@ def memo_hits(weights, cap, forbidden):
         t, room = len(word), cap - degree
         j = room // least
         if t >= 2 and room < (_MEMO_LETTERS + 1) * least and t >= j:
-            key = (room, word[-1], *(word[t - period :] * j)[:j], *word[: j - 1])
-            if key in seen:
-                hits[j] = hits.get(j, 0) + 1
+            k = key(word, period, room, j)
+            if k in seen:
+                kind = (j, period == t)
+                hits[kind] = hits.get(kind, 0) + 1
                 return
-            seen.add(key)
+            seen.add(k)
         start = word[t - period]
         for letter in range(start, q):
             if not (word[-1] == fa and letter == fb) and degree + weights[letter] <= cap:
@@ -283,19 +300,37 @@ class TestWalk:
             assert_walk_matches_reference(pres.alphabet.degrees, 10, forbidden)
 
     # Caps deep enough that child nodes hit the memo with every number of
-    # letters to go, the forbidden bigram read in both letter orders.
+    # letters to go, both after raising the period and after keeping it
+    # (three unit letters need cap 11 for a kept period with four to go),
+    # the forbidden bigram read in both letter orders.
     @pytest.mark.parametrize("weights,cap,forbidden", [
         ((1, 2, 1, 2), 12, (0, 1)),
         ((1, 2, 1, 2), 12, (1, 0)),
         ((2, 3, 2, 3), 22, (0, 1)),
         ((2, 3, 2, 3), 22, (1, 0)),
-        ((1, 1, 1), 10, (0, 2)),
-        ((1, 1, 1), 10, (2, 0)),
+        ((1, 1, 1), 11, (0, 2)),
+        ((1, 1, 1), 11, (2, 0)),
     ])
     def test_matches_reference_where_children_hit_the_memo(self, weights, cap, forbidden):
         hits = memo_hits(weights, cap, forbidden)
-        assert all(hits.get(j, 0) > 0 for j in range(1, _MEMO_LETTERS + 1)), hits
+        for j in range(1, _MEMO_LETTERS + 1):
+            assert hits.get((j, True), 0) > 0 and hits.get((j, False), 0) > 0, (j, hits)
         assert_walk_matches_reference(weights, cap, forbidden)
+
+    def test_nested_key_partitions_as_the_flat_key(self):
+        # the walk's nested keys hit exactly where the docstring's flat keys
+        # do, by letters to go and by kind, on the random alphabets above
+        rng = random.Random(20181)
+        total = 0
+        for _ in range(400):
+            q = rng.randint(1, 5)
+            weights = tuple(rng.randint(1, 3) for _ in range(q))
+            forbidden = rng.choice([None, (rng.randrange(q), rng.randrange(q))])
+            case = (weights, rng.randint(0, 9), forbidden)
+            flat = memo_hits(*case)
+            assert memo_hits(*case, key=nested_key) == flat, case
+            total += sum(flat.values())
+        assert total > 1000
 
     def test_matches_reference_where_a_first_letter_is_near_the_cap(self):
         # at cap < (_MEMO_LETTERS + 1) * least + the first letter's weight,

@@ -354,6 +354,24 @@ class TestUncheckedConstructors:
                 assert_rebuilds(bracketing)
                 assert_rebuilds(-bracketing)
 
+    def test_unchecked_objects_equal_checked_twins_and_stay_immutable(self):
+        # the unchecked constructors store their slots past __setattr__,
+        # which must still refuse every assignment afterwards
+        word = Word._unchecked(A22, (1, 2, 3), 4)
+        twin = Word(A22, (1, 2, 3))
+        assert word == twin and hash(word) == hash(twin)
+        assert (word.alphabet, word.indices, word.degree) == (A22, (1, 2, 3), 4)
+        terms = {(1, 2): 1, (3,): Fraction(-3, 2)}
+        poly = NCPoly._unchecked(A22, terms)
+        assert poly == NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 3): Fraction(-3, 2)})
+        assert poly._terms is terms and poly.alphabet is A22
+        slots = ((word, ("alphabet", "indices", "degree")), (poly, ("alphabet", "_terms")))
+        for obj, names in slots:
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+        assert word.indices == (1, 2, 3) and poly._terms is terms
+
     @pytest.mark.parametrize("name", REWRITTEN)
     def test_irreducible_words_rebuild(self, name):
         alphabet = REWRITTEN[name].alphabet
