@@ -33,19 +33,15 @@ certificate proves that basis property degree by degree along two routes:
 each normal form is unitriangular on its standard word, and the stacked
 normal forms have full rank modulo a prime.
 
-Words are built straight from the walk's letter tuples by
-``Word._unchecked``, with the degree the walk already knows and no second
-check of the letters, which come from the alphabet's own range:
-``enumerate_lyndon`` returns {degree: [Word]} and ``standard_lyndon``
-returns {degree: [(Word, NCPoly)]}, each word paired with its bracketing,
-both in the walk's lex order.  The certificate then reads each normal form
-on index tuples, with no Word built per row.
+A word is the walk's letter-index tuple: ``enumerate_lyndon`` returns
+{degree: [word]} and ``standard_lyndon`` {degree: [(word, b(word))]}, both
+in the walk's lex order.
 """
 
 from . import linalg
 from .errors import ComputationFailure, PresentationError
 from .rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
-from .words import Alphabet, NCPoly, Word, bracket
+from .words import Alphabet, NCPoly, bracket
 
 
 def standard_factorization(indices):
@@ -207,11 +203,10 @@ def _lyndon_words(weights, cap: int, forbidden) -> dict:
 
 
 def enumerate_lyndon(alphabet: Alphabet, cap: int) -> dict:
-    """All Lyndon words of homological degree <= cap, {degree: [Word]} in lex order."""
+    """All Lyndon words of homological degree <= cap, {degree: [word]} in lex order."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    listed = _lyndon_words(alphabet.degrees, cap, None)
-    return {d: [Word._unchecked(alphabet, w, d) for w in ws] for d, ws in listed.items()}
+    return _lyndon_words(alphabet.degrees, cap, None)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +218,17 @@ def exclusion_bigram(pres: QuadraticPresentation):
 
     The relation must be a sum of commutators c * (xy - yx); the excluded
     bigram is then the lexicographically smallest two-letter word among the
-    commutator monomials, i.e. the largest one in the length-then-reverse-lex
+    commutators' words, i.e. the largest one in the length-then-reverse-lex
     order.  Returns 1-based letter indices, or None for a free presentation.
     """
     if pres.is_free:
         return None
     rel = pres.relation
     pairs = set()
-    for w, c in rel.terms():
-        a, b = w.indices
+    for (a, b), c in rel.terms():
         if a == b:
             raise PresentationError("relation has a square term; not a sum of commutators")
-        if rel.coeff(Word(pres.alphabet, (b, a))) != -c:
+        if rel.coeff((b, a)) != -c:
             raise PresentationError("relation is not antisymmetric; not a sum of commutators")
         pairs.add((a, b) if a < b else (b, a))
     return min(pairs)
@@ -271,9 +265,7 @@ def standard_lyndon(pres: QuadraticPresentation, cap: int) -> dict:
         return poly
 
     listed = _lyndon_words(alphabet.degrees, cap, _forbidden(pres))
-    return {
-        d: [(Word._unchecked(alphabet, w, d), expand(w)) for w in ws] for d, ws in listed.items()
-    }
+    return {d: [(w, expand(w)) for w in ws] for d, ws in listed.items()}
 
 
 def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
@@ -335,7 +327,7 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
     """
     standard = standard_lyndon(pres, cap)
     irreducible = enumerate_irreducible_words(pres, cap)
-    alphabet = pres.alphabet
+    spell = pres.alphabet.spell
     report = {}
     for d in range(1, cap + 1):
         elements = standard[d]
@@ -345,25 +337,22 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
         leads = set()
         for word, bracketing in elements:
             terms = normal_form(bracketing, pres)._terms
-            lead = word.indices
-            if (
-                not (word.alphabet is alphabet or word.alphabet == alphabet)
-                or terms.get(lead, 0) not in (1, -1)
-                or min(terms) != lead
-            ):
+            if terms.get(word, 0) not in (1, -1) or min(terms) != word:
+                s = spell(word)
                 raise ComputationFailure(
-                    f"degree {d}: NF(b({word})) is not +-{word} plus lex-larger words"
+                    f"degree {d}: NF(b({s})) is not +-{s} plus lex-larger words"
                 )
-            if lead in leads:
-                raise ComputationFailure(f"degree {d}: leading word {word} repeats")
-            leads.add(lead)
+            if word in leads:
+                raise ComputationFailure(f"degree {d}: leading word {spell(word)} repeats")
+            leads.add(word)
             row = {}
             for w, c in terms.items():
                 if type(c) is not int:
                     den = c.denominator
                     if den % P == 0:
                         raise ComputationFailure(
-                            f"degree {d}: coefficient {c} of NF(b({word})) has no residue mod {P}"
+                            f"degree {d}: coefficient {c} of NF(b({spell(word)})) "
+                            f"has no residue mod {P}"
                         )
                     c = c.numerator if den == 1 else c.numerator * pow(den, -1, P)
                 row[index[w]] = c % P

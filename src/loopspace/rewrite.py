@@ -1,7 +1,7 @@
 """Single-relation diamond-lemma rewriting in a tensor algebra.
 
 A quadratic presentation fixes one homogeneous length-2 relation whose
-maximal monomial (under the degree-then-length-then-reverse-lex order) is a
+maximal word (under the degree-then-length-then-reverse-lex order) is a
 bigram x_a x_b with a != b.  Rewriting that bigram away terminates and is
 confluent, so every element has a unique normal form supported on the words
 avoiding the bigram; those irreducible words are a basis of the quotient
@@ -24,11 +24,11 @@ from .words import NCPoly, _same_alphabet
 class QuadraticPresentation:
     """Alphabet plus (at most) one homogeneous length-2 relation.
 
-    The relation is normalized so that its order-maximal word (the "leading"
-    bigram) has coefficient 1; ``lower_terms`` is the polynomial it rewrites
-    to, i.e. relation = leading - lower_terms, and ``_lower_items`` holds its
-    (index tuple, coefficient) pairs for ``normal_form``.  A presentation
-    with ``relation=None`` is the free tensor algebra.
+    The relation is normalized so that its order-maximal word, the
+    ``leading`` bigram (a, b), has coefficient 1; ``lower_terms`` is the
+    polynomial it rewrites to, i.e. relation = leading - lower_terms, and
+    ``_lower_items`` holds its (word, coefficient) pairs for ``normal_form``.
+    With ``relation=None`` (and ``leading`` None) it is the free algebra.
     """
 
     def __init__(self, alphabet, relation: NCPoly | None = None):
@@ -45,7 +45,7 @@ class QuadraticPresentation:
         if any(len(t) != 2 for t in relation._terms):
             raise PresentationError("relation must be homogeneous of word-length 2")
         lead = relation.max_word()
-        if lead.indices[0] == lead.indices[1]:
+        if lead[0] == lead[1]:
             raise PresentationError("leading bigram must have two distinct letters")
         c = relation.coeff(lead)
         if c not in (1, -1):
@@ -55,23 +55,18 @@ class QuadraticPresentation:
         relation = relation.scale(c)
         self.relation = relation
         self.leading = lead
-        self.lower_terms = NCPoly.monomial(lead) - relation
+        self.lower_terms = NCPoly._unchecked(relation.alphabet, {lead: 1}) - relation
         self._lower_items = tuple(self.lower_terms._terms.items())
 
     @property
     def is_free(self) -> bool:
         return self.relation is None
 
-    def leading_pair(self):
-        """The (a, b) letter indices of the rewritten bigram, or None."""
-        if self.is_free:
-            return None
-        return self.leading.indices
-
     def __repr__(self):
         if self.is_free:
             return f"QuadraticPresentation(free, {self.alphabet!r})"
-        return f"QuadraticPresentation({self.relation} = 0, leading {self.leading})"
+        lead = self.relation.alphabet.spell(self.leading)
+        return f"QuadraticPresentation({self.relation} = 0, leading {lead})"
 
 
 def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmost") -> NCPoly:
@@ -87,7 +82,7 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
     if pres.is_free:
         return p
     rightmost = strategy == "rightmost"
-    a, b = pres.leading.indices
+    a, b = pres.leading
     lower = pres._lower_items
 
     done = {}
@@ -128,17 +123,16 @@ def normal_form(p: NCPoly, pres: QuadraticPresentation, strategy: str = "leftmos
 def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     """All irreducible words of degree <= cap, grouped by degree.
 
-    Returns {degree: [tuple]} for every degree 0..cap: each word is its tuple
-    of letter indices, and ``Word(pres.alphabet, indices)`` rebuilds it.  The
-    words are built one length at a time, each length's words extended in
-    lex order by each allowed letter in increasing order, so every length
-    comes out in lex order after all shorter words, and each degree's list is
-    in (length, lex) order with no sort.  Exponential in cap; meant for
-    low-degree cross-checks of the dynamic programming counts and for the
-    certificate's columns.
+    Returns {degree: [word]} for every degree 0..cap, each word a tuple of
+    letter indices.  The words are built one length at a time, each length's
+    words extended in lex order by each allowed letter in increasing order,
+    so every length comes out in lex order after all shorter words, and each
+    degree's list is in (length, lex) order with no sort.  Exponential in
+    cap; meant for low-degree cross-checks of the dynamic programming counts
+    and for the certificate's columns.
     """
     degrees = pres.alphabet.degrees
-    a, b = pres.leading_pair() or (None, None)
+    a, b = pres.leading or (None, None)
     letters = [(i, w) for i, w in enumerate(degrees, 1) if w <= cap]
     after_a = [(i, w) for i, w in letters if i != b]
     by_degree = {d: [] for d in range(cap + 1)}
@@ -184,7 +178,7 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     if len(wts) != q or any(w < 1 for w in wts):
         raise ValueError("weights must assign a positive weight to every letter")
     classes = sorted(Counter(w for w in wts if w <= cap).items())  # (w, c_w), lightest first
-    forbidden = pres.leading_pair()
+    forbidden = pres.leading
     skip = wts[forbidden[0] - 1] + wts[forbidden[1] - 1] if forbidden else cap + 1
 
     dims = [1] + [0] * cap
@@ -226,7 +220,7 @@ def is_koszul_single_relation(relation) -> bool:
         return True
     if any(len(w) != 2 for w in relation.words()):
         raise PresentationError("relation must be homogeneous of word-length 2")
-    support = [w.indices for w in relation.words()]
+    support = relation.words()
     for lead in support:
         a, b = lead
         if a == b:

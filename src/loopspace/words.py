@@ -1,24 +1,30 @@
 """Weighted alphabets, words and noncommutative polynomials.
 
 This is the substrate for tensor algebras on a graded module: an ordered
-alphabet of letters with positive integer degrees, finite words over it, and
-finitely supported linear combinations of words with exact (integer or
-Fraction) coefficients.  All values are immutable once built and safe to
-share between threads.
+alphabet of letters 1..size with positive integer degrees, words over it,
+and finitely supported linear combinations of words with exact (integer or
+Fraction) coefficients, all immutable and so safe to share between threads.
+A word is the plain tuple of its letter indices, ``()`` the empty word, in
+every layer and every public function; the alphabet gives a word's degree
+and its spelling in labels:
 
-Inside polynomials, and in the rewriting and Lyndon layers, a word is its
-tuple of letter indices.  ``Word``, which checks its letters and knows its
-degree, is the boundary type that public methods take and hand out.
+>>> ab = Alphabet.from_degrees((1, 2), labels=("a", "b"))
+>>> p = NCPoly(ab, {(1, 2): 1, (2, 1): -1})
+>>> print(p)
+ab - ba
+>>> p.max_word(), ab.degree((1, 2)), ab.spell(())
+((1, 2), 3, '1')
+>>> NCPoly(ab, {(1, 3): 1})
+Traceback (most recent call last):
+    ...
+ValueError: letter 3 is outside 1..2
 
-``Word._unchecked`` and ``NCPoly._unchecked`` skip those checks.  They are
-for code that builds its index tuples from the alphabet's own range, and so
-knows them valid: the Lyndon walk, which also knows each word's degree, and
-the polynomial arithmetic, rewriting and fuzzing, which drop zero
-coefficients themselves.
-
-``index_key`` is the rewriting order on index tuples, and ``rewrite_key`` on
-Words: degree, then length, then reverse lexicographic order on letter
-indices.
+The ``NCPoly`` constructor, where words enter from outside, checks their
+letters.  ``NCPoly._unchecked`` does not: it is for the polynomial
+arithmetic, rewriting and fuzzing, which build their words from the
+alphabet's own range and drop zero coefficients themselves.  ``index_key``
+is the rewriting order on words: degree, then length, then reverse
+lexicographic order on letter indices.
 """
 
 from .errors import AlphabetMismatch
@@ -56,11 +62,13 @@ class Alphabet:
     def size(self):
         return len(self._degrees)
 
-    def word(self, indices) -> "Word":
-        return Word(self, indices)
+    def degree(self, word) -> int:
+        """The degree of a word over this alphabet: the sum of its letters' degrees."""
+        return sum(self._degrees[i - 1] for i in word)
 
-    def one(self) -> "Word":
-        return Word(self, ())
+    def spell(self, word) -> str:
+        """A word over this alphabet in its letters' labels, ``"1"`` for the empty word."""
+        return "".join(self._labels[i - 1] for i in word) or "1"
 
     def __eq__(self, other):
         return (
@@ -81,67 +89,6 @@ def _same_alphabet(a, b):
         raise AlphabetMismatch(f"{a!r} vs {b!r}")
 
 
-class Word:
-    """An immutable word; stores letter indices, not letter objects."""
-
-    __slots__ = ("alphabet", "indices", "degree")
-
-    def __init__(self, alphabet: Alphabet, indices):
-        indices = tuple(indices)
-        degs = alphabet.degrees
-        for i in indices:
-            if not 1 <= i <= alphabet.size:
-                raise ValueError(f"letter index {i} outside alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "degree", sum(degs[i - 1] for i in indices))
-
-    @classmethod
-    def _unchecked(cls, alphabet: Alphabet, indices: tuple, degree: int) -> "Word":
-        """A Word of ``indices``, unchecked: a valid index tuple of this degree."""
-        w = object.__new__(cls)
-        _set_word_alphabet(w, alphabet)
-        _set_word_indices(w, indices)
-        _set_word_degree(w, degree)
-        return w
-
-    def __setattr__(self, *a):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __mul__(self, other: "Word") -> "Word":
-        _same_alphabet(self.alphabet, other.alphabet)
-        return Word(self.alphabet, self.indices + other.indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self.indices == other.indices
-            and self.alphabet == other.alphabet
-        )
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"Word({self})"
-
-    def __str__(self):
-        if not self.indices:
-            return "1"
-        labels = self.alphabet._labels
-        return "".join(labels[i - 1] for i in self.indices)
-
-
-# The unchecked constructors store each slot through its descriptor's
-# __set__, one C call that bypasses the refusing __setattr__.
-_set_word_alphabet = Word.alphabet.__set__
-_set_word_indices = Word.indices.__set__
-_set_word_degree = Word.degree.__set__
-
-
 def index_key(degrees, indices: tuple):
     """Sort key for the rewriting order on a letter-index tuple: degree, then
     length, then reverse lex.  Larger key = larger in the rewriting order, so
@@ -150,31 +97,27 @@ def index_key(degrees, indices: tuple):
     return (sum(degrees[i - 1] for i in indices), len(indices), tuple(-i for i in indices))
 
 
-def rewrite_key(w: Word):
-    """``index_key`` of a Word."""
-    return index_key(w.alphabet.degrees, w.indices)
-
-
 class NCPoly:
     """Exact-coefficient noncommutative polynomial: a finite map word -> coeff.
 
-    Terms are stored keyed by letter-index tuples, never by Words.  The
-    constructor and ``coeff`` take Words; ``terms``, ``words``, ``max_word``
-    and ``min_lex_word`` build the Words they return.  Coefficients are ints
-    or Fractions; zero terms are never stored.  Instances are immutable;
-    arithmetic returns new objects.
+    Words are letter-index tuples; coefficients are ints or Fractions, and
+    zero terms are never stored.  Instances are immutable; arithmetic returns
+    new objects.
     """
 
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: Alphabet, terms=None):
+        size = alphabet.size
         clean = {}
         for word, coeff in (terms or {}).items():
-            if not isinstance(word, Word):
-                raise TypeError("NCPoly keys must be Words")
-            _same_alphabet(alphabet, word.alphabet)
+            if type(word) is not tuple:
+                raise TypeError("NCPoly keys must be tuples of letter indices")
+            for i in word:
+                if not 1 <= i <= size:
+                    raise ValueError(f"letter {i} is outside 1..{size}")
             if coeff != 0:
-                clean[word.indices] = coeff
+                clean[word] = coeff
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_terms", clean)
 
@@ -196,34 +139,23 @@ class NCPoly:
 
     @classmethod
     def one(cls, alphabet):
-        return cls(alphabet, {alphabet.one(): 1})
-
-    @classmethod
-    def monomial(cls, word: Word, coeff=1):
-        return cls(word.alphabet, {word: coeff})
+        return cls(alphabet, {(): 1})
 
     @classmethod
     def letter(cls, alphabet, index: int):
-        return cls.monomial(alphabet.word((index,)))
+        return cls(alphabet, {(index,): 1})
 
     # ---- inspection ----------------------------------------------------
     def terms(self):
         """Deterministic (word, coeff) pairs, sorted by (degree, length, lex)."""
-        alphabet = self.alphabet
-        return sorted(
-            ((Word(alphabet, t), c) for t, c in self._terms.items()),
-            key=lambda t: (t[0].degree, len(t[0]), t[0].indices),
-        )
+        degree = self.alphabet.degree
+        return sorted(self._terms.items(), key=lambda t: (degree(t[0]), len(t[0]), t[0]))
 
-    def coeff(self, word: Word):
-        """The coefficient of ``word``; 0 for a word over another alphabet."""
-        if word.alphabet != self.alphabet:
-            return 0
-        return self._terms.get(word.indices, 0)
+    def coeff(self, word):
+        return self._terms.get(word, 0)
 
     def words(self):
-        alphabet = self.alphabet
-        return {Word(alphabet, t) for t in self._terms}
+        return set(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -231,7 +163,7 @@ class NCPoly:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def max_word(self) -> Word:
+    def max_word(self):
         """The maximal word in the rewriting order.
 
         Only the terms of top degree, then of top length among those, are
@@ -249,12 +181,7 @@ class NCPoly:
             elif d == top:
                 tops.append(t)
         longest = max(map(len, tops))
-        return Word(self.alphabet, min(t for t in tops if len(t) == longest))
-
-    def min_lex_word(self) -> Word:
-        if not self._terms:
-            raise ValueError("zero polynomial has no minimal word")
-        return Word(self.alphabet, min(self._terms))
+        return min(t for t in tops if len(t) == longest)
 
     # ---- arithmetic ----------------------------------------------------
     def __add__(self, other: "NCPoly") -> "NCPoly":
@@ -309,7 +236,7 @@ class NCPoly:
             return "0"
         parts = []
         for w, c in self.terms():
-            s = str(w)
+            s = self.alphabet.spell(w)
             if c == 1:
                 parts.append(s if parts == [] else f"+ {s}")
             elif c == -1:

@@ -13,6 +13,7 @@ def test_module_doctests_pass():
         assert result.failed == 0, info.name
         attempted[info.name] = result.attempted
     assert sum(attempted.values()) >= 8  # 0 would mean none ran
-    # linalg's documents the row format that nullspace returns
-    for name in ("linalg", "series", "abelian"):
+    # linalg's documents the row format that nullspace returns, and words'
+    # that a word is a plain letter-index tuple
+    for name in ("linalg", "series", "abelian", "words"):
         assert attempted[name] >= 1, name

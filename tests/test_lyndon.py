@@ -23,7 +23,7 @@ from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace.selftest import GRID
 from loopspace.series import sphere_summand_counts
-from loopspace.words import Alphabet, NCPoly, Word, bracket
+from loopspace.words import Alphabet, NCPoly, bracket
 
 import linalg_oracle
 from linalg_oracle import sparse
@@ -80,20 +80,20 @@ def _all_words(q, length):
 
 class TestEnumeration:
     def test_two_letters_length_three(self):
-        found = [w.indices for w in enumerate_lyndon(AB, 3)[3]]
+        found = enumerate_lyndon(AB, 3)[3]
         assert found == [(1, 1, 2), (1, 2, 2)]
         assert len(found) == necklace_count(2, 3)
 
     def test_single_letter_alphabet(self):
         single = Alphabet.from_degrees((1,), labels=("a",))
         by_degree = enumerate_lyndon(single, 5)
-        assert [w.indices for w in by_degree[1]] == [(1,)]
+        assert by_degree[1] == [(1,)]
         assert all(not by_degree[d] for d in range(2, 6))
 
     def test_manifold_alphabet_degree_two(self):
         # u1', u2' (single letters of degree 2) and u1u2; exhaustive check
         a = loop_alphabet(2, 2)
-        found = {str(w) for w in enumerate_lyndon(a, 2)[2]}
+        found = {a.spell(w) for w in enumerate_lyndon(a, 2)[2]}
         assert found == {"u1'", "u2'", "u1u2"}
         brute = {
             w
@@ -116,33 +116,27 @@ class TestEnumeration:
             listed = enumerate_lyndon(pres.alphabet, 8)
             standard = standard_lyndon(pres, 8)
             for d in range(1, 9):
-                for words in (
-                    [w.indices for w in listed[d]],
-                    [w.indices for w, _b in standard[d]],
-                ):
+                for words in (listed[d], [w for w, _b in standard[d]]):
                     assert all(a < b for a, b in zip(words, words[1:])), (n, r, d)
 
     @pytest.mark.parametrize("n,r", GRID)
     def test_walk_built_words_match_checked_words(self, n, r):
-        # the walk builds its Words unchecked, with the degree it already knows
+        # the walk lists its letter tuples with no check: each must pass the
+        # checked constructor and have the degree it is listed under
         pres = loop_presentation(ManifoldModel(n, r))
         alphabet = pres.alphabet
         listed = enumerate_lyndon(alphabet, 7)
         standard = standard_lyndon(pres, 7)
         for d in range(1, 8):
-            for word in listed[d] + [w for w, _b in standard[d]]:
-                checked = Word(alphabet, word.indices)
-                assert word == checked and word.alphabet is alphabet
-                assert type(word.indices) is tuple
-                assert (word.degree, hash(word), str(word)) == (
-                    d, hash(checked), str(checked)
-                ), word
+            words = listed[d] + [w for w, _b in standard[d]]
+            assert all(type(word) is tuple and alphabet.degree(word) == d for word in words)
+            assert NCPoly(alphabet, dict.fromkeys(words, 1)).words() == set(words)
 
     def test_enumeration_complete_and_duplicate_free(self):
         a = loop_alphabet(2, 2)
         by_degree = enumerate_lyndon(a, 5)
         for d in range(1, 6):
-            words = [w.indices for w in by_degree[d]]
+            words = by_degree[d]
             assert len(words) == len(set(words))
             brute = {
                 w
@@ -358,8 +352,7 @@ class TestFactorization:
 
     def _check_soundness(self, by_degree):
         for words in by_degree.values():
-            for w in words:
-                idx = w.indices
+            for idx in words:
                 if len(idx) < 2:
                     continue
                 left, right = standard_factorization(idx)
@@ -394,7 +387,7 @@ class _FactorTree:
 
     def bracketing(self, alphabet):
         if self.factors is None:
-            return NCPoly.monomial(Word(alphabet, self.indices))
+            return NCPoly(alphabet, {self.indices: 1})
         left, right = self.factors
         return bracket(left.bracketing(alphabet), right.bracketing(alphabet))
 
@@ -406,14 +399,14 @@ def _factor_tree_standard(pres, cap):
     out = {}
     for d in range(1, cap + 1):
         trees = [_FactorTree(tuple(i + 1 for i in w)) for w in listed[d]]
-        out[d] = [(Word(pres.alphabet, t.indices), t.bracketing(pres.alphabet)) for t in trees]
+        out[d] = [(t.indices, t.bracketing(pres.alphabet)) for t in trees]
     return out
 
 
 def _free_bracketing(alphabet, indices):
     """b(l) for one Lyndon word, read off standard_lyndon of the free algebra."""
-    word = Word(alphabet, indices)
-    return dict(standard_lyndon(QuadraticPresentation(alphabet), word.degree)[word.degree])[word]
+    degree = alphabet.degree(indices)
+    return dict(standard_lyndon(QuadraticPresentation(alphabet), degree)[degree])[indices]
 
 
 class TestBracketing:
@@ -421,15 +414,12 @@ class TestBracketing:
         assert _free_bracketing(AB, (1,)) == NCPoly.letter(AB, 1)
 
     def test_two_letters(self):
-        expected = NCPoly(AB, {Word(AB, (1, 2)): 1, Word(AB, (2, 1)): -1})
+        expected = NCPoly(AB, {(1, 2): 1, (2, 1): -1})
         assert _free_bracketing(AB, (1, 2)) == expected
 
     def test_aab_expansion(self):
         # [a,[a,b]] expanded by hand: aab - 2 aba + baa
-        expected = NCPoly(
-            AB,
-            {Word(AB, (1, 1, 2)): 1, Word(AB, (1, 2, 1)): -2, Word(AB, (2, 1, 1)): 1},
-        )
+        expected = NCPoly(AB, {(1, 1, 2): 1, (1, 2, 1): -2, (2, 1, 1): 1})
         assert _free_bracketing(AB, (1, 1, 2)) == expected
 
     def test_leading_term_triangularity(self):
@@ -437,8 +427,8 @@ class TestBracketing:
         by_degree = standard_lyndon(QuadraticPresentation(a), 6)
         for d in range(1, 7):
             for word, bracketing in by_degree[d]:
-                assert word.degree == d
-                assert bracketing.min_lex_word() == word
+                assert a.degree(word) == d
+                assert min(bracketing.words()) == word
                 assert bracketing.coeff(word) == 1
 
     def test_integer_coefficients(self):
@@ -466,7 +456,7 @@ class TestStandardWords:
         assert exclusion_bigram(QuadraticPresentation(AB)) is None
 
     def test_non_commutator_relation_rejected(self):
-        rel = NCPoly.monomial(Word(AB, (1, 2)))  # ab alone is not antisymmetric
+        rel = NCPoly(AB, {(1, 2): 1})  # ab alone is not antisymmetric
         pres = QuadraticPresentation(AB, rel)
         with pytest.raises(PresentationError):
             exclusion_bigram(pres)
@@ -474,14 +464,14 @@ class TestStandardWords:
     def test_rank_one_standard_words(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         std = standard_lyndon(pres, 5)
-        assert [str(w) for w, _b in std[1]] == ["u1"]
-        assert [str(w) for w, _b in std[2]] == ["u1'"]
+        assert [pres.alphabet.spell(w) for w, _b in std[1]] == ["u1"]
+        assert [pres.alphabet.spell(w) for w, _b in std[2]] == ["u1'"]
         assert all(not std[d] for d in range(3, 6))
 
     def test_rank_two_degree_three(self):
         pres = loop_presentation(ManifoldModel(2, 2))
         std = standard_lyndon(pres, 3)
-        words = {str(w) for w, _b in std[3]}
+        words = {pres.alphabet.spell(w) for w, _b in std[3]}
         assert len(words) == 5
         assert "u1u1'" not in words
         # PBW oracle: dim A_3 = 15 decomposes as
@@ -567,15 +557,7 @@ class TestIndependence:
         # [a,b] + [a,c] is [a, b+c] after a change of basis, so the standard
         # words must still be independent
         abc = Alphabet.from_degrees((1, 1, 1), labels=("a", "b", "c"))
-        rel = NCPoly(
-            abc,
-            {
-                Word(abc, (1, 2)): 1,
-                Word(abc, (2, 1)): -1,
-                Word(abc, (1, 3)): 1,
-                Word(abc, (3, 1)): -1,
-            },
-        )
+        rel = NCPoly(abc, {(1, 2): 1, (2, 1): -1, (1, 3): 1, (3, 1): -1})
         pres = QuadraticPresentation(abc, rel)
         report = independence_certificate(pres, 4)
         for d, (count, rank, _dim) in report.items():
@@ -638,7 +620,7 @@ class TestIndependence:
         def doubled(p, pr):
             nf = normal_form(p, pr)
             if p == target:
-                nf = nf + NCPoly.monomial(word, nf.coeff(word))
+                nf = nf + NCPoly(pr.alphabet, {word: nf.coeff(word)})
             return nf
 
         # the broken rows still have full rank mod P: 2 is a unit there
@@ -648,43 +630,26 @@ class TestIndependence:
         monkeypatch.setattr(lyndon_mod, "normal_form", doubled)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 3)
-        assert str(err.value) == f"degree 3: NF(b({word})) is not +-{word} plus lex-larger words"
-        assert str(word) == "u1u2u2"
+        spelled = pres.alphabet.spell(word)
+        assert str(err.value) == f"degree 3: NF(b({spelled})) is not +-{spelled} plus lex-larger words"
+        assert spelled == "u1u2u2"
 
     def test_lex_smaller_term_fails_triangularity(self, monkeypatch):
         import loopspace.lyndon as lyndon_mod
 
         pres = loop_presentation(ManifoldModel(2, 2))
         word, target = standard_lyndon(pres, 3)[3][1]
-        smaller = Word(pres.alphabet, (1, 1, 1))
-        assert smaller.indices < word.indices and smaller.degree == 3
+        smaller = (1, 1, 1)
+        assert smaller < word and pres.alphabet.degree(smaller) == 3
 
         def lowered(p, pr):
             nf = normal_form(p, pr)
-            return nf + NCPoly.monomial(smaller, 5) if p == target else nf
+            return nf + NCPoly(pr.alphabet, {smaller: 5}) if p == target else nf
 
         monkeypatch.setattr(lyndon_mod, "normal_form", lowered)
         with pytest.raises(ComputationFailure) as err:
             independence_certificate(pres, 3)
-        assert str(err.value) == f"degree 3: NF(b({word})) is not +-{word} plus lex-larger words"
-
-    def test_standard_word_over_another_alphabet_fails_triangularity(self, monkeypatch):
-        import loopspace.lyndon as lyndon_mod
-
-        pres = loop_presentation(ManifoldModel(2, 2))
-        other = Alphabet.from_degrees(pres.alphabet.degrees, labels=("a", "b", "c", "d"))
-        real = lyndon_mod.standard_lyndon
-
-        def relabelled(p, cap):
-            table = real(p, cap)
-            word, b = table[2][0]
-            table[2][0] = (Word(other, word.indices), b)
-            return table
-
-        monkeypatch.setattr(lyndon_mod, "standard_lyndon", relabelled)
-        with pytest.raises(ComputationFailure) as err:
-            independence_certificate(pres, 2)
-        assert str(err.value) == "degree 2: NF(b(ac)) is not +-ac plus lex-larger words"
+        assert str(err.value) == "degree 3: NF(b(u1u2u2)) is not +-u1u2u2 plus lex-larger words"
 
     def test_row_summing_two_others_is_hard_failure(self, monkeypatch):
         import loopspace.lyndon as lyndon_mod
@@ -750,7 +715,7 @@ def _two_commutators(c1, c2):
     """c1 (u1 u1' - u1' u1) + c2 (u2 u2' - u2' u2)."""
     return NCPoly(
         U,
-        {Word(U, (1, 2)): c1, Word(U, (2, 1)): -c1, Word(U, (3, 4)): c2, Word(U, (4, 3)): -c2},
+        {(1, 2): c1, (2, 1): -c1, (3, 4): c2, (4, 3): -c2},
     )
 
 
@@ -773,5 +738,5 @@ def _nf_row(nf, basis_words):
     index = {w: i for i, w in enumerate(basis_words)}
     row = [0] * len(basis_words)
     for w, c in nf.terms():
-        row[index[w.indices]] = c
+        row[index[w]] = c
     return row

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from loopspace.errors import AlphabetMismatch
-from loopspace.lyndon import standard_lyndon
+from loopspace.lyndon import enumerate_lyndon, standard_lyndon
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace import selftest
-from loopspace.words import Alphabet, NCPoly, Word, bracket, index_key, rewrite_key
+from loopspace.words import Alphabet, NCPoly, bracket, index_key
 
 from word_oracles import (
     find_bigram,
@@ -23,12 +23,8 @@ A22 = loop_alphabet(2, 2)   # u1 < u1' < u2 < u2', degrees 1, 2, 1, 2
 AB = Alphabet.from_degrees((1, 1), labels=("a", "b"))
 
 
-def w(alphabet, *indices):
-    return Word(alphabet, indices)
-
-
 def random_word(rng, alphabet, max_len=5):
-    return Word(alphabet, tuple(rng.randint(1, alphabet.size) for _ in range(rng.randint(0, max_len))))
+    return tuple(rng.randint(1, alphabet.size) for _ in range(rng.randint(0, max_len)))
 
 
 def random_poly(rng, alphabet, max_terms=4):
@@ -39,15 +35,19 @@ def random_poly(rng, alphabet, max_terms=4):
     return NCPoly(alphabet, terms)
 
 
+def rewrite_order(word):
+    """``index_key`` over A22."""
+    return index_key(A22.degrees, word)
+
+
 # lex order on letter indices (Lyndon words, NCPoly.terms) and the rewriting order
-ORDER_KEYS = {"lex": lambda word: word.indices, "rewrite": rewrite_key}
+ORDER_KEYS = {"lex": lambda word: word, "rewrite": rewrite_order}
 
 
 class TestOrders:
     def test_reflexivity(self):
         for key in ORDER_KEYS.values():
-            assert key(w(A22, 1)) == key(w(A22, 1))
-            assert key(w(A22, 1, 2)) == key(A22.word((1, 2)))
+            assert key((1,)) == key((1,))
 
     @pytest.mark.parametrize("scheme", ["lex", "rewrite"])
     def test_total_order_properties(self, scheme):
@@ -67,31 +67,32 @@ class TestOrders:
 
 class TestRewriteKey:
     def test_degree_dominates_length(self):
-        assert rewrite_key(w(A22, 1, 1, 1)) < rewrite_key(w(A22, 4, 4))   # degree 3 < 4
-        assert rewrite_key(w(A22, 2)) < rewrite_key(w(A22, 1, 1))         # degree 2, length 1 < 2
+        assert rewrite_order((1, 1, 1)) < rewrite_order((4, 4))   # degree 3 < 4
+        assert rewrite_order((2,)) < rewrite_order((1, 1))         # degree 2, length 1 < 2
 
     def test_equal_degree_and_length_reverses_lex(self):
         # u2u2' is lex-bigger than u1u1', so it is the smaller word
-        assert rewrite_key(w(A22, 3, 4)) < rewrite_key(w(A22, 1, 2))
-        assert rewrite_key(w(A22, 3, 1)) < rewrite_key(w(A22, 1, 3))
+        assert rewrite_order((3, 4)) < rewrite_order((1, 2))
+        assert rewrite_order((3, 1)) < rewrite_order((1, 3))
 
     def test_compatible_with_concatenation(self):
-        # u < v implies a u b < a v b: the rewriting order is a monomial order
+        # u < v implies a u b < a v b: the rewriting order is a monomial order,
+        # which the diamond lemma needs for rewriting to terminate
         rng = random.Random(5)
         pool = [random_word(rng, A22, max_len=4) for _ in range(60)]
         checked = 0
         for w1 in pool:
             for w2 in pool:
-                if not rewrite_key(w1) < rewrite_key(w2):
+                if not rewrite_order(w1) < rewrite_order(w2):
                     continue
                 a, b = random_word(rng, A22, 2), random_word(rng, A22, 2)
-                assert rewrite_key(a * w1 * b) < rewrite_key(a * w2 * b)
+                assert rewrite_order(a + w1 + b) < rewrite_order(a + w2 + b)
                 checked += 1
         assert checked > 10
 
     def test_max_word_is_rewrite_maximum(self):
-        p = NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 2, 1): -1, w(A22, 3, 4): 2, w(A22, 1, 1): 5})
-        assert p.max_word() == w(A22, 1, 2)
+        p = NCPoly(A22, {(1, 2): 1, (2, 1): -1, (3, 4): 2, (1, 1): 5})
+        assert p.max_word() == (1, 2)
 
     @pytest.mark.parametrize("degrees", [(1, 2, 1, 2), (1, 1, 2, 3), (2, 2, 2)])
     def test_max_word_is_index_key_max(self, degrees):
@@ -103,39 +104,30 @@ class TestRewriteKey:
             terms = {}
             for _ in range(rng.randint(1, 8)):
                 word = tuple(rng.randint(1, len(degrees)) for _ in range(rng.randint(0, 3)))
-                terms[Word(alphabet, word)] = rng.choice((-1, 1, 2))
+                terms[word] = rng.choice((-1, 1, 2))
             p = NCPoly(alphabet, terms)
             keys = sorted((index_key(degrees, t) for t in p._terms), reverse=True)
             tied += len(keys) > 1 and keys[0][:2] == keys[1][:2]
-            assert p.max_word().indices == max(p._terms, key=lambda t: index_key(degrees, t))
+            assert p.max_word() == max(p._terms, key=lambda t: index_key(degrees, t))
         assert tied >= 20
-
-
-class TestWord:
-    def test_mismatched_alphabets_rejected(self):
-        with pytest.raises(AlphabetMismatch):
-            w(A22, 1) * w(AB, 1)
 
 
 class TestNCPoly:
     def test_unit(self):
-        p = NCPoly.monomial(w(A22, 1, 2), 3)
+        p = NCPoly(A22, {(1, 2): 3})
         assert NCPoly.one(A22) * p == p
         assert p * NCPoly.one(A22) == p
 
     def test_concatenation(self):
         u1 = NCPoly.letter(A22, 1)
         u1p = NCPoly.letter(A22, 2)
-        assert u1 * u1p == NCPoly.monomial(w(A22, 1, 2))
+        assert u1 * u1p == NCPoly(A22, {(1, 2): 1})
 
     def test_bilinearity_keeps_noncommutativity(self):
         u1 = NCPoly.letter(A22, 1)
         u2 = NCPoly.letter(A22, 3)
         prod = (u1 - u2) * (u1 + u2)
-        expected = NCPoly(
-            A22,
-            {w(A22, 1, 1): 1, w(A22, 1, 3): 1, w(A22, 3, 1): -1, w(A22, 3, 3): -1},
-        )
+        expected = NCPoly(A22, {(1, 1): 1, (1, 3): 1, (3, 1): -1, (3, 3): -1})
         assert prod == expected
 
     def test_zero_terms_pruned(self):
@@ -175,13 +167,11 @@ class TestNCPoly:
 
 
 def _random_homogeneous(rng, degree):
-    from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words
-
     free = QuadraticPresentation(A22)
     words = enumerate_irreducible_words(free, degree)[degree]
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        terms[Word(A22, rng.choice(words))] = rng.choice((-2, -1, 1, 2))
+        terms[rng.choice(words)] = rng.choice((-2, -1, 1, 2))
     return NCPoly(A22, terms)
 
 
@@ -195,7 +185,7 @@ class TestBracket:
     def test_definition(self):
         u1 = NCPoly.letter(A22, 1)
         u1p = NCPoly.letter(A22, 2)
-        expected = NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 2, 1): -1})
+        expected = NCPoly(A22, {(1, 2): 1, (2, 1): -1})
         assert bracket(u1, u1p) == expected
 
     def test_antisymmetry_pairs(self):
@@ -220,7 +210,7 @@ class TestBracket:
         """Up to five terms over A22: words of length 0-4, int and Fraction coefficients."""
         terms = {}
         for _ in range(rng.randint(0, 5)):
-            word = Word(A22, tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4))))
+            word = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
             c = rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3)))
             terms[word] = terms.get(word, 0) + c
         return NCPoly(A22, terms)
@@ -244,7 +234,7 @@ class TestBracket:
         assert (bracket(x, y) + bracket(y, x)).is_zero()
         assert bracket(x, x)._terms == {}
         # words that commute cancel too: powers of one letter, and the unit
-        power = NCPoly.monomial(w(A22, 3, 3), Fraction(7, 2))
+        power = NCPoly(A22, {(3, 3): Fraction(7, 2)})
         assert bracket(power, NCPoly.letter(A22, 3))._terms == {}
         unit = NCPoly.one(A22).scale(Fraction(-1, 4))
         for _ in range(50):
@@ -259,57 +249,79 @@ class TestBracket:
             bracket(NCPoly.zero(AB), NCPoly.zero(A22))
 
 
+def assert_plain_words(words, size):
+    """Each word is a plain tuple of int letters in 1..size."""
+    for word in words:
+        assert type(word) is tuple, word
+        assert all(type(i) is int and 1 <= i <= size for i in word), word
+
+
 class TestWordBoundary:
-    """Terms are keyed by index tuples inside; only checked Words come out."""
+    """A word is a plain letter-index tuple on the way in and on the way out."""
 
     def mixed(self):
         """Degrees 3, 4, 6 and 1 over A22, with int and Fraction coefficients."""
         u1, u1p, u2 = (NCPoly.letter(A22, i) for i in (1, 2, 3))
         return u1 * u1p - (u2 * u2 * u1p).scale(Fraction(3, 2)) + (u1p * u1p * u1p).scale(2) - u2
 
-    def test_coeff_of_a_word_over_another_alphabet_is_zero(self):
-        p = self.mixed()
-        assert p.coeff(w(A22, 1, 2)) == 1
-        assert p.coeff(w(AB, 1, 2)) == 0
+    def test_constructor_refuses_letters_outside_the_alphabet(self):
+        for letter in (0, A22.size + 1):
+            with pytest.raises(ValueError, match=rf"letter {letter} is outside 1\.\.4"):
+                NCPoly(A22, {(1, 2): 1, (3, letter): 1})
+        with pytest.raises(ValueError, match="letter 3 is outside 1..2"):
+            NCPoly.letter(AB, 3)
+        with pytest.raises(TypeError, match="tuples of letter indices"):
+            NCPoly(A22, {1: 1})
 
     def test_handed_out_words_rebuild_with_their_degree(self):
         p = self.mixed()
         assert homogeneous_degree(p) is None
-        handed = [word for word, _c in p.terms()] + list(p.words()) + [p.max_word(), p.min_lex_word()]
-        for word in handed:
-            assert isinstance(word, Word), word
-            again = Word(A22, word.indices)
-            assert word == again and word.degree == again.degree, word
-        assert [word.degree for word, _c in p.terms()] == [1, 3, 4, 6]
-        assert p.max_word() == w(A22, 2, 2, 2)
-        assert p.min_lex_word() == w(A22, 1, 2)
+        handed = [word for word, _c in p.terms()] + list(p.words()) + [p.max_word()]
+        assert_plain_words(handed, A22.size)
+        assert p == NCPoly(A22, {word: p.coeff(word) for word in p.words()})
+        assert [A22.degree(word) for word, _c in p.terms()] == [1, 3, 4, 6]
+        assert p.max_word() == (2, 2, 2)
+        assert [A22.spell(word) for word, _c in p.terms()] == ["u2", "u1u1'", "u2u2u1'", "u1'u1'u1'"]
+        assert A22.spell(()) == "1" and A22.degree(()) == 0
 
     def test_arithmetic_and_constructor_agree_and_hash_alike(self):
         built = NCPoly(
-            A22,
-            {w(A22, 1, 2): 1, w(A22, 3, 3, 2): Fraction(-3, 2), w(A22, 2, 2, 2): 2, w(A22, 3): -1},
+            A22, {(1, 2): 1, (3, 3, 2): Fraction(-3, 2), (2, 2, 2): 2, (3,): -1}
         )
         p = self.mixed()
         assert p == built and hash(p) == hash(built)
 
+    @pytest.mark.parametrize("n,r", selftest.GRID)
+    def test_every_returned_word_is_a_plain_tuple(self, n, r):
+        pres = loop_presentation(ManifoldModel(n, r))
+        alphabet = pres.alphabet
+        handed = [pres.leading]
+        for words in enumerate_irreducible_words(pres, 6).values():
+            handed += words
+        for words in enumerate_lyndon(alphabet, 6).values():
+            handed += words
+        polys = [pres.relation, pres.lower_terms]
+        for pairs in standard_lyndon(pres, 6).values():
+            for word, bracketing in pairs:
+                handed.append(word)
+                polys += [bracketing, normal_form(bracketing, pres)]
+        for p in polys:
+            handed += [word for word, _c in p.terms()] + list(p.words()) + [p.max_word()]
+        assert len(handed) > 30  # every source handed out words
+        assert_plain_words(handed, alphabet.size)
+
 
 # Products, sums, negation, scaling and normal forms build their NCPolys with
-# the internal unchecked constructor, keyed by index tuples, and the
-# irreducible-word walk returns bare tuples.  Each result must equal its
-# rebuild through the checked constructors, and every Word it hands out must
-# carry its degree.
+# the internal unchecked constructor, and the irreducible-word walk returns
+# bare tuples.  Each result must equal its rebuild through the checked
+# constructor, which checks every letter of every word.
 def assert_rebuilds(p):
-    for word, _c in p.terms():
-        again = Word(word.alphabet, word.indices)
-        assert word == again and word.degree == again.degree, word
     assert p == NCPoly(p.alphabet, dict(p.terms()))
 
 
 # x3 x2 -> 2 x1 x1 lowers the degree by 3: the normal form must shift it
 A1234 = Alphabet.from_degrees((1, 2, 3, 4))
-NON_HOMOGENEOUS = QuadraticPresentation(
-    A1234, NCPoly(A1234, {w(A1234, 3, 2): 1, w(A1234, 1, 1): -2})
-)
+NON_HOMOGENEOUS = QuadraticPresentation(A1234, NCPoly(A1234, {(3, 2): 1, (1, 1): -2}))
 FUZZ_PRESENTATIONS = {
     f"{n},{r}": loop_presentation(ManifoldModel(n, r)) for n, r in selftest.GRID
 }
@@ -337,15 +349,15 @@ class TestUncheckedConstructors:
         assert reduced >= 5  # the inputs do get rewritten
 
     def test_normal_form_still_refuses_a_foreign_alphabet(self):
-        p = NCPoly.monomial(w(AB, 1, 2))
+        p = NCPoly(AB, {(1, 2): 1})
         with pytest.raises(AlphabetMismatch):
             normal_form(p, FUZZ_PRESENTATIONS["2,2"])
 
     def test_non_homogeneous_degree_shift(self):
         a = NON_HOMOGENEOUS.alphabet
-        nf = normal_form(NCPoly.monomial(Word(a, (4, 3, 2, 1))), NON_HOMOGENEOUS)
-        assert nf == NCPoly(a, {Word(a, (4, 1, 1, 1)): 2})
-        assert [word.degree for word, _c in nf.terms()] == [7]
+        nf = normal_form(NCPoly(a, {(4, 3, 2, 1): 1}), NON_HOMOGENEOUS)
+        assert nf == NCPoly(a, {(4, 1, 1, 1): 2})
+        assert [a.degree(word) for word, _c in nf.terms()] == [7]
 
     @pytest.mark.parametrize("name", FUZZ_PRESENTATIONS)
     def test_bracketings_rebuild(self, name):
@@ -355,31 +367,26 @@ class TestUncheckedConstructors:
                 assert_rebuilds(-bracketing)
 
     def test_unchecked_objects_equal_checked_twins_and_stay_immutable(self):
-        # the unchecked constructors store their slots past __setattr__,
-        # which must still refuse every assignment afterwards
-        word = Word._unchecked(A22, (1, 2, 3), 4)
-        twin = Word(A22, (1, 2, 3))
-        assert word == twin and hash(word) == hash(twin)
-        assert (word.alphabet, word.indices, word.degree) == (A22, (1, 2, 3), 4)
+        # the unchecked constructor stores its slots past __setattr__, which
+        # must still refuse every assignment afterwards
         terms = {(1, 2): 1, (3,): Fraction(-3, 2)}
         poly = NCPoly._unchecked(A22, terms)
-        assert poly == NCPoly(A22, {w(A22, 1, 2): 1, w(A22, 3): Fraction(-3, 2)})
+        twin = NCPoly(A22, {(1, 2): 1, (3,): Fraction(-3, 2)})
+        assert poly == twin and hash(poly) == hash(twin)
         assert poly._terms is terms and poly.alphabet is A22
-        slots = ((word, ("alphabet", "indices", "degree")), (poly, ("alphabet", "_terms")))
-        for obj, names in slots:
-            for name in (*names, "other"):
-                with pytest.raises(AttributeError):
-                    setattr(obj, name, None)
-        assert word.indices == (1, 2, 3) and poly._terms is terms
+        for name in ("alphabet", "_terms", "other"):
+            with pytest.raises(AttributeError):
+                setattr(poly, name, None)
+        assert poly._terms is terms
 
     @pytest.mark.parametrize("name", REWRITTEN)
     def test_irreducible_words_rebuild(self, name):
         alphabet = REWRITTEN[name].alphabet
         for degree, words in enumerate_irreducible_words(REWRITTEN[name], 8).items():
             assert words == sorted(words, key=lambda t: (len(t), t))
-            for indices in words:
-                assert type(indices) is tuple
-                assert Word(alphabet, indices).degree == degree, indices
+            assert_plain_words(words, alphabet.size)
+            assert all(alphabet.degree(word) == degree for word in words)
+            assert NCPoly(alphabet, dict.fromkeys(words, 1)).term_count() == len(words)
 
 
 # The fuzz's polynomials are fixed by its seed: the letter draws, the term
@@ -429,7 +436,7 @@ class TestFuzzOracles:
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
     def test_normal_form_matches_find_bigram_route(self, name, strategy):
         pres = REWRITTEN[name]
-        a, b = pres.leading_pair()
+        a, b = pres.leading
         alphabet = pres.alphabet
         edge_cases = [
             (b, b, a, b),        # the bigram at the last position
@@ -440,8 +447,8 @@ class TestFuzzOracles:
             (a, b, a, b),
             (a, a, b, b),
         ]
-        polys = [NCPoly.monomial(Word(alphabet, word)) for word in edge_cases]
-        polys.append(NCPoly(alphabet, {Word(alphabet, word): k for k, word in enumerate(edge_cases, 1)}))
+        polys = [NCPoly(alphabet, {word: 1}) for word in edge_cases]
+        polys.append(NCPoly(alphabet, {word: k for k, word in enumerate(edge_cases, 1)}))
         rng = random.Random(f"find_bigram/{name}")
         polys += [selftest.random_poly(pres, rng) for _ in range(200)]
         for p in polys:

@@ -5,12 +5,13 @@ to the rewriting layer's results, as test oracles.
 Lyndon and irreducible words directly.  The tests use them to check those
 walks and the rewriting against the definitions.  The plainer routes, a
 bigram search per word, a stack walk sorted afterwards and letter draws
-through ``randint`` and checked Words, must give the same results as the
-library's, in the same order.
+through ``randint`` and the checked ``NCPoly`` constructor, must give the
+same results as the library's, in the same order.  A word is its tuple of
+letter indices, as in the library.
 """
 
 from loopspace.selftest import FUZZ_MAX_DEGREE, FUZZ_MAX_TERMS
-from loopspace.words import NCPoly, Word
+from loopspace.words import NCPoly
 
 
 def is_lyndon(indices) -> bool:
@@ -27,13 +28,12 @@ def is_irreducible(word, pres) -> bool:
     """True iff the presentation's leading bigram does not occur in the word."""
     if pres.is_free:
         return True
-    indices = word.indices
-    return pres.leading_pair() not in zip(indices, indices[1:])
+    return pres.leading not in zip(word, word[1:])
 
 
 def homogeneous_degree(poly):
     """The degree shared by every word of the polynomial, or None."""
-    degrees = {word.degree for word in poly.words()}
+    degrees = {poly.alphabet.degree(word) for word in poly.words()}
     return degrees.pop() if len(degrees) == 1 else None
 
 
@@ -54,7 +54,7 @@ def normal_form_by_find_bigram(p, pres, strategy="leftmost"):
     """
     if pres.is_free:
         return p
-    a, b = pres.leading_pair()
+    a, b = pres.leading
     lower = list(pres.lower_terms._terms.items())
     done = {}
     pending = dict(p._terms)
@@ -79,8 +79,8 @@ def normal_form_by_find_bigram(p, pres, strategy="leftmost"):
 
 
 def random_poly_by_randint(pres, rng):
-    """``selftest.random_poly`` drawn letter by letter with ``randint``, through Words
-    and the checked ``NCPoly`` constructor."""
+    """``selftest.random_poly`` drawn letter by letter with ``randint``, through
+    the checked ``NCPoly`` constructor."""
     alphabet = pres.alphabet
     degrees = alphabet.degrees
     terms = {}
@@ -94,7 +94,7 @@ def random_poly_by_randint(pres, rng):
             indices.append(i)
             degree += degrees[i - 1]
         coeff = rng.choice((-3, -2, -1, 1, 2, 3))
-        word = Word(alphabet, indices)
+        word = tuple(indices)
         terms[word] = terms.get(word, 0) + coeff
     return NCPoly(alphabet, terms)
 
@@ -104,7 +104,7 @@ def irreducible_words_by_stack(pres, cap):
     degree then sorted into (length, lex) order: {degree: [tuple]}."""
     degrees = pres.alphabet.degrees
     size = pres.alphabet.size
-    forbidden = pres.leading_pair()
+    forbidden = pres.leading
     by_degree = {d: [] for d in range(cap + 1)}
     by_degree[0].append(())
     stack = [((i,), degrees[i - 1]) for i in range(1, size + 1) if degrees[i - 1] <= cap]
