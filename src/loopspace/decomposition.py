@@ -304,6 +304,8 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
     (see FiniteAbelianGroup.power), so its p[D-n] copies cost one tuple
     allocation per factor of G, not a Python step per copy.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if m.r < 1:
         raise SphereFallback(m.n, sigma_primes(m))
     poly = polynomial_ring_dims(m.n, cap)

@@ -36,8 +36,10 @@ row is rescaled, which keeps its values Fractions.
 The prime field serves the Lie-basis independence certificate: a rational
 matrix with denominators prime to p and full rank mod p has full rank over
 Q, and residues mod p stay bounded where Fraction entries grow.  Both
-fields serve the kernel relations of the form algebras, the Koszul dual and
-the weight dimensions of generic quadratic algebras.
+fields serve the Koszul layer (``koszul``): the kernel relations of the
+form algebras, the Koszul dual and the weight dimensions of generic
+quadratic algebras.  ``nullspace`` has no other caller, but it stays here
+beside ``rank`` because the two share ``_echelon``.
 """
 
 

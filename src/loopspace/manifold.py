@@ -1,11 +1,10 @@
-"""The (n, r, G) manifold model and its cohomology form algebras.
+"""The (n, r, G) manifold model and its loop-homology presentation.
 
 A closed (n-1)-connected manifold of dimension 2n+1 is determined, for
 every computation done here, by n >= 2, the middle free rank r and the
 finite torsion group G.  Homology follows the Poincare-duality pattern
-(Z, Z^r + G, Z^r, Z in degrees 0, n, n+1, 2n+1); with field coefficients the
-cohomology is a "form algebra": an identity, a vector space V, a top class z
-and a bilinear pairing V x V -> k picking out the products that land on z.
+(Z, Z^r + G, Z^r, Z in degrees 0, n, n+1, 2n+1).  Its cohomology form
+algebras, Koszul dual to the loop homology, live in ``koszul``.
 
 The loop-space homology is the tensor algebra on generators u_1, u_1', ...,
 u_r, u_r' (degrees n-1 and n) modulo the single commutator relation
@@ -17,7 +16,6 @@ import operator
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
-from .linalg import nullspace
 from .rewrite import QuadraticPresentation
 from .words import Alphabet, NCPoly
 
@@ -134,106 +132,3 @@ def loop_presentation(m: ManifoldModel) -> QuadraticPresentation:
         raise SphereFallback(m.n, sigma_primes(m))
     alphabet = loop_alphabet(m.n, m.r)
     return QuadraticPresentation(alphabet, loop_relation(alphabet))
-
-
-# ---------------------------------------------------------------------------
-# form algebras
-# ---------------------------------------------------------------------------
-
-class FormAlgebra:
-    """k + V + k z with products of V landing on z through a bilinear form.
-
-    ``vdims`` lists (degree, dim) blocks of V in basis order; ``matrix`` is
-    the full Gram matrix of the pairing on that basis; ``char`` is 0 for the
-    rationals or a prime p.  The pairing must be graded-symmetric.
-    """
-
-    def __init__(self, vdims, matrix, char: int = 0):
-        self.vdims = tuple((operator.index(d), operator.index(k)) for d, k in vdims)
-        self.char = char
-        dim = sum(k for _d, k in self.vdims)
-        matrix = [list(row) for row in matrix]
-        if len(matrix) != dim or any(len(row) != dim for row in matrix):
-            raise ValueError(f"form matrix must be {dim}x{dim}")
-        if char:
-            matrix = [[x % char for x in row] for row in matrix]
-        degrees = []
-        for d, k in self.vdims:
-            degrees.extend([d] * k)
-        for i in range(dim):
-            for j in range(dim):
-                sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
-                diff = matrix[i][j] - sign * matrix[j][i]
-                if diff % char if char else diff:
-                    raise ValueError("pairing is not graded-symmetric")
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self.degrees = tuple(degrees)
-
-    @property
-    def dim_v(self) -> int:
-        return len(self.matrix)
-
-    def pairing(self, v, w):
-        """Evaluate the form on two {index: coefficient} vectors."""
-        total = sum(a * self.matrix[i][j] * b for i, a in v.items() for j, b in w.items())
-        return total % self.char if self.char else total
-
-    def __repr__(self):
-        return f"FormAlgebra(dim V = {self.dim_v}, char {self.char})"
-
-
-def form_algebra_of(m: ManifoldModel, p: int = 0) -> FormAlgebra:
-    """Cohomology form algebra of the manifold with Z/p (or Q) coefficients.
-
-    V has dimension s in degrees n and n+1, where s = r + dim(G tensor Z/p);
-    the pairing is the hyperbolic one between the two blocks.
-    """
-    s = m.r + (m.torsion.tensor_dim_mod(p) if p else 0)
-    dim = 2 * s
-    matrix = [[0] * dim for _ in range(dim)]
-    for i in range(s):
-        matrix[i][s + i] = 1
-        matrix[s + i][i] = 1
-    return FormAlgebra(((m.n, s), (m.n + 1, s)), matrix, char=p)
-
-
-def _candidate_vectors(form: FormAlgebra):
-    dim = form.dim_v
-    for i in range(dim):
-        yield {i: 1}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            yield {i: 1, j: 1}
-            yield {i: 1, j: -1}  # pairing reduces mod the characteristic
-
-
-def is_quadratic(form: FormAlgebra) -> bool:
-    """Search for a hyperbolic pair v1, v2 (isotropic with pairing 1).
-
-    The search runs over the basis and two-term basis combinations; that is
-    enough for every pairing coming from the manifolds handled here.  A form
-    algebra that admits such a pair is the quadratic algebra on V with
-    relations the kernel of the pairing; without one, products of length 3
-    can survive and the algebra is not quadratic.  An empty V is vacuously
-    quadratic.
-    """
-    if form.dim_v == 0:
-        return True
-    candidates = list(_candidate_vectors(form))
-    isotropic = [v for v in candidates if form.pairing(v, v) == 0]
-    for v in isotropic:
-        for w in isotropic:
-            if form.pairing(v, w) != 0:
-                return True
-    return False
-
-
-def kernel_relations(form: FormAlgebra):
-    """Exact basis of Ker(V tensor V -> k) as rows {i*dim(V) + j: coefficient}.
-
-    They go unchanged into rewrite.koszul_dual and quadratic_weight_dims,
-    whose weight 3 is 0 when nothing lives above the form-algebra range
-    (the square form keeps its cube: >= 1)."""
-    dim = form.dim_v
-    row = {i * dim + j: x for i, line in enumerate(form.matrix) for j, x in enumerate(line) if x}
-    return nullspace([row], dim * dim, form.char)

@@ -8,16 +8,14 @@ avoiding the bigram; those irreducible words are a basis of the quotient
 algebra.
 
 On top of the rewriting engine this module counts irreducible words per
-degree (a linear recurrence over letter weights, cross-checkable against
-brute enumeration), decides the single-relation Koszulness criterion, and
-computes annihilator ("Koszul dual") relation spaces plus weight dimensions
-of arbitrary quadratic algebras by exact rank.
+degree, by a linear recurrence over letter weights that is
+cross-checkable against brute enumeration, and lists them.  The Koszul
+duality of these algebras is checked in ``koszul``.
 """
 
 from collections import Counter
 
-from . import linalg
-from .errors import ComputationFailure, PresentationError
+from .errors import PresentationError
 from .words import NCPoly, _same_alphabet
 
 
@@ -131,6 +129,8 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     cap; meant for low-degree cross-checks of the dynamic programming counts
     and for the certificate's columns.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     degrees = pres.alphabet.degrees
     a, b = pres.leading or (None, None)
     letters = [(i, w) for i, w in enumerate(degrees, 1) if w <= cap]
@@ -192,172 +192,3 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
             total -= dims[d - skip]
         dims[d] = total
     return dims
-
-
-def weight_dims(pres: QuadraticPresentation, cap: int) -> list:
-    """Irreducible-word counts graded by word length instead of degree."""
-    return hilbert_dims(pres, cap, weights=(1,) * pres.alphabet.size)
-
-
-# ---------------------------------------------------------------------------
-# Koszulness of a single relation
-# ---------------------------------------------------------------------------
-
-def is_koszul_single_relation(relation) -> bool:
-    """Decide the one-relation Koszulness criterion.
-
-    True iff some total reordering of the alphabet makes one bigram x_a x_b
-    with a != b the strict lex-maximum of the relation's support.  Accepts a
-    QuadraticPresentation or a bare length-2 NCPoly (the latter also covers
-    relations, like a lone square x_a x_a, that admit no rewriting
-    presentation at all).  Free presentations are Koszul.
-    """
-    if isinstance(relation, QuadraticPresentation):
-        if relation.is_free:
-            return True
-        relation = relation.relation
-    if relation.is_zero():
-        return True
-    if any(len(w) != 2 for w in relation.words()):
-        raise PresentationError("relation must be homogeneous of word-length 2")
-    support = relation.words()
-    for lead in support:
-        a, b = lead
-        if a == b:
-            continue
-        # constraints "x > y" needed to make `lead` the lex-max of `support`
-        edges = set()
-        for c, d in support:
-            if (c, d) == (a, b):
-                continue
-            if c == a:
-                edges.add((b, d))
-            else:
-                edges.add((a, c))
-        if not _has_cycle(edges):
-            return True
-    return False
-
-
-def _has_cycle(edges) -> bool:
-    adj = {}
-    for x, y in edges:
-        adj.setdefault(x, set()).add(y)
-    state = {}
-
-    def visit(v):
-        state[v] = 1
-        for w in adj.get(v, ()):
-            s = state.get(w)
-            if s == 1:
-                return True
-            if s is None and visit(w):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v) is None and visit(v) for v in list(adj))
-
-
-# ---------------------------------------------------------------------------
-# annihilator relations and generic quadratic weight dimensions
-# ---------------------------------------------------------------------------
-
-def relation_vector(relation: NCPoly, dim_v: int) -> dict:
-    """A length-2 relation as a row over the dim(V)^2 coordinates of V tensor V.
-
-    The word x_i x_j is coordinate (i-1)*dim(V) + (j-1), row-major.  A
-    letter outside 1..dim(V) raises ValueError: it would land on another
-    word's coordinate.
-    """
-    row = {}
-    for word, c in relation._terms.items():
-        if len(word) != 2:
-            raise ValueError("relation must be homogeneous of word-length 2")
-        for letter in word:
-            if not 1 <= letter <= dim_v:
-                raise ValueError(f"letter x{letter} is outside x1..x{dim_v}")
-        i, j = word
-        row[(i - 1) * dim_v + j - 1] = c
-    return row
-
-
-def koszul_dual(dim_v: int, relations, char: int = 0) -> list:
-    """Annihilator R-perp of a relation subspace under the evaluation pairing.
-
-    ``relations`` are linearly independent {coordinate: coefficient} rows
-    over the dim(V)^2 coordinates of V tensor V.  Returns an exact basis of
-    the functionals vanishing on them, as rows with coordinate
-    i*dim(V) + j for (dual i) tensor (dual j); its size, dim(V)^2 -
-    #relations, is by rank-nullity the independence check.
-    """
-    n2 = dim_v * dim_v
-    perp = linalg.nullspace(relations, n2, char)
-    if len(perp) != n2 - len(relations):
-        raise ValueError("relations are linearly dependent")
-    return perp
-
-
-# Largest number of entries that quadratic_weight_dims lets its elimination
-# hold for one weight.  A weight-w matrix has nrows = (w-1) * dim V^(w-2) *
-# #R rows of at most nnz entries each, nnz the most entries of a relation
-# row, over ncols = dim V^w columns.  The elimination holds the input rows
-# plus its stored pivot rows; those number at most the rank, so at most
-# min(nrows, ncols), and each has at most ncols entries.  So it never holds
-# more than nrows * nnz + min(nrows, ncols) * ncols entries, and that bound is
-# checked before any row is built.  The form algebra with s = r + torsion
-# rank has dim V = 2s and 4s^2 - 1 kernel relations of at most 2 entries, so
-# its weight-3 bound is 2 * 2s * (4s^2 - 1) * 2 + (2s)^6; the Koszul dual of
-# the rank-s loop algebra has the same size.  Over Q (Python 3.11, one Xeon
-# core; time, process peak RSS) s = 6 takes 0.05 s and 15 MB, and s = 7
-# (bound 7,540,456) 0.08 s and 16 MB; mod 3 and mod 7, s = 7 takes 0.03 s.
-# The limit admits s <= 7 and refuses s = 8 (bound 16,793,536).
-MAX_CELLS = 8_000_000
-
-
-def quadratic_weight_dims(dim_v: int, relations, cap: int, char: int = 0) -> list:
-    """Weight dimensions of T(V)/(R) for an arbitrary relation span R.
-
-    dim A_w = dim V^(tensor w) minus the rank of the span of all
-    V^i tensor R tensor V^j with i+j = w-2, computed by exact elimination on
-    sparse rows, each a relation shifted into place.  Once some weight hits
-    zero all later weights are zero (the algebra is generated in weight
-    one).  ``relations`` are {coordinate: coefficient} rows over V tensor V,
-    as for koszul_dual; a coordinate outside 0..dim(V)^2 - 1 raises
-    ValueError at every cap.  Before building a weight's rows, the bound on
-    the entries its elimination can hold (see MAX_CELLS) is checked, and a
-    larger one raises ComputationFailure.
-    """
-    rels = list(relations)
-    for rel in rels:  # weights 0 and 1 eliminate nothing, and a shift can hide a bad one
-        if rel and (min(rel) < 0 or max(rel) >= dim_v * dim_v):
-            raise ValueError(f"a relation has a coordinate outside 0..{dim_v * dim_v - 1}")
-    nnz = max((len(rel) for rel in rels), default=0)
-    dims = [1]
-    if cap >= 1:
-        dims.append(dim_v)
-    for w in range(2, cap + 1):
-        ncols = dim_v**w
-        if not rels:
-            dims.append(ncols)
-            continue
-        nrows = (w - 1) * dim_v ** (w - 2) * len(rels)
-        cells = nrows * nnz + min(nrows, ncols) * ncols
-        if cells > MAX_CELLS:
-            raise ComputationFailure(
-                f"weight {w} needs {nrows} rows over {ncols} columns, up to {cells} "
-                f"stored entries, over the limit of {MAX_CELLS}; refusing elimination"
-            )
-        rows = []
-        for split in range(w - 1):
-            right = dim_v ** (w - 2 - split)
-            for rel in rels:
-                for li in range(dim_v**split):
-                    base = li * dim_v * dim_v * right
-                    for ri in range(right):
-                        rows.append({base + pos * right + ri: c for pos, c in rel.items()})
-        dims.append(ncols - linalg.rank(rows, ncols, char))
-        if dims[-1] == 0:
-            dims.extend([0] * (cap - w))
-            break
-    return dims[: cap + 1]

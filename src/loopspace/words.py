@@ -19,12 +19,13 @@ Traceback (most recent call last):
     ...
 ValueError: letter 3 is outside 1..2
 
-The ``NCPoly`` constructor, where words enter from outside, checks their
-letters.  ``NCPoly._unchecked`` does not: it is for the polynomial
-arithmetic, rewriting and fuzzing, which build their words from the
-alphabet's own range and drop zero coefficients themselves.  ``index_key``
-is the rewriting order on words: degree, then length, then reverse
-lexicographic order on letter indices.
+The ``NCPoly`` constructor and the alphabet's ``degree`` and ``spell``,
+where words enter from outside, check their letters.  ``NCPoly._unchecked``
+does not: it is for the polynomial arithmetic, rewriting and fuzzing, which
+build their words from the alphabet's own range and drop zero coefficients
+themselves.  The rewriting order on words is degree, then length, then
+reverse lexicographic order on letter indices; ``NCPoly.max_word`` finds
+its maximum.
 """
 
 from .errors import AlphabetMismatch
@@ -64,10 +65,12 @@ class Alphabet:
 
     def degree(self, word) -> int:
         """The degree of a word over this alphabet: the sum of its letters' degrees."""
+        _check_letters(word, self.size)
         return sum(self._degrees[i - 1] for i in word)
 
     def spell(self, word) -> str:
         """A word over this alphabet in its letters' labels, ``"1"`` for the empty word."""
+        _check_letters(word, self.size)
         return "".join(self._labels[i - 1] for i in word) or "1"
 
     def __eq__(self, other):
@@ -84,17 +87,19 @@ class Alphabet:
         return f"Alphabet({', '.join(self._labels)})"
 
 
+def _check_letters(word, size):
+    """Raise ValueError unless every letter of the word lies in 1..size.
+
+    A letter 0 or below would otherwise index the alphabet from its end.
+    """
+    for i in word:
+        if not 1 <= i <= size:
+            raise ValueError(f"letter {i} is outside 1..{size}")
+
+
 def _same_alphabet(a, b):
     if not (a is b or a == b):
         raise AlphabetMismatch(f"{a!r} vs {b!r}")
-
-
-def index_key(degrees, indices: tuple):
-    """Sort key for the rewriting order on a letter-index tuple: degree, then
-    length, then reverse lex.  Larger key = larger in the rewriting order, so
-    the lex-*smallest* word of a given degree and length is the maximal one.
-    """
-    return (sum(degrees[i - 1] for i in indices), len(indices), tuple(-i for i in indices))
 
 
 class NCPoly:
@@ -113,9 +118,7 @@ class NCPoly:
         for word, coeff in (terms or {}).items():
             if type(word) is not tuple:
                 raise TypeError("NCPoly keys must be tuples of letter indices")
-            for i in word:
-                if not 1 <= i <= size:
-                    raise ValueError(f"letter {i} is outside 1..{size}")
+            _check_letters(word, size)
             if coeff != 0:
                 clean[word] = coeff
         object.__setattr__(self, "alphabet", alphabet)

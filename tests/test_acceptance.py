@@ -22,21 +22,17 @@ from loopspace.decomposition import (
 )
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import independence_certificate, lie_dims
-from loopspace.manifold import (
+from loopspace.koszul import (
     FormAlgebra,
-    ManifoldModel,
     form_algebra_of,
     kernel_relations,
-    loop_presentation,
-)
-from loopspace.rewrite import (
-    enumerate_irreducible_words,
-    hilbert_dims,
     koszul_dual,
     quadratic_weight_dims,
     relation_vector,
     weight_dims,
 )
+from loopspace.manifold import ManifoldModel, loop_presentation
+from loopspace.rewrite import enumerate_irreducible_words, hilbert_dims
 from loopspace.selftest import GRID, suite_confluence_fuzz
 from loopspace.series import (
     PowerSeries,

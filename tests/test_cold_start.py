@@ -45,6 +45,17 @@ def test_cli_import_loads_traced_modules_but_not_unused_stdlib():
     assert wanted <= loaded
 
 
+def test_cli_import_skips_the_koszul_layer_which_imports_alone():
+    # no answer runs the Koszul layer, so a fresh process need not compile it
+    code = "import loopspace.cli, sys; print('loopspace.koszul' in sys.modules)"
+    assert run_bare(["-c", code]) == b"False\n"
+    code = (
+        "from loopspace.koszul import koszul_dual; "
+        "print(koszul_dual(2, [{1: 1, 2: -1}]) == [{0: 1}, {1: 1, 2: 1}, {3: 1}])"
+    )
+    assert run_bare(["-c", code]) == b"True\n"
+
+
 def test_bundled_table_ignores_the_locale():
     code = (
         "import sys; from loopspace.spheres import bundled_table_text; "

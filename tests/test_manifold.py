@@ -5,19 +5,22 @@ import pytest
 from loopspace import linalg
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
 from loopspace.errors import SphereFallback
-from loopspace.manifold import (
+from loopspace.koszul import (
     FormAlgebra,
-    ManifoldModel,
-    coefficient_ring_label,
     form_algebra_of,
-    homology,
     is_quadratic,
     kernel_relations,
+    quadratic_weight_dims,
+)
+from loopspace.manifold import (
+    ManifoldModel,
+    coefficient_ring_label,
+    homology,
     loop_presentation,
     parse_torsion,
     sigma_primes,
 )
-from loopspace.rewrite import hilbert_dims, quadratic_weight_dims
+from loopspace.rewrite import hilbert_dims
 from loopspace.series import loop_generating_series
 
 from linalg_oracle import sparse
@@ -215,8 +218,8 @@ class TestWeightThree:
         "m,p", [(ManifoldModel(2, 4), 0), (ManifoldModel(2, 2, (3, 3)), 3), (ManifoldModel(2, 5), 5)]
     )
     def test_large_form_weight_three_vanishes(self, m, p):
-        # s = 4 and s = 5: weight-3 matrices of 1008 x 512 and 1980 x 1000
-        # cells, inside rewrite.MAX_CELLS
+        # s = 4 and s = 5: weight-3 matrices of 1008 x 512 and 1980 x 1000,
+        # whose entry bounds (264,160 and 1,003,960) are inside koszul.MAX_CELLS
         form = form_algebra_of(m, p)
         assert form.dim_v in (8, 10)
         assert quadratic_weight_dims(form.dim_v, kernel_relations(form), 3, p)[3] == 0

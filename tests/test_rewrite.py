@@ -7,22 +7,25 @@ from fractions import Fraction
 import pytest
 
 from loopspace import linalg
+from loopspace.decomposition import fiber_homology
 from loopspace.errors import AlphabetMismatch, ComputationFailure, PresentationError
-from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation, loop_relation
-from loopspace.rewrite import (
+from loopspace.koszul import (
     MAX_CELLS,
-    QuadraticPresentation,
-    enumerate_irreducible_words,
-    hilbert_dims,
     is_koszul_single_relation,
     koszul_dual,
-    normal_form,
     quadratic_weight_dims,
     relation_vector,
     weight_dims,
 )
+from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation, loop_relation
+from loopspace.rewrite import (
+    QuadraticPresentation,
+    enumerate_irreducible_words,
+    hilbert_dims,
+    normal_form,
+)
 from loopspace.selftest import GRID
-from loopspace.series import PowerSeries, loop_generating_series
+from loopspace.series import PowerSeries, loop_generating_series, sphere_summand_counts
 from loopspace.words import Alphabet, NCPoly
 
 from linalg_oracle import sparse
@@ -295,6 +298,21 @@ def random_weighted_presentation(rng, kind, cap):
     elif degrees[b - 1] == degrees[a - 1]:
         degrees[b - 1] += rng.randint(1, 2)
     return monomial_presentation(degrees, (a, b))
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda cap: hilbert_dims(P21, cap),
+        lambda cap: enumerate_irreducible_words(P21, cap),
+        lambda cap: fiber_homology(ManifoldModel(2, 1), cap),
+        lambda cap: sphere_summand_counts(2, 1, cap),
+    ],
+    ids=["hilbert_dims", "enumerate_irreducible_words", "fiber_homology", "sphere_summand_counts"],
+)
+def test_negative_cap_is_refused_alike(count):
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        count(-1)
 
 
 class TestWeightClassRecurrence:

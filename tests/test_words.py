@@ -9,11 +9,12 @@ from loopspace.lyndon import enumerate_lyndon, standard_lyndon
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace import selftest
-from loopspace.words import Alphabet, NCPoly, bracket, index_key
+from loopspace.words import Alphabet, NCPoly, bracket
 
 from word_oracles import (
     find_bigram,
     homogeneous_degree,
+    index_key,
     normal_form_by_find_bigram,
     random_poly_by_randint,
 )
@@ -272,6 +273,13 @@ class TestWordBoundary:
             NCPoly.letter(AB, 3)
         with pytest.raises(TypeError, match="tuples of letter indices"):
             NCPoly(A22, {1: 1})
+
+    @pytest.mark.parametrize("method", ["degree", "spell"])
+    @pytest.mark.parametrize("letter", [0, -1, 5])
+    def test_alphabet_refuses_letters_outside_it(self, method, letter):
+        # 0 and -1 would index the degree and label tuples from their end
+        with pytest.raises(ValueError, match=rf"letter {letter} is outside 1\.\.4"):
+            getattr(A22, method)((1, letter))
 
     def test_handed_out_words_rebuild_with_their_degree(self):
         p = self.mixed()

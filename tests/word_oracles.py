@@ -1,13 +1,16 @@
-"""Word predicates read straight off their definitions, and plainer routes
-to the rewriting layer's results, as test oracles.
+"""Word predicates and the rewriting order read straight off their
+definitions, and plainer routes to the rewriting layer's results, as test
+oracles.
 
 ``loopspace`` never asks these questions of a single word: its walks build
 Lyndon and irreducible words directly.  The tests use them to check those
 walks and the rewriting against the definitions.  The plainer routes, a
 bigram search per word, a stack walk sorted afterwards and letter draws
 through ``randint`` and the checked ``NCPoly`` constructor, must give the
-same results as the library's, in the same order.  A word is its tuple of
-letter indices, as in the library.
+same results as the library's, in the same order.  ``index_key`` is the
+rewriting order as a sort key, the reference that ``NCPoly.max_word``,
+which finds the maximum its own way, must agree with.  A word is its tuple
+of letter indices, as in the library.
 """
 
 from loopspace.selftest import FUZZ_MAX_DEGREE, FUZZ_MAX_TERMS
@@ -22,6 +25,14 @@ def is_lyndon(indices) -> bool:
         return False
     doubled = indices + indices
     return all(indices < doubled[i : i + n] for i in range(1, n))
+
+
+def index_key(degrees, indices: tuple):
+    """Sort key for the rewriting order on a letter-index tuple: degree, then
+    length, then reverse lex.  Larger key = larger in the rewriting order, so
+    the lex-*smallest* word of a given degree and length is the maximal one.
+    """
+    return (sum(degrees[i - 1] for i in indices), len(indices), tuple(-i for i in indices))
 
 
 def is_irreducible(word, pres) -> bool:
