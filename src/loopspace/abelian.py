@@ -1,4 +1,8 @@
-"""Finitely generated abelian groups in invariant-factor form.
+"""Finite and finitely generated abelian groups.
+
+A finite group is stored as its elementary divisors, the number of copies
+of each Z/p^e, so k copies of a group cost what one does; its invariant
+factors are derived only for output.
 
 >>> G = FiniteAbelianGroup.from_cyclic_orders([2, 4, 3])
 >>> G.invariant_factors
@@ -7,23 +11,25 @@
 [2, 3]
 >>> print(G.localize({3}))
 Z/2 + Z/4
+>>> FiniteAbelianGroup((2,)).power(10**15).tensor_dim_mod(2)  # far too many copies to list
+1000000000000000
 """
 
 import operator
-from collections import Counter, defaultdict
-from itertools import groupby
+from collections import Counter
 
-from .numtheory import factorint, prime_divisors
+from .numtheory import factorint
 
 
 class FiniteAbelianGroup:
-    """A finite abelian group as a divisibility chain d1 | d2 | ... | dk.
+    """A finite abelian group as its elementary divisors.
 
-    The empty chain is the trivial group.  Arbitrary direct sums of cyclic
-    groups normalize to this form via their elementary divisors.
+    The one slot holds ((p, e), copies) pairs, sorted, each with copies >=
+    1: copies of Z/p^e.  Two groups are isomorphic iff these are equal.
+    The invariant factors d1 | d2 | ... | dk are derived from them.
     """
 
-    __slots__ = ("invariant_factors",)
+    __slots__ = ("_counts",)
 
     def __init__(self, invariant_factors=()):
         factors = tuple(operator.index(d) for d in invariant_factors)
@@ -33,13 +39,12 @@ class FiniteAbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain {factors}")
-        object.__setattr__(self, "invariant_factors", factors)
+        object.__setattr__(self, "_counts", FiniteAbelianGroup.from_cyclic_orders(factors)._counts)
 
     @classmethod
-    def _unchecked(cls, factors: tuple) -> "FiniteAbelianGroup":
-        """A group with these factors, unchecked: a tuple of ints >= 2, each dividing the next."""
+    def _of(cls, counts: tuple) -> "FiniteAbelianGroup":  # counts already in the slot's form
         g = object.__new__(cls)
-        _set_invariant_factors(g, factors)
+        object.__setattr__(g, "_counts", counts)
         return g
 
     def __setattr__(self, *a):
@@ -49,102 +54,93 @@ class FiniteAbelianGroup:
     def from_cyclic_orders(cls, orders) -> "FiniteAbelianGroup":
         """Normalize Z/o1 + Z/o2 + ... (orders 1 allowed and dropped).
 
-        The i-th largest invariant factor is the product over the primes p of
-        p to the i-th largest exponent of p among the orders.  Equal orders are
-        factored once and equal factors built in runs: cost follows distinct orders.
+        Each distinct order is factored once: the cost follows distinct orders.
         """
-        copies_of = defaultdict(Counter)  # p -> {p^e: copies}
+        counts = Counter()
         for o, copies in Counter(map(operator.index, orders)).items():
             if o < 1:
                 raise ValueError(f"cyclic order {o} must be >= 1")
             for p, e in factorint(o):
-                copies_of[p][p**e] += copies
-        runs = [sorted(c.items()) for c in copies_of.values()]  # largest power last
-        factors = []
-        while runs:
-            count = min(run[-1][1] for run in runs)
-            d = 1
-            for run in runs:
-                q, c = run.pop()
-                d *= q
-                if c > count:
-                    run.append((q, c - count))
-            factors += (d,) * count
-            runs = [run for run in runs if run]
-        factors.reverse()  # each factor divides the one before it, as each prime's powers fall
-        return cls._unchecked(tuple(factors))
+                counts[p, e] += copies
+        return cls._of(tuple(sorted(counts.items())))
 
     @classmethod
     def trivial(cls):
-        return cls(())
+        return cls._of(())
 
     def is_trivial(self) -> bool:
-        return not self.invariant_factors
+        return not self._counts
+
+    def _runs(self) -> list:
+        """The invariant factors as (factor, repeat) runs, smallest first.
+
+        p^e divides exactly the n largest factors, n the copies of Z/p^f with
+        f >= e.  So the runs end at these n, and from the smallest factor up,
+        passing the n of p^e multiplies the factor by p^(e - e'), e' the next
+        lower exponent of p present (or 0).
+        """
+        left = {}  # p -> copies of the powers of p not yet passed
+        for (p, e), copies in self._counts:
+            left[p] = left.get(p, 0) + copies
+        if len(left) < 2:  # at most one prime: each power is a run
+            return [(p**e, copies) for (p, e), copies in self._counts]
+        step, low = {}, {}  # n -> what the n largest factors have that the rest lack
+        for (p, e), copies in self._counts:
+            n = left[p]
+            left[p] = n - copies
+            step[n] = step.get(n, 1) * p ** (e - low.get(p, 0))
+            low[p] = e
+        runs, d = [], 1
+        levels = sorted(step, reverse=True)
+        for n, below in zip(levels, levels[1:] + [0]):
+            d *= step[n]
+            runs.append((d, n - below))
+        return runs
+
+    @property
+    def invariant_factors(self) -> tuple:
+        """The divisibility chain d1 | d2 | ... | dk, one entry per copy."""
+        return tuple(d for d, repeat in self._runs() for _ in range(repeat))
 
     def primes(self) -> set:
         """Primes p with G tensor Z/p nonzero."""
-        out = set()
-        for d in self.invariant_factors:
-            out |= prime_divisors(d)
-        return out
+        return {p for (p, _e), _copies in self._counts}
 
     def tensor_dim_mod(self, p: int) -> int:
-        """Dimension of G tensor Z/p over the field with p elements."""
-        return sum(1 for d in self.invariant_factors if d % p == 0)
+        """Dimension of G tensor Z/p over the field with p elements, p prime."""
+        return sum(copies for (q, _e), copies in self._counts if q == p)
 
     def localize(self, invert) -> "FiniteAbelianGroup":
         """Kill all p-torsion for p in the inversion set."""
         invert = set(invert)
-        orders = []
-        for d in self.invariant_factors:
-            for p, e in factorint(d):
-                if p not in invert:
-                    orders.append(p**e)
-        return FiniteAbelianGroup.from_cyclic_orders(orders)
+        return FiniteAbelianGroup._of(tuple(c for c in self._counts if c[0][0] not in invert))
 
     def direct_sum(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
-        return FiniteAbelianGroup.from_cyclic_orders(
-            self.invariant_factors + other.invariant_factors
-        )
+        counts = Counter(dict(self._counts)) + Counter(dict(other._counts))
+        return FiniteAbelianGroup._of(tuple(sorted(counts.items())))
 
     def power(self, k: int) -> "FiniteAbelianGroup":
-        """Direct sum of k copies of the group.
-
-        Repeating each invariant factor k times keeps the divisibility chain,
-        and invariant factors are unique, so nothing needs renormalising or
-        re-checking: the repeated tuple goes to the group unchecked, one
-        allocation per factor and no Python step per copy.
-        """
+        """Direct sum of k copies of the group."""
+        k = operator.index(k)
         if k < 0:
             raise ValueError("power must be >= 0")
-        factors = []
-        for d in self.invariant_factors:
-            factors += (d,) * k  # allocated at once: a k too large fails here
-        return FiniteAbelianGroup._unchecked(tuple(factors))
+        counts = tuple([(pe, copies * k) for pe, copies in self._counts]) if k else ()
+        return FiniteAbelianGroup._of(counts)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAbelianGroup)
-            and self.invariant_factors == other.invariant_factors
-        )
+        return isinstance(other, FiniteAbelianGroup) and self._counts == other._counts
 
     def __hash__(self):
-        return hash(self.invariant_factors)
+        return hash(self._counts)
 
     def __str__(self):
-        if not self.invariant_factors:
-            return "0"
         parts = []
-        for d, run in groupby(self.invariant_factors):  # each run of equal factors at once
-            parts += [f"Z/{d}"] * len(tuple(run))
-        return " + ".join(parts)
+        for d, repeat in self._runs():
+            parts += [f"Z/{d}"] * repeat
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.invariant_factors)})"
-
-
-# ``_unchecked`` stores through the slot descriptor, bypassing __setattr__.
-_set_invariant_factors = FiniteAbelianGroup.invariant_factors.__set__
 
 
 class FgAbelianGroup:
@@ -161,8 +157,12 @@ class FgAbelianGroup:
         rank = operator.index(rank)
         if rank < 0:
             raise ValueError("rank must be >= 0")
+        if torsion is None:
+            torsion = FiniteAbelianGroup.trivial()
+        elif not isinstance(torsion, FiniteAbelianGroup):
+            raise TypeError("torsion must be a FiniteAbelianGroup")
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion or FiniteAbelianGroup.trivial())
+        object.__setattr__(self, "torsion", torsion)
 
     def __setattr__(self, *a):
         raise AttributeError("FgAbelianGroup is immutable")

@@ -23,8 +23,8 @@ At each limit one answer takes at most a few seconds in a fresh process
 about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
 --k 10000 about 1.1 s, selftest --fuzz 100000 about 1.5 s (1.3 s of it
 the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
---json with sixteen orders 999999937, 0.7-1.0 s of CPU and 214 MB (about
-0.2 s and 15 MB as text).
+--json with sixteen orders 999999937, about 0.6 s of CPU and 181 MB (about
+0.2 s and 17 MB as text).
 """
 
 import argparse

@@ -283,6 +283,8 @@ def polynomial_ring_dims(n: int, cap: int) -> list:
     The series is 1 / ((1 - t^(n-1)) (1 - t^n)): each factor is divided out
     by one running-sum pass, O(cap) in all.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     dims = [1] + [0] * cap
     for step in (n - 1, n):
         for d in range(step, cap + 1):
@@ -300,9 +302,8 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
         H_D = Z^((r-1)(p[D-n] + p[D-n-1])) + G^(p[D-n]),
 
     built once per degree: O(cap) groups and O(cap) Python steps.  Each
-    G^(p[D-n]) repeats G's invariant factors without re-checking the chain
-    (see FiniteAbelianGroup.power), so its p[D-n] copies cost one tuple
-    allocation per factor of G, not a Python step per copy.
+    G^(p[D-n]) multiplies G's elementary-divisor counts by p[D-n] (see
+    FiniteAbelianGroup.power): its cost follows G, not the copies.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")

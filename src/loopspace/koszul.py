@@ -264,6 +264,8 @@ def quadratic_weight_dims(dim_v: int, relations, cap: int, char: int = 0) -> lis
     the entries its elimination can hold (see MAX_CELLS) is checked, and a
     larger one raises ComputationFailure.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     rels = list(relations)
     for rel in rels:  # weights 0 and 1 eliminate nothing, and a shift can hide a bad one
         if rel and (min(rel) < 0 or max(rel) >= dim_v * dim_v):

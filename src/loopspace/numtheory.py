@@ -40,7 +40,3 @@ def mobius_sieve(cap: int) -> list:
         for m in range(p * p, cap + 1, p * p):
             mu[m] = 0
     return mu
-
-
-def prime_divisors(n: int) -> set:
-    return {p for p, _e in factorint(n)}

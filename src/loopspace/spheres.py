@@ -12,7 +12,7 @@ the Moebius multiplicities l[w].
 import os
 from collections import namedtuple
 
-from .abelian import FgAbelianGroup, FiniteAbelianGroup
+from .abelian import FgAbelianGroup
 from .errors import TableFormatError, TableRangeError
 from .manifold import ManifoldModel, parse_torsion, sigma_primes
 from .series import sphere_summand_counts
@@ -148,7 +148,7 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
     (k, m) pair; nothing is silently dropped.  An answer of more than
     MAX_SUMMANDS cyclic summands (each sphere's multiplicity times the number
     of cyclic factors of its localized group) is refused with ValueError
-    before any group is built: it could be neither built nor printed.
+    before any group is built: its printed form lists every summand.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -173,9 +173,9 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
             f"pi_{k} at r={m.r} has {size} cyclic summands, over the limit {MAX_SUMMANDS}; "
             "lower r or k"
         )
-    orders = [d for _s, mult, g in summands for d in g.torsion.power(mult).invariant_factors]
-    rank = sum(mult * g.rank for _s, mult, g in summands)
-    total = FgAbelianGroup(rank, FiniteAbelianGroup.from_cyclic_orders(orders))
+    total = FgAbelianGroup.zero()
+    for _s, mult, g in summands:
+        total = total.direct_sum(g.power(mult))
     return HomotopyAnswer(
         k=k,
         inverted_primes=tuple(sorted(primes)),

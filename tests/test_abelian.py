@@ -34,6 +34,14 @@ def per_factor_str(g):
     return " + ".join(f"Z/{d}" for d in g.invariant_factors)
 
 
+def keep_away(order, invert):
+    """The part of a cyclic order prime to every p in invert."""
+    for p, e in factorint(order):
+        if p in invert:
+            order //= p**e
+    return order
+
+
 def random_orders(rng):
     return [rng.choice((1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 49, 360))
             for _ in range(rng.randrange(12))]
@@ -111,13 +119,39 @@ class TestFiniteAbelianGroup:
         with pytest.raises(ValueError):
             FiniteAbelianGroup((2,)).power(-1)
 
-    def test_unchecked_equals_checked_and_stays_immutable(self):
-        g, twin = FiniteAbelianGroup._unchecked((2, 4, 12)), FiniteAbelianGroup((2, 4, 12))
-        assert g == twin and hash(g) == hash(twin) and str(g) == str(twin)
-        for name in ("invariant_factors", "other"):
-            with pytest.raises(AttributeError):
-                setattr(g, name, (3,))
+    def test_stays_immutable(self):
+        g = FiniteAbelianGroup((2, 4, 12))
+        for group in (g, g.power(3)):
+            for name in ("invariant_factors", "_counts", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(group, name, (3,))
         assert g.invariant_factors == (2, 4, 12)
+        assert g.power(3).invariant_factors == (2, 2, 2, 4, 4, 4, 12, 12, 12)
+
+    def test_power_too_large_to_list_builds_at_once(self):
+        g = FiniteAbelianGroup((2, 12)).power(10**15)
+        assert g.tensor_dim_mod(2) == 2 * 10**15
+        assert g.tensor_dim_mod(3) == 10**15 and g.primes() == {2, 3}
+        assert g == FiniteAbelianGroup((2, 12)).power(10**15) != g.power(2)
+        assert g.localize({2}) == FiniteAbelianGroup((3,)).power(10**15)
+
+    def test_counts_agree_with_invariant_factors_and_per_index_sorting_oracle(self):
+        rng = random.Random(7)  # the groups of test_normalization_matches_per_index_sorting_oracle
+        orders = [random_orders(rng) for _ in range(300)]
+        groups = [FiniteAbelianGroup.from_cyclic_orders(o) for o in orders]
+        for i, (g, o) in enumerate(zip(groups, orders)):
+            # the derived chain is a chain with g's elementary divisors, so it is g's
+            assert FiniteAbelianGroup(g.invariant_factors) == g, o
+            for h in groups[:40]:
+                assert (g == h) == (g.invariant_factors == h.invariant_factors), (g, h)
+                assert g != h or hash(g) == hash(h)
+            h, other = groups[i - 1], orders[i - 1]
+            assert g.direct_sum(h) == per_index_sorting_from_cyclic_orders(o + other), (o, other)
+            for k in (0, 1, 3):
+                assert g.power(k) == per_index_sorting_from_cyclic_orders(o * k), (o, k)
+            for invert in (set(), {2}, {3, 5}, {2, 3, 5, 7}):
+                kept = [keep_away(d, invert) for d in o]
+                assert g.localize(invert) == per_index_sorting_from_cyclic_orders(kept), (o, invert)
 
     def test_str_matches_per_factor_join(self):
         rng = random.Random(10)
@@ -168,6 +202,11 @@ class TestFgAbelianGroup:
     def test_non_integer_rank_rejected(self, bad):
         with pytest.raises(TypeError):
             FgAbelianGroup(bad)
+
+    @pytest.mark.parametrize("bad", [(2,), [2, 4], 6])
+    def test_torsion_must_be_a_finite_group(self, bad):
+        with pytest.raises(TypeError, match="torsion must be a FiniteAbelianGroup"):
+            FgAbelianGroup(1, bad)
 
     def test_power(self):
         g = FgAbelianGroup(1, FiniteAbelianGroup((2,)))

@@ -13,7 +13,8 @@ def test_module_doctests_pass():
         assert result.failed == 0, info.name
         attempted[info.name] = result.attempted
     assert sum(attempted.values()) >= 8  # 0 would mean none ran
-    # linalg's documents the row format that nullspace returns, and words'
-    # that a word is a plain letter-index tuple
+    # linalg's documents the row format that nullspace returns, words' that
+    # a word is a plain letter-index tuple, and abelian's that a power far
+    # too large to list still answers tensor_dim_mod
     for name in ("linalg", "series", "abelian", "words"):
         assert attempted[name] >= 1, name

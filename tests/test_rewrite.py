@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from loopspace import linalg
-from loopspace.decomposition import fiber_homology
+from loopspace.decomposition import fiber_homology, polynomial_ring_dims
 from loopspace.errors import AlphabetMismatch, ComputationFailure, PresentationError
 from loopspace.koszul import (
     MAX_CELLS,
@@ -307,8 +307,11 @@ def random_weighted_presentation(rng, kind, cap):
         lambda cap: enumerate_irreducible_words(P21, cap),
         lambda cap: fiber_homology(ManifoldModel(2, 1), cap),
         lambda cap: sphere_summand_counts(2, 1, cap),
+        lambda cap: polynomial_ring_dims(2, cap),
+        lambda cap: quadratic_weight_dims(2, [], cap),
     ],
-    ids=["hilbert_dims", "enumerate_irreducible_words", "fiber_homology", "sphere_summand_counts"],
+    ids=["hilbert_dims", "enumerate_irreducible_words", "fiber_homology", "sphere_summand_counts",
+         "polynomial_ring_dims", "quadratic_weight_dims"],
 )
 def test_negative_cap_is_refused_alike(count):
     with pytest.raises(ValueError, match="cap must be >= 0"):
