@@ -62,6 +62,9 @@ MAX_R = 10000
 MAX_K = 10000
 MAX_FUZZ = 100000
 
+# (least, most) value of each bounded option; None leaves that side open
+_BOUNDS = {"r": (None, MAX_R), "cap": (1, MAX_CAP), "k": (0, MAX_K), "seed": (0, None), "fuzz": (1, MAX_FUZZ)}
+
 
 def _manifold_args(sub):
     sub.add_argument("--n", type=int, required=True, help="connectivity parameter, n >= 2")
@@ -84,16 +87,19 @@ def build_parser():
     _manifold_args(rep)
     rep.add_argument("--cap", type=int, default=10, help="top degree for tables (>= 1)")
     rep.add_argument("--json", action="store_true", help="emit one JSON document")
+    rep.set_defaults(run=cmd_report)
 
     hom = sub.add_parser("homotopy", help="assembled homotopy group pi_k")
     _manifold_args(hom)
     hom.add_argument("--k", type=int, required=True, help="homotopy degree")
     hom.add_argument("--table", default=None, help="sphere table path (else the bundled table)")
     hom.add_argument("--json", action="store_true")
+    hom.set_defaults(run=cmd_homotopy)
 
     st = sub.add_parser("selftest", help="run the cross-oracle suites")
     st.add_argument("--seed", type=int, default=0, help="seed for the fuzz suite")
     st.add_argument("--fuzz", type=int, default=500, help="number of fuzzed polynomials")
+    st.set_defaults(run=cmd_selftest)
     return parser
 
 
@@ -109,9 +115,19 @@ def fail_config(message: str):
     return EXIT_CONFIG
 
 
+def _check_bounds(args, *names):
+    """Raise ValueError naming the first of the options outside its _BOUNDS."""
+    for name in names:
+        value = getattr(args, name)
+        least, most = _BOUNDS[name]
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}")
+        if most is not None and value > most:
+            raise ValueError(f"{name} {value} is over the limit {most}")
+
+
 def _validated_manifold(args):
-    if args.r > MAX_R:
-        raise ValueError(f"r {args.r} is over the limit {MAX_R}")
+    _check_bounds(args, "r")
     try:
         torsion = parse_torsion(args.torsion)
     except ValueError as e:
@@ -122,10 +138,7 @@ def _validated_manifold(args):
 def cmd_report(args) -> int:
     try:
         m = _validated_manifold(args)
-        if args.cap < 1:
-            raise ValueError("cap must be >= 1")
-        if args.cap > MAX_CAP:
-            raise ValueError(f"cap {args.cap} is over the limit {MAX_CAP}")
+        _check_bounds(args, "cap")
     except ValueError as e:
         return fail_config(str(e))
 
@@ -190,10 +203,7 @@ def cmd_report(args) -> int:
 def cmd_homotopy(args) -> int:
     try:
         m = _validated_manifold(args)
-        if args.k < 0:
-            raise ValueError("k must be >= 0")
-        if args.k > MAX_K:
-            raise ValueError(f"k {args.k} is over the limit {MAX_K}")
+        _check_bounds(args, "k")
     except ValueError as e:
         return fail_config(str(e))
     try:
@@ -222,25 +232,17 @@ def cmd_homotopy(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.seed < 0:
-        return fail_config("seed must be >= 0")
-    if args.fuzz < 1:
-        return fail_config("fuzz must be >= 1")
-    if args.fuzz > MAX_FUZZ:
-        return fail_config(f"fuzz {args.fuzz} is over the limit {MAX_FUZZ}")
+    try:
+        _check_bounds(args, "seed", "fuzz")
+    except ValueError as e:
+        return fail_config(str(e))
     ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "homotopy":
-        return cmd_homotopy(args)
-    if args.command == "selftest":
-        return cmd_selftest(args)
-    raise AssertionError("unreachable")
+    return args.run(args)
 
 
 if __name__ == "__main__":

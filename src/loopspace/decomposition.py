@@ -12,7 +12,17 @@ Poincare series by structural rules, homology of the splitting fibre, and
 the elliptic/hyperbolic classification.
 
 Space expressions serialize to a stable text form ("L(S2) x L(S3) x ...")
-and to a JSON tree; both are meant for golden tests and reports.
+and to a JSON tree; both are meant for golden tests and reports.  Nodes
+compare by type and fields, and the loop rule takes only suspensions:
+
+>>> print(loop_decomposition(ManifoldModel(2, 2)))
+L(S2) x L(S3) x L(W(S2, S3, Sm(W(S2, S3), L(S2 x S3))))
+>>> Sphere(3) == Sphere(3), Sphere(3) == Sphere(4), Wedge([Sphere(2)]) == Product([Sphere(2)])
+(True, False, False)
+>>> rational_series(loop(wedge([loop(Sphere(3)), Sphere(2)])), 6)
+Traceback (most recent call last):
+    ...
+ValueError: unsupported loop argument W(L(S3), S2)
 """
 
 import operator
@@ -25,13 +35,21 @@ from .series import PowerSeries, sphere_summand_counts
 
 
 class SpaceExpr:
-    """Base of the symbolic homotopy-type expression tree."""
+    """Base of the symbolic homotopy-type expression tree.
+
+    Each class names its attributes in ``_fields``: two nodes are equal when
+    they have the same type and equal fields.
+    """
+
+    _fields = ()
 
     def __str__(self):
         return serialize(self)
 
-    def __repr__(self):
-        return serialize(self)
+    __repr__ = __str__
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -39,26 +57,24 @@ class SpaceExpr:
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
 
-    def _key(self):
-        return ()
-
 
 class Point(SpaceExpr):
     pass
 
 
 class Sphere(SpaceExpr):
+    _fields = ("m",)
+
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("sphere dimension must be >= 1")
         self.m = m
 
-    def _key(self):
-        return (self.m,)
-
 
 class Moore(SpaceExpr):
     """M(G, n): reduced homology G concentrated in degree n >= 2."""
+
+    _fields = ("group", "degree")
 
     def __init__(self, group: FiniteAbelianGroup, degree: int):
         if degree < 2:
@@ -68,61 +84,52 @@ class Moore(SpaceExpr):
         self.group = group
         self.degree = degree
 
-    def _key(self):
-        return (self.group, self.degree)
 
+class _Nary(SpaceExpr):
+    """A node over a tuple of child spaces: Wedge, Product or Smash."""
 
-class Wedge(SpaceExpr):
+    _fields = ("children",)
+
     def __init__(self, children):
         self.children = tuple(children)
 
-    def _key(self):
-        return self.children
+
+class Wedge(_Nary):
+    pass
 
 
-class Product(SpaceExpr):
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def _key(self):
-        return self.children
+class Product(_Nary):
+    pass
 
 
-class Smash(SpaceExpr):
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def _key(self):
-        return self.children
+class Smash(_Nary):
+    pass
 
 
 class Loop(SpaceExpr):
+    _fields = ("child",)
+
     def __init__(self, child):
         self.child = child
-
-    def _key(self):
-        return (self.child,)
 
 
 class LocalizedAt(SpaceExpr):
     """Child with the listed primes inverted."""
 
+    _fields = ("primes", "child")
+
     def __init__(self, primes, child):
         self.primes = tuple(sorted(primes))
         self.child = child
-
-    def _key(self):
-        return (self.primes, self.child)
 
 
 class WeakProduct(SpaceExpr):
     """Homotopy colimit of finite sub-products of (expr, multiplicity) pairs."""
 
+    _fields = ("factors",)
+
     def __init__(self, factors):
         self.factors = tuple((e, operator.index(m)) for e, m in factors)
-
-    def _key(self):
-        return self.factors
 
 
 # ---- smart constructors (unit laws only) -----------------------------------
@@ -209,9 +216,8 @@ def to_dict(expr: SpaceExpr) -> dict:
             "group": list(expr.group.invariant_factors),
             "degree": expr.degree,
         }
-    if isinstance(expr, (Wedge, Product, Smash)):
-        kind = {"Wedge": "wedge", "Product": "product", "Smash": "smash"}[type(expr).__name__]
-        return {"kind": kind, "children": [to_dict(c) for c in expr.children]}
+    if isinstance(expr, _Nary):
+        return {"kind": type(expr).__name__.lower(), "children": [to_dict(c) for c in expr.children]}
     if isinstance(expr, Loop):
         return {"kind": "loop", "child": to_dict(expr.child)}
     if isinstance(expr, LocalizedAt):
@@ -362,18 +368,33 @@ def _loop_series(space: SpaceExpr, cap: int) -> PowerSeries:
         return out
     if isinstance(space, LocalizedAt):
         return _loop_series(space.child, cap)
-    if isinstance(space, (Point, Sphere, Wedge, Smash, Moore)):
-        # Bott-Samelson: H_*(Loop X; Q) is the tensor algebra on the desuspended
-        # reduced homology of a suspension X.  So Loop(S^m), m >= 2, has series
-        # 1/(1 - t^(m-1)) for both parities: for even m, (1 + t^(m-1)) /
-        # (1 - t^(2m-2)) is the same series.  A point gives 1.
-        reduced = rational_series(space, cap + 1) - PowerSeries.one(cap + 1)
-        coeffs = reduced.coefficients()
-        if coeffs[0] != 0 or coeffs[1] != 0:
-            raise ValueError(f"loop of a non-simply-connected space {space}")
-        shifted = PowerSeries(coeffs[1:], cap)
-        return (PowerSeries.one(cap) - shifted).inverse()
-    raise ValueError(f"unsupported loop argument {space}")
+    if not _is_suspension(space):
+        raise ValueError(f"unsupported loop argument {space}")
+    # Bott-Samelson: H_*(Loop X; Q) is the tensor algebra on the desuspended
+    # reduced homology of a suspension X, and only of a suspension: a wedge
+    # with a looped or product summand has cup products that the rule cannot
+    # see.  So Loop(S^m), m >= 2, has series 1/(1 - t^(m-1)) for both
+    # parities: for even m, (1 + t^(m-1)) / (1 - t^(2m-2)) is the same
+    # series.  A point gives 1.
+    reduced = rational_series(space, cap + 1) - PowerSeries.one(cap + 1)
+    coeffs = reduced.coefficients()
+    if coeffs[0] != 0 or coeffs[1] != 0:
+        raise ValueError(f"loop of a non-simply-connected space {space}")
+    shifted = PowerSeries(coeffs[1:], cap)
+    return (PowerSeries.one(cap) - shifted).inverse()
+
+
+def _is_suspension(space: SpaceExpr) -> bool:
+    """Is the space (rationally) a suspension, so that Bott-Samelson applies?"""
+    if isinstance(space, (Point, Sphere, Moore)):
+        return True
+    if isinstance(space, Wedge):
+        return all(_is_suspension(c) for c in space.children)
+    if isinstance(space, Smash):
+        return any(_is_suspension(c) for c in space.children)  # X ^ SY = S(X ^ Y)
+    if isinstance(space, LocalizedAt):
+        return _is_suspension(space.child)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ No report, homotopy or selftest answer needs any of it, so no module on
 the command-line path imports it: a fresh process never compiles it.
 """
 
+import graphlib
 import operator
 
 from . import linalg
@@ -176,23 +177,14 @@ def is_koszul_single_relation(relation) -> bool:
 
 
 def _has_cycle(edges) -> bool:
-    adj = {}
+    graph = {}
     for x, y in edges:
-        adj.setdefault(x, set()).add(y)
-    state = {}
-
-    def visit(v):
-        state[v] = 1
-        for w in adj.get(v, ()):
-            s = state.get(w)
-            if s == 1:
-                return True
-            if s is None and visit(w):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v) is None and visit(v) for v in list(adj))
+        graph.setdefault(x, set()).add(y)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------

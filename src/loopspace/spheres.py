@@ -26,7 +26,7 @@ MAX_SUMMANDS = 10**6
 
 
 class SphereTable:
-    """Validated map (k, m) -> pi_k(S^m), with per-sphere coverage bounds."""
+    """Validated map (k, m) -> pi_k(S^m); each sphere's rows run without gaps."""
 
     def __init__(self, entries, provenance):
         self.entries = dict(entries)
@@ -39,13 +39,10 @@ class SphereTable:
             for k in range(lo, hi + 1):
                 if (k, m) not in self.entries:
                     raise TableFormatError(f"gap in table: pi_{k}(S^{m}) missing below pi_{hi}(S^{m})")
-        self.ranges = ranges
 
     def covers(self, k: int, m: int) -> bool:
-        if k <= m:
-            return True
-        lo, hi = self.ranges.get(m, (m, m))
-        return lo <= k <= hi
+        """Does pi(k, m) answer without TableRangeError?"""
+        return k <= m or (k, m) in self.entries
 
     def pi(self, k: int, m: int) -> FgAbelianGroup:
         """pi_k(S^m); zero below the diagonal, Z on it, table above."""

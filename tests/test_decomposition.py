@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -9,11 +10,15 @@ from loopspace.decomposition import (
     Loop,
     Moore,
     Point,
+    Product,
+    Smash,
+    SpaceExpr,
     Sphere,
     WeakProduct,
     Wedge,
     classify,
     fiber_homology,
+    localized,
     loop,
     loop_decomposition,
     polynomial_ring_dims,
@@ -114,6 +119,52 @@ class TestConstructors:
             WeakProduct([(Sphere(2), mult)])
 
 
+G2 = FiniteAbelianGroup((2,))
+
+# one node of every class, each field holding a distinct value
+NODES = [
+    Point(),
+    Sphere(3),
+    Moore(G2, 2),
+    Wedge([Sphere(2), Sphere(3)]),
+    Product([Sphere(2), Sphere(3)]),
+    Smash([Sphere(2), Sphere(3)]),
+    Loop(Sphere(3)),
+    LocalizedAt([2], Sphere(3)),
+    WeakProduct([(Loop(Sphere(3)), 2)]),
+]
+
+
+def concrete_node_classes(cls=SpaceExpr):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from concrete_node_classes(sub)
+
+
+class TestNodeFields:
+    def test_every_node_class_is_listed(self):
+        assert {type(node) for node in NODES} == set(concrete_node_classes())
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+    def test_fields_are_exactly_the_constructor_attributes(self, node):
+        assert set(vars(node)) == set(type(node)._fields)
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+    def test_equality_follows_every_field(self, node):
+        twin = copy.copy(node)
+        assert twin == node and hash(twin) == hash(node)
+        for field in type(node)._fields:
+            changed = copy.copy(node)
+            setattr(changed, field, object())
+            assert changed != node, field
+
+    def test_same_fields_of_another_class_are_unequal(self):
+        children = [Sphere(2), Sphere(3)]
+        assert len({Wedge(children), Product(children), Smash(children)}) == 3
+        assert Loop(Sphere(3)) != LocalizedAt([], Sphere(3))
+
+
 class TestRationalSeries:
     def test_odd_sphere_loops(self):
         assert rational_series(loop(Sphere(3)), 8) == series_poly({0: 1, 2: -1}, 8).inverse()
@@ -148,6 +199,29 @@ class TestRationalSeries:
             rational_series(loop(Sphere(1)), 4)
         with pytest.raises(ValueError):
             rational_series(Loop(Loop(Sphere(3))), 4)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            wedge([loop(Sphere(3)), Sphere(2)]),  # true series (1+t)/(1-t-t^2)
+            wedge([product([Sphere(2), Sphere(2)]), Sphere(5)]),  # true 1/(1-2t+t^2-t^4)
+            smash([loop(Sphere(3)), loop(Sphere(3))]),  # nonzero cup products
+        ],
+        ids=str,
+    )
+    def test_loop_rule_refuses_what_is_not_a_suspension(self, space):
+        # the tensor-algebra rule once gave 1 + 2t + 4t^2 + 9t^3 for the first two
+        with pytest.raises(ValueError, match="unsupported loop argument"):
+            rational_series(loop(space), 6)
+
+    def test_loop_rule_takes_a_smash_with_one_suspension_factor(self):
+        # X ^ S^3 is the suspension S^3 ^ X, so Loop of it is the tensor algebra
+        # on t^2 times the reduced series of X = Loop(S^2 x S^3), 1/((1-t)(1-t^2))
+        one = PowerSeries.one(10)
+        loops_x = (series_poly({0: 1, 1: -1}, 10) * series_poly({0: 1, 2: -1}, 10)).inverse()
+        expected = (one - series_poly({2: 1}, 10) * (loops_x - one)).inverse()
+        x = loop(product([Sphere(2), Sphere(3)]))
+        assert rational_series(loop(smash([x, localized([2], Sphere(3))])), 10) == expected
 
     def test_loop_of_wedge_tensor_rule(self):
         # H(Loop SIGMA W) = tensor algebra on desuspended reduced homology

@@ -15,6 +15,7 @@ def test_module_doctests_pass():
     assert sum(attempted.values()) >= 8  # 0 would mean none ran
     # linalg's documents the row format that nullspace returns, words' that
     # a word is a plain letter-index tuple, and abelian's that a power far
-    # too large to list still answers tensor_dim_mod
-    for name in ("linalg", "series", "abelian", "words"):
+    # too large to list still answers tensor_dim_mod; decomposition's shows a
+    # splitting, node equality by fields, and a loop argument it refuses
+    for name in ("linalg", "series", "abelian", "words", "decomposition"):
         assert attempted[name] >= 1, name

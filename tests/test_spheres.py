@@ -116,6 +116,25 @@ class TestLoadTable:
 
 
 
+def pi_answers(table, k, m):
+    try:
+        table.pi(k, m)
+    except TableRangeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "table",
+    [TABLE, load_table("# S^2 through pi_5, S^4 from pi_6\n3 2 1 -\n4 2 0 2\n5 2 0 2\n6 4 0 2\n7 4 1 12\n")],
+    ids=["bundled", "small"],
+)
+def test_covers_exactly_what_pi_answers(table):
+    for m in range(1, 13):
+        for k in range(31):
+            assert table.covers(k, m) == pi_answers(table, k, m), (k, m)
+
+
 class TestBundledTable:
     def test_checksum(self):
         digest = hashlib.sha256(bundled_table_text().encode()).hexdigest()
