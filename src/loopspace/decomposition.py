@@ -124,12 +124,18 @@ class LocalizedAt(SpaceExpr):
 
 
 class WeakProduct(SpaceExpr):
-    """Homotopy colimit of finite sub-products of (expr, multiplicity) pairs."""
+    """Homotopy colimit of finite sub-products of (expr, multiplicity) pairs.
+
+    A multiplicity is a count of copies, so it must be >= 0.
+    """
 
     _fields = ("factors",)
 
     def __init__(self, factors):
         self.factors = tuple((e, operator.index(m)) for e, m in factors)
+        for e, m in self.factors:
+            if m < 0:
+                raise ValueError(f"multiplicity {m} of {e} is negative")
 
 
 # ---- smart constructors (unit laws only) -----------------------------------
@@ -266,12 +272,11 @@ def weak_product_decomposition(m: ManifoldModel, cap: int, *, counts=None) -> We
     """Looped spheres with Moebius multiplicities, localized off the torsion.
 
     Factor w is Loop(S^(w+1)) with multiplicity l[w], for loop degrees
-    w <= cap.  For r = 0 the single factor is the looped top sphere.
+    w <= cap.  For r = 0 the single factor is the looped top sphere, so it
+    appears once cap >= 2n, like every other factor of its loop degree.
     ``counts`` takes l[1..cap] when the caller already has them.
     """
     primes = sorted(sigma_primes(m))
-    if m.r < 1:
-        return WeakProduct([(localized(primes, loop(Sphere(m.dim))), 1)])
     if counts is None:
         counts = sphere_summand_counts(m.n, m.r, cap)
     factors = []
@@ -416,20 +421,14 @@ class ClassificationFlags(
 def classify(m: ManifoldModel) -> ClassificationFlags:
     """Elliptic iff r <= 1; for r >= 2 no homotopy exponent at any prime."""
     n = m.n
-    if m.r == 0:
+    if m.r <= 1:
+        cohomology = f"S^{m.dim}" if m.r == 0 else f"S^{n} x S^{n + 1}"
+        note = "exponent question deferred to sphere literature" if m.r == 0 else "no non-exponent claim"
         return ClassificationFlags(
             rational_type="elliptic",
-            reason=f"rational cohomology of S^{m.dim}",
+            reason=f"rational cohomology of {cohomology}",
             no_exponent=False,
-            no_exponent_note="rationally elliptic; exponent question deferred to sphere literature",
-            retract=None,
-        )
-    if m.r == 1:
-        return ClassificationFlags(
-            rational_type="elliptic",
-            reason=f"rational cohomology of S^{n} x S^{n + 1}",
-            no_exponent=False,
-            no_exponent_note="rationally elliptic; no non-exponent claim",
+            no_exponent_note=f"rationally elliptic; {note}",
             retract=None,
         )
     witness = serialize(loop(wedge([Sphere(n), Sphere(n + 1)])))

@@ -35,7 +35,19 @@ normal forms have full rank modulo a prime.
 
 A word is the walk's letter-index tuple: ``enumerate_lyndon`` returns
 {degree: [word]} and ``standard_lyndon`` {degree: [(word, b(word))]}, both
-in the walk's lex order.
+in the walk's lex order.  The exclusion bigram is the presentation's own
+leading word, and a relation whose words differ in degree has none:
+
+>>> from loopspace.manifold import ManifoldModel, loop_presentation
+>>> pres = loop_presentation(ManifoldModel(2, 2))
+>>> exclusion_bigram(pres) == pres.leading
+True
+>>> abc = Alphabet.from_degrees((1, 1, 2))
+>>> x12, x13 = (bracket(NCPoly.letter(abc, 1), NCPoly.letter(abc, i)) for i in (2, 3))
+>>> lie_dims(QuadraticPresentation(abc, x12 + x13), 5)
+Traceback (most recent call last):
+    ...
+loopspace.errors.PresentationError: relation mixes degree 2 with the leading degree 3
 """
 
 from . import linalg
@@ -216,22 +228,26 @@ def enumerate_lyndon(alphabet: Alphabet, cap: int) -> dict:
 def exclusion_bigram(pres: QuadraticPresentation):
     """The bigram whose avoidance cuts Lyndon words down to standard ones.
 
-    The relation must be a sum of commutators c * (xy - yx); the excluded
-    bigram is then the lexicographically smallest two-letter word among the
-    commutators' words, i.e. the largest one in the length-then-reverse-lex
-    order.  Returns 1-based letter indices, or None for a free presentation.
+    The relation must be a sum of commutators c * (xy - yx) whose words all
+    have the degree of its leading word; a relation of mixed degrees spans
+    no graded ideal and is refused.  The excluded bigram is then the
+    presentation's ``leading`` word, the lex-least word of the relation,
+    which standard words avoid (Reutenauer, Free Lie Algebras, Thm 5.1).
+    Returns 1-based letter indices, or None for a free presentation.
     """
     if pres.is_free:
         return None
     rel = pres.relation
-    pairs = set()
+    degree = pres.alphabet.degree
+    lead = degree(pres.leading)
     for (a, b), c in rel.terms():
         if a == b:
             raise PresentationError("relation has a square term; not a sum of commutators")
         if rel.coeff((b, a)) != -c:
             raise PresentationError("relation is not antisymmetric; not a sum of commutators")
-        pairs.add((a, b) if a < b else (b, a))
-    return min(pairs)
+        if degree((a, b)) != lead:
+            raise PresentationError(f"relation mixes degree {degree((a, b))} with the leading degree {lead}")
+    return pres.leading
 
 
 def _forbidden(pres: QuadraticPresentation):

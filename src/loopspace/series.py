@@ -55,6 +55,8 @@ class PowerSeries:
     def from_polynomial(cls, coeff_by_exponent: dict, cap: int):
         c = [0] * (cap + 1)
         for e, v in coeff_by_exponent.items():
+            if e < 0:
+                raise ValueError(f"exponent {e} is negative")
             if e <= cap:
                 c[e] = v
         return cls(c, cap)
@@ -227,8 +229,18 @@ def sphere_summand_counts(n: int, r: int, cap: int = 20) -> dict:
 
     Keys run over loop degrees 1..cap; l[w] copies of the homotopy of
     S^(w+1) appear in the homotopy of the manifold once the torsion primes
-    are inverted.
+    are inverted.  For r = 0 the manifold is then the sphere S^(2n+1)
+    itself: one summand, l[2n] = 1, and no loop presentation is needed.
+
+    >>> sphere_summand_counts(2, 0, 5)
+    {1: 0, 2: 0, 3: 0, 4: 1, 5: 0}
     """
+    if r == 0:
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        return {w: 1 if w == 2 * n else 0 for w in range(1, cap + 1)}
     return mobius_counts(loop_generating_series(n, r, cap))
 
 

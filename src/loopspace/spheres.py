@@ -108,8 +108,8 @@ def bundled_table_text() -> str:
 
 
 def load_table_file(path: str | None = None) -> SphereTable:
-    """The table in the file at ``path`` (the CLI's --table), else the bundled table."""
-    with open(path or BUNDLED_TABLE_PATH, encoding="utf-8") as fh:
+    """The table in the file at ``path`` (the CLI's --table); None means the bundled table."""
+    with open(BUNDLED_TABLE_PATH if path is None else path, encoding="utf-8") as fh:
         return load_table(fh.read())
 
 
@@ -139,10 +139,11 @@ class HomotopyAnswer(namedtuple("HomotopyAnswer", "k inverted_primes summands to
 def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> HomotopyAnswer:
     """pi_k of the manifold, away from its torsion primes.
 
-    Sums pi_k(S^(w+1)), localized, with multiplicity l[w]; only spheres of
-    dimension <= k can contribute, so the sum is finite.  If any needed
-    group is outside the table range the query fails listing every missing
-    (k, m) pair; nothing is silently dropped.  An answer of more than
+    Sums pi_k(S^(w+1)), localized, with multiplicity l[w] (for r = 0 the
+    one summand S^(2n+1)); only spheres of dimension <= k can contribute,
+    so the sum is finite.  Every such summand is listed, zero groups
+    included.  If any needed group is outside the table range the query
+    fails listing every missing (k, m) pair; nothing is silently dropped.  An answer of more than
     MAX_SUMMANDS cyclic summands (each sphere's multiplicity times the number
     of cyclic factors of its localized group) is refused with ValueError
     before any group is built: its printed form lists every summand.
@@ -150,20 +151,12 @@ def homotopy_of_manifold(m: ManifoldModel, k: int, table: SphereTable) -> Homoto
     if k < 0:
         raise ValueError("k must be >= 0")
     primes = sigma_primes(m)
-    if m.r == 0:
-        needed = [(m.dim, 1)]
-    else:
-        counts = sphere_summand_counts(m.n, m.r, max(k - 1, 1)) if k >= 2 else {}
-        needed = [(w + 1, counts[w]) for w in sorted(counts) if counts[w] and w + 1 <= k]
+    counts = sphere_summand_counts(m.n, m.r, max(k - 1, 1)) if k >= 2 else {}
+    needed = [(w + 1, counts[w]) for w in sorted(counts) if counts[w] and w + 1 <= k]
     missing = [(k, sphere) for sphere, _mult in needed if not table.covers(k, sphere)]
     if missing:
         raise TableRangeError(missing)
-    summands = []
-    for sphere, mult in needed:
-        g = table.pi(k, sphere).localize(primes)
-        if m.r == 0 and g.is_zero():
-            continue
-        summands.append((sphere, mult, g))
+    summands = [(sphere, mult, table.pi(k, sphere).localize(primes)) for sphere, mult in needed]
     size = sum(mult * (g.rank + len(g.torsion.invariant_factors)) for _s, mult, g in summands)
     if size > MAX_SUMMANDS:
         raise ValueError(

@@ -32,7 +32,7 @@ from loopspace.decomposition import (
     weak_product_decomposition,
 )
 from loopspace.errors import SphereFallback
-from loopspace.manifold import ManifoldModel
+from loopspace.manifold import ManifoldModel, sigma_primes
 from loopspace.selftest import GRID
 from loopspace.series import PowerSeries, loop_generating_series
 
@@ -81,6 +81,16 @@ class TestTreeShapes:
             doc = to_dict(tree)
             assert json.loads(json.dumps(doc)) == doc  # must be JSON-serializable
 
+    @pytest.mark.parametrize("n,torsion", [(2, ()), (2, (2,)), (3, (2, 3)), (5, (5, 7))])
+    def test_rank_zero_weak_product_follows_the_cap(self, n, torsion):
+        # the looped top sphere, localized off the torsion, is the factor of
+        # loop degree 2n, so it is present exactly from cap = 2n on
+        m = ManifoldModel(n, 0, torsion)
+        top = WeakProduct([(localized(sigma_primes(m), loop(Sphere(m.dim))), 1)])
+        for cap in range(1, 2 * n + 4):
+            expected = top if cap >= 2 * n else WeakProduct([])
+            assert weak_product_decomposition(m, cap) == expected, cap
+
     def test_localization_tag_only_with_torsion(self):
         with_g = weak_product_decomposition(ManifoldModel(2, 2, (2,)), 2)
         without_g = weak_product_decomposition(ManifoldModel(2, 2), 2)
@@ -111,6 +121,12 @@ class TestConstructors:
             Moore(FiniteAbelianGroup.trivial(), 2)
         with pytest.raises(ValueError):
             Moore(FiniteAbelianGroup((2,)), 1)
+
+    def test_weak_product_rejects_negative_multiplicity(self):
+        # a multiplicity counts copies; zero copies is an empty factor
+        with pytest.raises(ValueError, match="multiplicity -1 of L\\(S3\\) is negative"):
+            WeakProduct([(Loop(Sphere(3)), -1)])
+        assert serialize(WeakProduct([(Loop(Sphere(3)), 0)])) == "PI[L(S3)^0]"
 
     @pytest.mark.parametrize("mult", [2.5, 2.0, "2"])
     def test_weak_product_rejects_non_integer_multiplicity(self, mult):

@@ -16,6 +16,8 @@ def test_module_doctests_pass():
     # linalg's documents the row format that nullspace returns, words' that
     # a word is a plain letter-index tuple, and abelian's that a power far
     # too large to list still answers tensor_dim_mod; decomposition's shows a
-    # splitting, node equality by fields, and a loop argument it refuses
-    for name in ("linalg", "series", "abelian", "words", "decomposition"):
+    # splitting, node equality by fields, and a loop argument it refuses;
+    # lyndon's that the exclusion bigram is the presentation's leading word
+    # and that a relation of mixed degrees is refused
+    for name in ("linalg", "series", "abelian", "words", "decomposition", "lyndon"):
         assert attempted[name] >= 1, name

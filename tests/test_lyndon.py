@@ -461,6 +461,40 @@ class TestStandardWords:
         with pytest.raises(PresentationError):
             exclusion_bigram(pres)
 
+    def test_exclusion_bigram_matches_pair_rule_on_one_degree_commutators(self):
+        # the pair rule, kept as the oracle: the lex-least (a, b), a < b,
+        # among the commutators' words
+        def pair_rule(pres):
+            return min((a, b) if a < b else (b, a) for a, b in pres.relation.words())
+
+        rng = random.Random(28)
+        for _ in range(300):
+            alphabet = Alphabet.from_degrees([rng.randint(1, 3) for _ in range(rng.randint(2, 5))])
+            weights = alphabet.degrees
+            pairs = [(a, b) for a in range(1, len(weights) + 1) for b in range(a + 1, len(weights) + 1)]
+            top = rng.choice(sorted({weights[a - 1] + weights[b - 1] for a, b in pairs}))
+            chosen = [p for p in pairs if weights[p[0] - 1] + weights[p[1] - 1] == top]
+            chosen = rng.sample(chosen, rng.randint(1, len(chosen)))
+            relation = NCPoly.zero(alphabet)
+            for a, b in chosen:
+                if rng.random() < 0.5:
+                    a, b = b, a  # a sign flip: [xb, xa] = -[xa, xb]
+                commutator = bracket(NCPoly.letter(alphabet, a), NCPoly.letter(alphabet, b))
+                relation = relation + commutator.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+            pres = QuadraticPresentation(alphabet, relation)
+            assert exclusion_bigram(pres) == pair_rule(pres) == pres.leading, (weights, relation)
+
+    def test_mixed_degree_relation_refused(self):
+        # [x1, x2] + [x1, x3] over degrees (1, 1, 2): its words have degrees
+        # 2 and 3, so it spans no graded ideal and has no one bigram to avoid
+        abc = Alphabet.from_degrees((1, 1, 2))
+        x1, x2, x3 = (NCPoly.letter(abc, i) for i in (1, 2, 3))
+        pres = QuadraticPresentation(abc, bracket(x1, x2) + bracket(x1, x3))
+        message = "relation mixes degree 2 with the leading degree 3"
+        for route in (lie_dims, standard_lyndon, independence_certificate):
+            with pytest.raises(PresentationError, match=message):
+                route(pres, 5)
+
     def test_rank_one_standard_words(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         std = standard_lyndon(pres, 5)

@@ -103,14 +103,26 @@ class TestRingOps:
         with pytest.raises(ComputationFailure):
             PowerSeries.from_log_derivative([0, 1, 0], 2)  # 2 h_2 = 1
 
+    def test_from_polynomial_refuses_negative_exponent(self):
+        # an exponent above the cap is truncated away, a negative one refused
+        assert PowerSeries.from_polynomial({0: 1, 9: 7}, 4) == PowerSeries.one(4)
+        with pytest.raises(ValueError, match="exponent -1 is negative"):
+            PowerSeries.from_polynomial({0: 1, -1: 7}, 4)
+
     def test_pow_int_against_repeated_mul(self):
-        # integer powers as weak-product factors, built from log derivatives
+        # integer powers as weak-product factors, built from log derivatives;
+        # a negative power is no weak-product factor, so -2 checks the
+        # log-derivative rebuild alone
         cap = 12
         factors = [wedge([Sphere(2), Sphere(3)]), loop(Sphere(3)), loop(wedge([Sphere(2), Sphere(2)]))]
         series = [rational_series(e, cap) for e in factors]
         for e, s in zip(factors, series):
-            for mult in (0, 1, 5, -2):
+            for mult in (0, 1, 5):
                 assert rational_series(WeakProduct([(e, mult)]), cap) == power(s, mult), (e, mult)
+            minus_two = [-2 * c for c in s.log().coeffs]
+            assert PowerSeries.from_log_derivative(minus_two, cap) == power(s, -2), e
+            with pytest.raises(ValueError, match="multiplicity -2"):
+                WeakProduct([(e, -2)])
         mixed = WeakProduct(zip(factors, (0, 1, 5)))
         assert rational_series(mixed, cap) == series[1] * power(series[2], 5)
 
@@ -145,6 +157,19 @@ class TestMobiusCounts:
         assert mobius_sieve(4)[1:] == [1, -1, -1, 0]
         for cap in (0, 1, 2, 30, 500):
             assert mobius_sieve(cap) == [0] + [mobius(k) for k in range(1, cap + 1)]
+
+    @pytest.mark.parametrize("n,cap", [(2, 0), (2, 3), (2, 4), (2, 12), (3, 5), (3, 6), (5, 30)])
+    def test_rank_zero_counts_one_top_sphere(self, n, cap):
+        # away from the torsion primes the manifold is S^(2n+1): one summand
+        # of loop degree 2n, and no loop presentation behind it
+        assert sphere_summand_counts(n, 0, cap) == {w: int(w == 2 * n) for w in range(1, cap + 1)}
+
+    def test_rank_zero_counts_refuse_what_rank_one_refuses(self):
+        for r in (0, 1):
+            with pytest.raises(ValueError, match="cap must be >= 0"):
+                sphere_summand_counts(2, r, -1)
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                sphere_summand_counts(1, r, 5)
 
     def test_rank_one_counts(self):
         counts = sphere_summand_counts(2, 1, 8)
