@@ -9,7 +9,8 @@ Three batch subcommands:
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration
 (message names the offending field), 3 sphere-table range gaps or a
-malformed or unreadable table.
+malformed or unreadable table, 141 (128 + SIGPIPE) when stdout is closed
+before the answer is written, as by `| head -1`, with nothing on stderr.
 
 Sizes are bounded before any counting starts, so that no question runs or
 allocates without bound: --cap <= 1000, --r <= 10000, --k <= 10000,
@@ -28,6 +29,7 @@ the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
 """
 
 import argparse
+import os
 import sys
 
 from .decomposition import (
@@ -56,6 +58,7 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_TABLE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 MAX_CAP = 1000
 MAX_R = 10000
@@ -146,42 +149,41 @@ def cmd_report(args) -> int:
     primes = sorted(sigma_primes(m))
     primes_text = str(set(primes) or "{}")
     hom = homology(m)
-    doc = {
-        "n": m.n,
-        "r": m.r,
-        "torsion": list(m.torsion.invariant_factors),
-        "dim": m.dim,
-        "homology": hom.to_dict(),
-        "sigma_primes": primes,
-        "coefficient_ring": coefficient_ring_label(m),
-        "cap": cap,
-    }
-    decomposition = loop_decomposition(m)
+    tree = loop_decomposition(m)
     flags = classify(m)
-    doc["decomposition"] = serialize(decomposition)
-    doc["classification"] = flags.to_dict()
+    dims = counts = weak = None
     if m.r >= 1:
         dims = hilbert_dims(loop_presentation(m), cap)
         counts = sphere_summand_counts(m.n, m.r, cap)
-        doc["loop_homology_dims"] = dims
-        doc["summand_counts"] = {str(w): counts[w] for w in sorted(counts)}
-        doc["weak_product"] = serialize(weak_product_decomposition(m, cap, counts=counts))
-    else:
-        doc["loop_homology_dims"] = None
-        doc["summand_counts"] = None
-        doc["weak_product"] = None
-        doc["sphere_fallback"] = f"M = S^{m.dim} after inverting {primes_text}"
+        weak = serialize(weak_product_decomposition(m, cap, counts=counts))
 
     if args.json:
-        doc["decomposition_tree"] = to_dict(decomposition)
-        doc["fiber_homology"] = fiber_homology(m, cap).to_dict() if m.r >= 1 else None
+        doc = {
+            "n": m.n,
+            "r": m.r,
+            "torsion": list(m.torsion.invariant_factors),
+            "dim": m.dim,
+            "homology": hom.to_dict(),
+            "sigma_primes": primes,
+            "coefficient_ring": coefficient_ring_label(m),
+            "cap": cap,
+            "decomposition": serialize(tree),
+            "classification": flags.to_dict(),
+            "loop_homology_dims": dims,
+            "summand_counts": None if counts is None else {str(w): counts[w] for w in sorted(counts)},
+            "weak_product": weak,
+            "decomposition_tree": to_dict(tree),
+            "fiber_homology": fiber_homology(m, cap).to_dict() if m.r >= 1 else None,
+        }
+        if m.r < 1:
+            doc["sphere_fallback"] = f"M = S^{m.dim} after inverting {primes_text}"
         return print_json(doc)
 
     lines = [
         f"manifold: n={m.n} r={m.r} G={m.torsion} (dimension {m.dim})",
         f"homology: {hom}",
         f"torsion primes: {primes_text}",
-        f"coefficient ring: {doc['coefficient_ring']}",
+        f"coefficient ring: {coefficient_ring_label(m)}",
     ]
     if m.r >= 1:
         dims_text = " ".join(str(d) for d in dims)
@@ -189,8 +191,8 @@ def cmd_report(args) -> int:
         lines += [
             f"loop homology dims (degrees 0..{cap}): {dims_text}",
             f"sphere summands: {counts_text}",
-            f"decomposition: {doc['decomposition']}",
-            f"weak product (loop degrees <= {cap}): {doc['weak_product']}",
+            f"decomposition: {serialize(tree)}",
+            f"weak product (loop degrees <= {cap}): {weak}",
         ]
     else:
         lines.append(f"M ≃ S^{m.dim} after inverting {primes_text}")
@@ -242,7 +244,17 @@ def cmd_selftest(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head -1` does: with stdout on devnull
+        # the interpreter's exit flush prints no second traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

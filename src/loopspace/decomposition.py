@@ -9,7 +9,9 @@ space for G; after inverting the torsion primes it also splits as a weak
 product of looped spheres with multiplicities given by the Moebius counts.
 This module builds those expressions as symbolic trees, computes rational
 Poincare series by structural rules, homology of the splitting fibre, and
-the elliptic/hyperbolic classification.
+the elliptic/hyperbolic classification.  The weak product is stored as its
+(loop degree, multiplicity) counts and the inverted primes, not as one node
+per factor; its series is the Euler product of the counts.
 
 Space expressions serialize to a stable text form ("L(S2) x L(S3) x ...")
 and to a JSON tree; both are meant for golden tests and reports.  Nodes
@@ -17,6 +19,11 @@ compare by type and fields, and the loop rule takes only suspensions:
 
 >>> print(loop_decomposition(ManifoldModel(2, 2)))
 L(S2) x L(S3) x L(W(S2, S3, Sm(W(S2, S3), L(S2 x S3))))
+>>> wp = weak_product_decomposition(ManifoldModel(2, 2, (2,)), 3)
+>>> wp.counts, wp.primes
+(((1, 2), (2, 3), (3, 5)), (2,))
+>>> print(wp)
+PI[L(S2)[1/2]^2, L(S3)[1/2]^3, L(S4)[1/2]^5]
 >>> Sphere(3) == Sphere(3), Sphere(3) == Sphere(4), Wedge([Sphere(2)]) == Product([Sphere(2)])
 (True, False, False)
 >>> rational_series(loop(wedge([loop(Sphere(3)), Sphere(2)])), 6)
@@ -31,7 +38,7 @@ from collections import namedtuple
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .manifold import ManifoldModel, sigma_primes
-from .series import PowerSeries, sphere_summand_counts
+from .series import PowerSeries, euler_product, sphere_summand_counts
 
 
 class SpaceExpr:
@@ -124,18 +131,29 @@ class LocalizedAt(SpaceExpr):
 
 
 class WeakProduct(SpaceExpr):
-    """Homotopy colimit of finite sub-products of (expr, multiplicity) pairs.
+    """Homotopy colimit of finite sub-products of localized looped spheres.
 
-    A multiplicity is a count of copies, so it must be >= 0.
+    ``counts`` holds (w, multiplicity) pairs: that many copies of
+    Loop(S^(w+1)), loop degree w >= 1, each with ``primes`` inverted.  A
+    multiplicity is a count of copies, so it must be >= 0.  No node is
+    stored per factor; ``factors`` builds them when it is read.
     """
 
-    _fields = ("factors",)
+    _fields = ("counts", "primes")
 
-    def __init__(self, factors):
-        self.factors = tuple((e, operator.index(m)) for e, m in factors)
-        for e, m in self.factors:
+    def __init__(self, counts, primes=()):
+        self.counts = tuple((operator.index(w), operator.index(m)) for w, m in counts)
+        self.primes = tuple(sorted(set(primes)))
+        for w, m in self.counts:
+            if w < 1:
+                raise ValueError(f"loop degree {w} must be >= 1")
             if m < 0:
-                raise ValueError(f"multiplicity {m} of {e} is negative")
+                raise ValueError(f"multiplicity {m} of L(S{w + 1}) is negative")
+
+    @property
+    def factors(self) -> tuple:
+        """(localized looped sphere, multiplicity) pairs, one per entry of counts."""
+        return tuple((localized(self.primes, Loop(Sphere(w + 1))), m) for w, m in self.counts)
 
 
 # ---- smart constructors (unit laws only) -----------------------------------
@@ -207,7 +225,8 @@ def serialize(expr: SpaceExpr) -> str:
             inner = f"({inner})"
         return inner + "[" + ",".join(f"1/{p}" for p in expr.primes) + "]"
     if isinstance(expr, WeakProduct):
-        return "PI[" + ", ".join(f"{serialize(e)}^{m}" for e, m in expr.factors) + "]"
+        tag = "[" + ",".join(f"1/{p}" for p in expr.primes) + "]" if expr.primes else ""
+        return "PI[" + ", ".join(f"L(S{w + 1}){tag}^{m}" for w, m in expr.counts) + "]"
     raise TypeError(f"cannot serialize {expr!r}")
 
 
@@ -272,20 +291,14 @@ def weak_product_decomposition(m: ManifoldModel, cap: int, *, counts=None) -> We
     """Looped spheres with Moebius multiplicities, localized off the torsion.
 
     Factor w is Loop(S^(w+1)) with multiplicity l[w], for loop degrees
-    w <= cap.  For r = 0 the single factor is the looped top sphere, so it
-    appears once cap >= 2n, like every other factor of its loop degree.
-    ``counts`` takes l[1..cap] when the caller already has them.
+    w <= cap; a zero count is left out.  For r = 0 the single factor is the
+    looped top sphere, so it appears once cap >= 2n, like every other factor
+    of its loop degree.  ``counts`` takes l[1..cap] when the caller already
+    has them.
     """
-    primes = sorted(sigma_primes(m))
     if counts is None:
         counts = sphere_summand_counts(m.n, m.r, cap)
-    factors = []
-    for w in range(1, cap + 1):
-        if counts[w]:
-            # a looped sphere is never a point: loop() and localized() have nothing to simplify
-            looped = Loop(Sphere(w + 1))
-            factors.append((LocalizedAt(primes, looped) if primes else looped, counts[w]))
-    return WeakProduct(factors)
+    return WeakProduct([(w, counts[w]) for w in range(1, cap + 1) if counts[w]], sigma_primes(m))
 
 
 def polynomial_ring_dims(n: int, cap: int) -> list:
@@ -357,9 +370,7 @@ def rational_series(expr: SpaceExpr, cap: int) -> PowerSeries:
     if isinstance(expr, LocalizedAt):
         return rational_series(expr.child, cap)
     if isinstance(expr, WeakProduct):
-        logs = [(mult, rational_series(e, cap).log().coeffs) for e, mult in expr.factors]
-        p = [sum(mult * c[k] for mult, c in logs) for k in range(cap + 1)]
-        return PowerSeries.from_log_derivative(p, cap)
+        return euler_product(expr.counts, cap)  # Loop(S^(w+1)) has series 1/(1 - t^w)
     if isinstance(expr, Loop):
         return _loop_series(expr.child, cap)
     raise TypeError(f"no series rule for {expr!r}")

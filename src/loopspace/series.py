@@ -244,17 +244,24 @@ def sphere_summand_counts(n: int, r: int, cap: int = 20) -> dict:
     return mobius_counts(loop_generating_series(n, r, cap))
 
 
+def euler_product(counts, cap: int) -> PowerSeries:
+    """prod over the (w, c) pairs of counts of (1 - t^w)^(-c), through t^cap.
+
+    The product P has t P'/P = sum p_k t^k with p_k = sum over w | k of
+    w * c_w, O(cap log cap) additions for w = 1..cap, and
+    ``PowerSeries.from_log_derivative`` rebuilds P from the p_k in integers.
+    """
+    p = [0] * (cap + 1)
+    for w, c in counts:
+        for k in range(w, cap + 1, w):
+            p[k] += w * c
+    return PowerSeries.from_log_derivative(p, cap)
+
+
 def pbw_series_check(lie_dims: dict, hilbert: list, cap: int) -> bool:
     """Does prod over w of (1 - t^w)^(-lie_dims[w]) match the word counts?
 
-    ``hilbert`` lists dimensions by degree from 0, padded with zeros.  The
-    product P has t P'/P = sum p_k t^k with p_k = sum over w | k of
-    w * lie_dims[w], and ``PowerSeries.from_log_derivative`` rebuilds P
-    from the p_k in integers.
+    ``hilbert`` lists dimensions by degree from 0, padded with zeros; the
+    product is ``euler_product`` of the lie_dims items.
     """
-    p = [0] * (cap + 1)
-    for w in range(1, cap + 1):
-        d = lie_dims.get(w, 0)
-        for k in range(w, cap + 1, w):
-            p[k] += w * d
-    return PowerSeries(hilbert[: cap + 1], cap) == PowerSeries.from_log_derivative(p, cap)
+    return PowerSeries(hilbert[: cap + 1], cap) == euler_product(lie_dims.items(), cap)

@@ -86,10 +86,11 @@ class TestTreeShapes:
         # the looped top sphere, localized off the torsion, is the factor of
         # loop degree 2n, so it is present exactly from cap = 2n on
         m = ManifoldModel(n, 0, torsion)
-        top = WeakProduct([(localized(sigma_primes(m), loop(Sphere(m.dim))), 1)])
+        primes = sigma_primes(m)
         for cap in range(1, 2 * n + 4):
-            expected = top if cap >= 2 * n else WeakProduct([])
+            expected = WeakProduct([(2 * n, 1)] if cap >= 2 * n else [], primes)
             assert weak_product_decomposition(m, cap) == expected, cap
+        assert weak_product_decomposition(m, 2 * n).factors == ((localized(primes, loop(Sphere(m.dim))), 1),)
 
     def test_localization_tag_only_with_torsion(self):
         with_g = weak_product_decomposition(ManifoldModel(2, 2, (2,)), 2)
@@ -97,6 +98,17 @@ class TestTreeShapes:
         assert all(isinstance(e, LocalizedAt) for e, _ in with_g.factors)
         assert all(isinstance(e, Loop) for e, _ in without_g.factors)
         assert with_g.factors[0] == (LocalizedAt((2,), Loop(Sphere(2))), 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    @pytest.mark.parametrize("orders", [(), (2,), (2, 3)])
+    def test_counted_text_matches_the_per_factor_text(self, n, r, orders):
+        # the former rule serialized one localized looped-sphere node per factor
+        m = ManifoldModel(n, r, orders)
+        for cap in range(1, 31):
+            wp = weak_product_decomposition(m, cap)
+            per_factor = "PI[" + ", ".join(f"{serialize(e)}^{k}" for e, k in wp.factors) + "]"
+            assert serialize(wp) == per_factor, cap
 
 
 class TestConstructors:
@@ -125,14 +137,37 @@ class TestConstructors:
     def test_weak_product_rejects_negative_multiplicity(self):
         # a multiplicity counts copies; zero copies is an empty factor
         with pytest.raises(ValueError, match="multiplicity -1 of L\\(S3\\) is negative"):
-            WeakProduct([(Loop(Sphere(3)), -1)])
-        assert serialize(WeakProduct([(Loop(Sphere(3)), 0)])) == "PI[L(S3)^0]"
+            WeakProduct([(2, -1)])
+        assert serialize(WeakProduct([(2, 0)])) == "PI[L(S3)^0]"
 
     @pytest.mark.parametrize("mult", [2.5, 2.0, "2"])
     def test_weak_product_rejects_non_integer_multiplicity(self, mult):
         # int() used to truncate a multiplicity 2.5 to 2
         with pytest.raises(TypeError):
-            WeakProduct([(Sphere(2), mult)])
+            WeakProduct([(1, mult)])
+        with pytest.raises(TypeError):
+            WeakProduct([(mult, 1)])
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_weak_product_rejects_loop_degree_below_one(self, w):
+        # Loop(S^1) is not simply connected and S^0 is no sphere here
+        with pytest.raises(ValueError, match=f"loop degree {w} must be >= 1"):
+            WeakProduct([(w, 1)])
+
+    def test_weak_product_normalises_its_primes(self):
+        wp = WeakProduct([(1, 2)], [3, 2, 3])
+        assert wp.primes == (2, 3)
+        assert wp == WeakProduct([(1, 2)], (2, 3))
+        assert serialize(wp) == "PI[L(S2)[1/2,1/3]^2]"
+        assert wp.factors == ((LocalizedAt((2, 3), Loop(Sphere(2))), 2),)
+        assert WeakProduct([(1, 2)]).factors == ((Loop(Sphere(2)), 2),)
+
+    def test_weak_product_dict_keeps_one_entry_per_factor(self):
+        sphere = {"kind": "loop", "child": {"kind": "sphere", "dim": 3}}
+        assert to_dict(WeakProduct([(2, 4)], [5])) == {
+            "kind": "weak_product",
+            "factors": [{"space": {"kind": "localized", "invert": [5], "child": sphere}, "mult": 4}],
+        }
 
 
 G2 = FiniteAbelianGroup((2,))
@@ -147,7 +182,7 @@ NODES = [
     Smash([Sphere(2), Sphere(3)]),
     Loop(Sphere(3)),
     LocalizedAt([2], Sphere(3)),
-    WeakProduct([(Loop(Sphere(3)), 2)]),
+    WeakProduct([(2, 2)], [3]),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopspace.decomposition import Sphere, WeakProduct, loop, rational_series, wedge
+from loopspace.decomposition import Sphere, WeakProduct, loop, rational_series
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import enumerate_lyndon, lie_dims
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
@@ -14,6 +14,7 @@ from loopspace.rewrite import hilbert_dims
 from loopspace.selftest import GRID
 from loopspace.series import (
     PowerSeries,
+    euler_product,
     loop_generating_series,
     mobius_counts,
     pbw_series_check,
@@ -110,21 +111,27 @@ class TestRingOps:
             PowerSeries.from_polynomial({0: 1, -1: 7}, 4)
 
     def test_pow_int_against_repeated_mul(self):
-        # integer powers as weak-product factors, built from log derivatives;
+        # Bott-Samelson oracle: a weak-product factor (w, c) is c copies of
+        # Loop(S^(w+1)), whose series the loop rule builds on its own route;
         # a negative power is no weak-product factor, so -2 checks the
         # log-derivative rebuild alone
         cap = 12
-        factors = [wedge([Sphere(2), Sphere(3)]), loop(Sphere(3)), loop(wedge([Sphere(2), Sphere(2)]))]
-        series = [rational_series(e, cap) for e in factors]
-        for e, s in zip(factors, series):
-            for mult in (0, 1, 5):
-                assert rational_series(WeakProduct([(e, mult)]), cap) == power(s, mult), (e, mult)
+        for w in (1, 2, 3, 5):
+            s = rational_series(loop(Sphere(w + 1)), cap)
+            for mult in (0, 1, 2, 5):
+                assert rational_series(WeakProduct([(w, mult)]), cap) == power(s, mult), (w, mult)
+                assert rational_series(WeakProduct([(w, mult)], [2, 3]), cap) == power(s, mult), (w, mult)
             minus_two = [-2 * c for c in s.log().coeffs]
-            assert PowerSeries.from_log_derivative(minus_two, cap) == power(s, -2), e
+            assert PowerSeries.from_log_derivative(minus_two, cap) == power(s, -2), w
             with pytest.raises(ValueError, match="multiplicity -2"):
-                WeakProduct([(e, -2)])
-        mixed = WeakProduct(zip(factors, (0, 1, 5)))
-        assert rational_series(mixed, cap) == series[1] * power(series[2], 5)
+                WeakProduct([(w, -2)])
+        mixed = WeakProduct([(1, 0), (2, 1), (3, 5)])
+        expected = rational_series(loop(Sphere(3)), cap) * power(rational_series(loop(Sphere(4)), cap), 5)
+        assert rational_series(mixed, cap) == expected
+
+    def test_euler_product_of_a_degree_past_the_cap_is_one(self):
+        assert euler_product([(7, 3)], 6) == PowerSeries.one(6)
+        assert euler_product([(2, 1), (2, 2)], 6) == euler_product([(2, 3)], 6)
 
 
 class TestGeneratingSeries:
