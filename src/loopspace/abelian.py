@@ -2,7 +2,8 @@
 
 A finite group is stored as its elementary divisors, the number of copies
 of each Z/p^e, so k copies of a group cost what one does; its invariant
-factors are derived only for output.
+factors are derived only for output.  Likewise a graded group whose every
+degree is Z^a + G^b for one G is stored as the pairs (a, b) (GradedPowers).
 
 >>> G = FiniteAbelianGroup.from_cyclic_orders([2, 4, 3])
 >>> G.invariant_factors
@@ -19,6 +20,13 @@ import operator
 from collections import Counter
 
 from .numtheory import factorint
+
+
+def _sum_text(rank: int, runs: list, copies: int = 1) -> str:
+    """Printed Z^rank + copies of each (factor, repeat) run: "Z^2 + Z/2 + Z/2", "Z", "0"."""
+    # each piece ends in " + ", cut once from the joined text
+    head = "" if not rank else "Z + " if rank == 1 else f"Z^{rank} + "
+    return "".join([head] + [f"Z/{d} + " * (repeat * copies) for d, repeat in runs])[:-3] or "0"
 
 
 class FiniteAbelianGroup:
@@ -134,10 +142,7 @@ class FiniteAbelianGroup:
         return hash(self._counts)
 
     def __str__(self):
-        parts = []
-        for d, repeat in self._runs():
-            parts += [f"Z/{d}"] * repeat
-        return " + ".join(parts) or "0"
+        return _sum_text(0, self._runs())
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.invariant_factors)})"
@@ -193,14 +198,7 @@ class FgAbelianGroup:
         return hash((self.rank, self.torsion))
 
     def __str__(self):
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        if not self.torsion.is_trivial():
-            parts.append(str(self.torsion))
-        return " + ".join(parts) if parts else "0"
+        return _sum_text(self.rank, self.torsion._runs())
 
     def __repr__(self):
         return f"FgAbelianGroup({self.rank}, {self.torsion!r})"
@@ -224,15 +222,55 @@ class GradedAbelianGroup:
     def part(self, degree: int) -> FgAbelianGroup:
         return self._parts.get(degree, FgAbelianGroup.zero())
 
+    def _texts(self) -> list:
+        """(degree, printed group) for each nonzero degree, in order."""
+        return [(d, str(g)) for d, g in self._parts.items()]
+
     def __eq__(self, other):
-        return isinstance(other, GradedAbelianGroup) and self._parts == other._parts
+        return (
+            isinstance(other, GradedAbelianGroup)
+            and self.degrees() == other.degrees()
+            and all(self.part(d) == other.part(d) for d in self.degrees())
+        )
 
     def __str__(self):
-        if not self._parts:
-            return "0"
-        return ", ".join(f"H_{d} = {g}" for d, g in self._parts.items())
+        return ", ".join(f"H_{d} = {text}" for d, text in self._texts()) or "0"
 
     __repr__ = __str__
 
     def to_dict(self) -> dict:
-        return {str(d): str(g) for d, g in self._parts.items()}
+        return {str(d): text for d, text in self._texts()}
+
+
+class GradedPowers(GradedAbelianGroup):
+    """Degree d is Z^rank + G^copies for one finite group G, stored as the
+    two counts: no degree holds a group of its own.
+
+    G^copies repeats each of G's invariant-factor runs copies times, so the
+    printed degrees follow from G's runs, found once per print.
+
+    >>> h = GradedPowers(FiniteAbelianGroup((2, 6)), {3: (1, 2), 4: (0, 0), 5: (2, 0)})
+    >>> print(h)
+    H_3 = Z + Z/2 + Z/2 + Z/6 + Z/6, H_5 = Z^2
+    >>> h.degrees(), h.part(5)
+    ([3, 5], FgAbelianGroup(2, FiniteAbelianGroup([])))
+    """
+
+    def __init__(self, group: FiniteAbelianGroup, counts: dict):
+        self._group = group
+        self._counts = {
+            d: (rank, copies)
+            for d, (rank, copies) in sorted(counts.items())
+            if rank or (copies and not group.is_trivial())
+        }
+
+    def degrees(self):
+        return list(self._counts)
+
+    def part(self, degree: int) -> FgAbelianGroup:
+        rank, copies = self._counts.get(degree, (0, 0))
+        return FgAbelianGroup(rank, self._group.power(copies))
+
+    def _texts(self) -> list:
+        runs = self._group._runs()
+        return [(d, _sum_text(rank, runs, copies)) for d, (rank, copies) in self._counts.items()]

@@ -24,7 +24,7 @@ At each limit one answer takes at most a few seconds in a fresh process
 about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
 --k 10000 about 1.1 s, selftest --fuzz 100000 about 1.5 s (1.3 s of it
 the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
---json with sixteen orders 999999937, about 0.6 s of CPU and 181 MB (about
+--json with sixteen orders 999999937, 0.5-0.8 s of CPU and 177 MB (about
 0.2 s and 17 MB as text).
 """
 
@@ -107,9 +107,11 @@ def build_parser():
 
 
 def print_json(doc) -> int:
-    import json  # only --json output needs it; a text answer skips the import
+    # json.dumps with an indent runs the pure-Python encoder; json_text joins C-encoded leaves.
+    # Only --json output needs it: a text answer neither compiles it nor imports json.
+    from .jsontext import json_text
 
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json_text(doc))
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ ValueError: unsupported loop argument W(L(S3), S2)
 import operator
 from collections import namedtuple
 
-from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from .abelian import FiniteAbelianGroup, GradedPowers
 from .errors import SphereFallback
 from .manifold import ManifoldModel, sigma_primes
 from .series import PowerSeries, euler_product, sphere_summand_counts
@@ -316,7 +316,7 @@ def polynomial_ring_dims(n: int, cap: int) -> list:
     return dims
 
 
-def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
+def fiber_homology(m: ManifoldModel, cap: int) -> GradedPowers:
     """Reduced homology of the splitting fibre through degree cap.
 
     The fibre is (a half-smash over) Z[u,v] tensor the reduced homology of
@@ -325,21 +325,19 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
 
         H_D = Z^((r-1)(p[D-n] + p[D-n-1])) + G^(p[D-n]),
 
-    built once per degree: O(cap) groups and O(cap) Python steps.  Each
-    G^(p[D-n]) multiplies G's elementary-divisor counts by p[D-n] (see
-    FiniteAbelianGroup.power): its cost follows G, not the copies.
+    kept as the two counts per degree beside the one group G: O(cap)
+    integers and O(cap) Python steps.  A degree becomes a group only when
+    part(D) asks for it, and prints from G's runs (see GradedPowers).
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if m.r < 1:
         raise SphereFallback(m.n, sigma_primes(m))
     poly = polynomial_ring_dims(m.n, cap)
-    parts = {}
-    below = 0  # p[D-n-1]
-    for d in range(cap - m.n + 1):  # d = D - n
-        parts[d + m.n] = FgAbelianGroup((m.r - 1) * (poly[d] + below), m.torsion.power(poly[d]))
-        below = poly[d]
-    return GradedAbelianGroup(parts)
+    below = [0] + poly  # below[d] = p[d-1]
+    return GradedPowers(
+        m.torsion, {d + m.n: ((m.r - 1) * (poly[d] + below[d]), poly[d]) for d in range(cap - m.n + 1)}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup, GradedPowers
 from loopspace.manifold import ManifoldModel
 from loopspace.numtheory import factorint
 
@@ -230,3 +230,28 @@ class TestGradedAbelianGroup:
         # int() used to truncate 2.5 to degree 2
         with pytest.raises(TypeError):
             GradedAbelianGroup({bad: FgAbelianGroup(1)})
+
+
+class TestGradedPowers:
+    def test_matches_the_graded_group_of_its_parts(self):
+        # each degree built as a group of its own and printed by
+        # FgAbelianGroup is the oracle for the counts' printed form
+        rng = random.Random(31)
+        for _ in range(200):
+            g = FiniteAbelianGroup.from_cyclic_orders(random_orders(rng))
+            degrees = rng.sample(range(31), rng.randint(0, 6))
+            counts = {d: (rng.randint(0, 3), rng.randint(0, 4)) for d in degrees}
+            got = GradedPowers(g, counts)
+            expected = GradedAbelianGroup(
+                {d: FgAbelianGroup(rank, g.power(copies)) for d, (rank, copies) in counts.items()}
+            )
+            assert got == expected and expected == got
+            assert got.degrees() == expected.degrees()
+            assert (str(got), got.to_dict()) == (str(expected), expected.to_dict())
+            for d in range(31):
+                assert got.part(d) == expected.part(d)
+
+    def test_zero_degrees_dropped(self):
+        h = GradedPowers(FiniteAbelianGroup.trivial(), {2: (0, 5), 3: (2, 5)})
+        assert h.degrees() == [3] and str(h) == "H_3 = Z^2"
+        assert str(GradedPowers(FiniteAbelianGroup((2,)), {4: (0, 0)})) == "0"

@@ -56,6 +56,12 @@ def test_cli_import_skips_the_koszul_layer_which_imports_alone():
     assert run_bare(["-c", code]) == b"True\n"
 
 
+def test_cli_import_skips_the_json_writer():
+    # only --json output writes JSON, so a text answer need not compile the writer
+    code = "import loopspace.cli, sys; print('loopspace.jsontext' in sys.modules)"
+    assert run_bare(["-c", code]) == b"False\n"
+
+
 def test_bundled_table_ignores_the_locale():
     code = (
         "import sys; from loopspace.spheres import bundled_table_text; "
