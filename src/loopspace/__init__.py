@@ -3,9 +3,11 @@
 
 Everything is exact arithmetic in integers, with Fractions only in relation
 normalisation by a leading coefficient other than +-1, elimination over Q in
-``linalg`` and the certificate's normal forms; every headline number is
-cross-checkable by an independent combinatorial route, and the
-``selftest`` command runs those cross-checks.
+``linalg`` (which no command runs) and the certificate's normal forms; every
+headline number is cross-checkable by an independent combinatorial route,
+and the ``selftest`` command runs those cross-checks.  Every module here
+serves some command; the Koszul-duality checks of the paper's claims are a
+test oracle beside the tests.
 """
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup

@@ -2,8 +2,8 @@
 
 A finite group is stored as its elementary divisors, the number of copies
 of each Z/p^e, so k copies of a group cost what one does; its invariant
-factors are derived only for output.  Likewise a graded group whose every
-degree is Z^a + G^b for one G is stored as the pairs (a, b) (GradedPowers).
+factors are derived only for output.  Likewise a graded group, whose every
+degree is Z^a + G^b for one G, is stored as the pairs (a, b).
 
 >>> G = FiniteAbelianGroup.from_cyclic_orders([2, 4, 3])
 >>> G.invariant_factors
@@ -205,26 +205,41 @@ class FgAbelianGroup:
 
 
 class GradedAbelianGroup:
-    """Finitely many degrees, each a finitely generated abelian group."""
+    """Finitely many degrees, degree d being Z^rank + G^copies for one finite
+    group G, stored as the two counts: no degree holds a group of its own.
 
-    def __init__(self, parts=None):
-        clean = {}
-        for deg, g in (parts or {}).items():
-            if not isinstance(g, FgAbelianGroup):
-                raise TypeError("degrees must map to FgAbelianGroup")
-            if not g.is_zero():
-                clean[operator.index(deg)] = g
-        self._parts = dict(sorted(clean.items()))
+    G^copies repeats each of G's invariant-factor runs copies times, so the
+    printed degrees follow from G's runs, found once per print.  Zero
+    degrees are dropped.
+
+    >>> h = GradedAbelianGroup(FiniteAbelianGroup((2, 6)), {3: (1, 2), 4: (0, 0), 5: (2, 0)})
+    >>> print(h)
+    H_3 = Z + Z/2 + Z/2 + Z/6 + Z/6, H_5 = Z^2
+    >>> h.degrees(), h.part(5)
+    ([3, 5], FgAbelianGroup(2, FiniteAbelianGroup([])))
+    """
+
+    def __init__(self, group: FiniteAbelianGroup, counts: dict):
+        if any(rank < 0 or copies < 0 for rank, copies in counts.values()):
+            raise ValueError("ranks and copies must be >= 0")
+        self._group = group
+        self._counts = {
+            operator.index(d): (rank, copies)
+            for d, (rank, copies) in sorted(counts.items())
+            if rank or (copies and not group.is_trivial())
+        }
 
     def degrees(self):
-        return list(self._parts)
+        return list(self._counts)
 
     def part(self, degree: int) -> FgAbelianGroup:
-        return self._parts.get(degree, FgAbelianGroup.zero())
+        rank, copies = self._counts.get(degree, (0, 0))
+        return FgAbelianGroup(rank, self._group.power(copies))
 
     def _texts(self) -> list:
         """(degree, printed group) for each nonzero degree, in order."""
-        return [(d, str(g)) for d, g in self._parts.items()]
+        runs = self._group._runs()
+        return [(d, _sum_text(rank, runs, copies)) for d, (rank, copies) in self._counts.items()]
 
     def __eq__(self, other):
         return (
@@ -240,37 +255,3 @@ class GradedAbelianGroup:
 
     def to_dict(self) -> dict:
         return {str(d): text for d, text in self._texts()}
-
-
-class GradedPowers(GradedAbelianGroup):
-    """Degree d is Z^rank + G^copies for one finite group G, stored as the
-    two counts: no degree holds a group of its own.
-
-    G^copies repeats each of G's invariant-factor runs copies times, so the
-    printed degrees follow from G's runs, found once per print.
-
-    >>> h = GradedPowers(FiniteAbelianGroup((2, 6)), {3: (1, 2), 4: (0, 0), 5: (2, 0)})
-    >>> print(h)
-    H_3 = Z + Z/2 + Z/2 + Z/6 + Z/6, H_5 = Z^2
-    >>> h.degrees(), h.part(5)
-    ([3, 5], FgAbelianGroup(2, FiniteAbelianGroup([])))
-    """
-
-    def __init__(self, group: FiniteAbelianGroup, counts: dict):
-        self._group = group
-        self._counts = {
-            d: (rank, copies)
-            for d, (rank, copies) in sorted(counts.items())
-            if rank or (copies and not group.is_trivial())
-        }
-
-    def degrees(self):
-        return list(self._counts)
-
-    def part(self, degree: int) -> FgAbelianGroup:
-        rank, copies = self._counts.get(degree, (0, 0))
-        return FgAbelianGroup(rank, self._group.power(copies))
-
-    def _texts(self) -> list:
-        runs = self._group._runs()
-        return [(d, _sum_text(rank, runs, copies)) for d, (rank, copies) in self._counts.items()]

@@ -35,7 +35,7 @@ ValueError: unsupported loop argument W(L(S3), S2)
 import operator
 from collections import namedtuple
 
-from .abelian import FiniteAbelianGroup, GradedPowers
+from .abelian import FiniteAbelianGroup, GradedAbelianGroup
 from .errors import SphereFallback
 from .manifold import ManifoldModel, sigma_primes
 from .series import PowerSeries, euler_product, sphere_summand_counts
@@ -307,6 +307,8 @@ def polynomial_ring_dims(n: int, cap: int) -> list:
     The series is 1 / ((1 - t^(n-1)) (1 - t^n)): each factor is divided out
     by one running-sum pass, O(cap) in all.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if cap < 0:
         raise ValueError("cap must be >= 0")
     dims = [1] + [0] * cap
@@ -316,7 +318,7 @@ def polynomial_ring_dims(n: int, cap: int) -> list:
     return dims
 
 
-def fiber_homology(m: ManifoldModel, cap: int) -> GradedPowers:
+def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
     """Reduced homology of the splitting fibre through degree cap.
 
     The fibre is (a half-smash over) Z[u,v] tensor the reduced homology of
@@ -327,7 +329,7 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedPowers:
 
     kept as the two counts per degree beside the one group G: O(cap)
     integers and O(cap) Python steps.  A degree becomes a group only when
-    part(D) asks for it, and prints from G's runs (see GradedPowers).
+    part(D) asks for it, and prints from G's runs (see GradedAbelianGroup).
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -335,7 +337,7 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedPowers:
         raise SphereFallback(m.n, sigma_primes(m))
     poly = polynomial_ring_dims(m.n, cap)
     below = [0] + poly  # below[d] = p[d-1]
-    return GradedPowers(
+    return GradedAbelianGroup(
         m.torsion, {d + m.n: ((m.r - 1) * (poly[d] + below[d]), poly[d]) for d in range(cap - m.n + 1)}
     )
 

@@ -1,45 +1,34 @@
-"""Exact linear algebra over the rationals or a prime field, on sparse rows.
+"""Exact rank over the rationals or a prime field, on sparse rows.
 
 A row is a ``{column: value}`` map with every column in ``0..ncols-1``; a
 missing column is zero.  Values are Fractions or ints when ``char == 0``
 and ints, reduced here, when ``char == p``.  A column outside the range
 raises ValueError, and no input map is changed.
 
-One forward elimination, ``_echelon``, serves both entry points.  It
-reduces each row by the stored pivot rows, keyed by leading column, until
-the row is zero or leads in a new column; it then scales the row to lead
-with 1 and stores it.  Over F_p a row that already leads with 1 is stored
-as it is: it is a fresh map, reduced mod p, so no input map is shared.  The
-two fields differ only in ``% char`` and that shortcut; over Q every stored
-row is rescaled, which keeps its values Fractions.
+``rank`` runs one forward elimination.  It reduces each row by the stored
+pivot rows, keyed by leading column, until the row is zero or leads in a
+new column; it then scales the row to lead with 1 and stores it.  Over F_p
+a row that already leads with 1 is stored as it is: it is a fresh map,
+reduced mod p, so no input map is shared.  The two fields differ only in
+``% char`` and that shortcut; over Q every stored row is rescaled, which
+keeps its values Fractions.
 
-* ``rank`` is the number of stored rows.  This is sound because the stored
-  rows have pairwise distinct leading columns, so they are independent, and
-  each one is an input row less a combination of earlier stored rows,
-  scaled by a unit, so they span the rows read so far: a row that reduces
-  to zero lies in that span.
-* ``nullspace`` back-substitutes: from the last leading column down, each
-  stored row has its entries in later pivot columns cleared by the rows
-  already cleared.  Those rows are zero in every other pivot column, so a
-  step changes one pivot entry and free columns only.  The result is the
-  reduced echelon form, which is unique, and the kernel basis is read off
-  it as rows too: one per free column j, holding the int 1 at j and, at
-  each pivot column, minus that pivot row's entry in column j.
+The rank is the number of stored rows.  This is sound because the stored
+rows have pairwise distinct leading columns, so they are independent, and
+each one is an input row less a combination of earlier stored rows, scaled
+by a unit, so they span the rows read so far: a row that reduces to zero
+lies in that span.
 
 >>> rank([{0: 1, 2: 2}, {1: 3}, {0: 2, 1: 3, 2: 4}], 3)
 2
->>> nullspace([{0: 1, 2: 2}, {1: 3}], 3)
-[{2: 1, 0: Fraction(-2, 1)}]
->>> nullspace([{0: 1, 2: 2}], 3, char=5)
-[{1: 1}, {2: 1, 0: 3}]
+>>> rank([{0: 1, 2: 2}, {0: 2, 2: 4}], 3, char=5)
+1
 
 The prime field serves the Lie-basis independence certificate: a rational
 matrix with denominators prime to p and full rank mod p has full rank over
-Q, and residues mod p stay bounded where Fraction entries grow.  Both
-fields serve the Koszul layer (``koszul``): the kernel relations of the
-form algebras, the Koszul dual and the weight dimensions of generic
-quadratic algebras.  ``nullspace`` has no other caller, but it stays here
-beside ``rank`` because the two share ``_echelon``.
+Q, and residues mod p stay bounded where Fraction entries grow.  The test
+suite's Koszul oracle runs the same elimination over both fields, for the
+weight dimensions of generic quadratic algebras.
 """
 
 
@@ -55,11 +44,11 @@ def _subtract(row, f, prow, char):
             del row[j]
 
 
-def _echelon(rows, ncols, char):
-    """Echelon rows keyed by leading column, each a fresh map leading with 1."""
+def rank(rows, ncols, char=0) -> int:
+    """Rank of the matrix whose rows are the given {column: value} maps."""
     if not char:
         from fractions import Fraction  # loaded by the first elimination over Q
-    pivots = {}
+    pivots = {}  # leading column -> stored row, a fresh map leading with 1
     for r in rows:
         if r and (min(r) < 0 or max(r) >= ncols):
             raise ValueError(f"a row has a column outside 0..{ncols - 1}")
@@ -76,28 +65,4 @@ def _echelon(rows, ncols, char):
                     pivots[lead] = {j: v * inv % char if char else v * inv for j, v in row.items()}
                 break
             _subtract(row, row[lead], prow, char)
-    return pivots
-
-
-def rank(rows, ncols, char=0) -> int:
-    """Rank of the matrix whose rows are the given {column: value} maps."""
-    return len(_echelon(rows, ncols, char))
-
-
-def nullspace(rows, ncols, char=0):
-    """Basis of the right kernel of the matrix, one row per free column.
-
-    The basis is the canonical one read off the reduced echelon form, in
-    ascending free column; each kernel vector is a {column: value} row.
-    """
-    pivots = _echelon(rows, ncols, char)
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for c in [c for c in row if c != lead and c in pivots]:
-            _subtract(row, row[c], pivots[c], char)
-    basis = {j: {j: 1} for j in range(ncols) if j not in pivots}
-    for lead, row in pivots.items():
-        for j, x in row.items():
-            if j != lead:  # a free column: back-substitution cleared the pivot ones
-                basis[j][lead] = -x % char if char else -x
-    return list(basis.values())
+    return len(pivots)

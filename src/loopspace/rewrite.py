@@ -10,7 +10,7 @@ algebra.
 On top of the rewriting engine this module counts irreducible words per
 degree, by a linear recurrence over letter weights that is
 cross-checkable against brute enumeration, and lists them.  The Koszul
-duality of these algebras is checked in ``koszul``.
+duality of these algebras is checked by the test suite's Koszul oracle.
 """
 
 from collections import Counter
@@ -154,15 +154,15 @@ def enumerate_irreducible_words(pres: QuadraticPresentation, cap: int):
     return by_degree
 
 
-def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
+def hilbert_dims(pres: QuadraticPresentation, cap: int) -> list:
     """Number of irreducible words in each degree 0..cap.
 
-    ``weights`` overrides the letter degrees (e.g. all-ones for the weight
-    grading).  With S_d the count in degree d and x_a x_b the forbidden
-    bigram, a nonempty irreducible word is an irreducible word u followed by
-    a letter x_j, and u x_j is irreducible unless u ends in x_a and j = b.
-    Since a != b, appending x_a never makes the forbidden bigram, so exactly
-    S_(e - w_a) words of degree e end in x_a.  Hence S_0 = 1 and
+    With S_d the count in degree d, w_j the degree (weight) of letter x_j
+    and x_a x_b the forbidden bigram, a nonempty irreducible word is an
+    irreducible word u followed by a letter x_j, and u x_j is irreducible
+    unless u ends in x_a and j = b.  Since a != b, appending x_a never makes
+    the forbidden bigram, so exactly S_(e - w_a) words of degree e end in
+    x_a.  Hence S_0 = 1 and
 
         S_d = sum_w c_w S_(d-w) - S_(d - w_a - w_b),
 
@@ -173,10 +173,7 @@ def hilbert_dims(pres: QuadraticPresentation, cap: int, weights=None) -> list:
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    q = pres.alphabet.size
-    wts = tuple(weights) if weights is not None else pres.alphabet.degrees
-    if len(wts) != q or any(w < 1 for w in wts):
-        raise ValueError("weights must assign a positive weight to every letter")
+    wts = pres.alphabet.degrees
     classes = sorted(Counter(w for w in wts if w <= cap).items())  # (w, c_w), lightest first
     forbidden = pres.leading
     skip = wts[forbidden[0] - 1] + wts[forbidden[1] - 1] if forbidden else cap + 1

@@ -102,11 +102,6 @@ def load_table(text: str) -> SphereTable:
     return SphereTable(entries, provenance)
 
 
-def bundled_table_text() -> str:
-    with open(BUNDLED_TABLE_PATH, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def load_table_file(path: str | None = None) -> SphereTable:
     """The table in the file at ``path`` (the CLI's --table); None means the bundled table."""
     with open(BUNDLED_TABLE_PATH if path is None else path, encoding="utf-8") as fh:

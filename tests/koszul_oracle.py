@@ -1,4 +1,4 @@
-"""The Koszul layer: cohomology form algebras and the quadratic duality.
+"""The Koszul layer, the test oracle for the paper's Koszul claims.
 
 With field coefficients the cohomology of M is a "form algebra": an
 identity, a vector space V, a top class z and a bilinear pairing
@@ -10,18 +10,24 @@ kernel relations, decides the single-relation Koszulness criterion,
 computes annihilator ("Koszul dual") relation spaces, and gives the weight
 dimensions of an arbitrary quadratic algebra by exact rank.
 
-No report, homotopy or selftest answer needs any of it, so no module on
-the command-line path imports it: a fresh process never compiles it.
+No answer of the package needs any of it; acceptance criteria c05 and c06
+and the Koszul tests run it.  Kernels go through the dense
+``linalg_oracle.nullspace`` (at most dim(V)^2 = 256 columns here), and
+weight dimensions through the sparse ``loopspace.linalg.rank``, which the
+weight-3 matrices of the larger form algebras need (5,460 rows over 2,744
+columns at s = 7).
 """
 
 import graphlib
 import operator
 
-from . import linalg
-from .errors import ComputationFailure, PresentationError
-from .manifold import ManifoldModel
-from .rewrite import QuadraticPresentation, hilbert_dims
-from .words import NCPoly
+from loopspace import linalg
+from loopspace.errors import ComputationFailure, PresentationError
+from loopspace.manifold import ManifoldModel
+from loopspace.rewrite import QuadraticPresentation
+from loopspace.words import NCPoly
+
+from linalg_oracle import dense, nullspace, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +128,8 @@ def kernel_relations(form: FormAlgebra):
     They go unchanged into koszul_dual and quadratic_weight_dims, whose
     weight 3 is 0 when nothing lives above the form-algebra range (the
     square form keeps its cube: >= 1)."""
-    dim = form.dim_v
-    row = {i * dim + j: x for i, line in enumerate(form.matrix) for j, x in enumerate(line) if x}
-    return linalg.nullspace([row], dim * dim, form.char)
+    row = [x for line in form.matrix for x in line]
+    return [sparse(v) for v in nullspace([row], form.dim_v**2, form.char)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +137,20 @@ def kernel_relations(form: FormAlgebra):
 # ---------------------------------------------------------------------------
 
 def weight_dims(pres: QuadraticPresentation, cap: int) -> list:
-    """Irreducible-word counts graded by word length instead of degree."""
-    return hilbert_dims(pres, cap, weights=(1,) * pres.alphabet.size)
+    """Irreducible-word counts graded by word length instead of degree.
+
+    Every letter has length 1, so the count recurrence of
+    ``rewrite.hilbert_dims`` becomes S_0 = 1, S_1 = q and
+    S_d = q S_(d-1) - S_(d-2), q the number of letters; a free presentation
+    forbids no bigram and has S_d = q^d.
+    """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    q = pres.alphabet.size
+    dims = [1]
+    for d in range(1, cap + 1):
+        dims.append(q * dims[-1] - (dims[-2] if d >= 2 and not pres.is_free else 0))
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +237,10 @@ def koszul_dual(dim_v: int, relations, char: int = 0) -> list:
     #relations, is by rank-nullity the independence check.
     """
     n2 = dim_v * dim_v
-    perp = linalg.nullspace(relations, n2, char)
+    for rel in relations:
+        if rel and (min(rel) < 0 or max(rel) >= n2):
+            raise ValueError(f"a row has a column outside 0..{n2 - 1}")
+    perp = [sparse(v) for v in nullspace([dense(rel, n2) for rel in relations], n2, char)]
     if len(perp) != n2 - len(relations):
         raise ValueError("relations are linearly dependent")
     return perp

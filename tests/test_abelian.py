@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup, GradedPowers
+from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from loopspace.manifold import ManifoldModel
 from loopspace.numtheory import factorint
 
@@ -216,12 +216,17 @@ class TestFgAbelianGroup:
 
 class TestGradedAbelianGroup:
     def test_zero_parts_dropped(self):
-        g = GradedAbelianGroup({0: FgAbelianGroup(1), 3: FgAbelianGroup(0)})
+        g = GradedAbelianGroup(FiniteAbelianGroup.trivial(), {0: (1, 0), 3: (0, 0)})
         assert g.degrees() == [0]
         assert g.part(3).is_zero()
 
+    def test_zero_degrees_dropped(self):
+        h = GradedAbelianGroup(FiniteAbelianGroup.trivial(), {2: (0, 5), 3: (2, 5)})  # copies of the trivial group
+        assert h.degrees() == [3] and str(h) == "H_3 = Z^2"
+        assert str(GradedAbelianGroup(FiniteAbelianGroup((2,)), {4: (0, 0)})) == "0"
+
     def test_str_and_dict(self):
-        g = GradedAbelianGroup({2: FgAbelianGroup(2, FiniteAbelianGroup((3,)))})
+        g = GradedAbelianGroup(FiniteAbelianGroup((3,)), {2: (2, 1)})
         assert str(g) == "H_2 = Z^2 + Z/3"
         assert g.to_dict() == {"2": "Z^2 + Z/3"}
 
@@ -229,11 +234,15 @@ class TestGradedAbelianGroup:
     def test_non_integer_degree_rejected(self, bad):
         # int() used to truncate 2.5 to degree 2
         with pytest.raises(TypeError):
-            GradedAbelianGroup({bad: FgAbelianGroup(1)})
+            GradedAbelianGroup(FiniteAbelianGroup.trivial(), {bad: (1, 0)})
 
+    @pytest.mark.parametrize("counts", [(-1, 0), (1, -2)])
+    def test_negative_counts_rejected(self, counts):
+        # they used to print as "Z^-1", or vanish from the text
+        with pytest.raises(ValueError, match="must be >= 0"):
+            GradedAbelianGroup(FiniteAbelianGroup((2,)), {2: counts})
 
-class TestGradedPowers:
-    def test_matches_the_graded_group_of_its_parts(self):
+    def test_matches_the_groups_of_its_parts(self):
         # each degree built as a group of its own and printed by
         # FgAbelianGroup is the oracle for the counts' printed form
         rng = random.Random(31)
@@ -241,17 +250,16 @@ class TestGradedPowers:
             g = FiniteAbelianGroup.from_cyclic_orders(random_orders(rng))
             degrees = rng.sample(range(31), rng.randint(0, 6))
             counts = {d: (rng.randint(0, 3), rng.randint(0, 4)) for d in degrees}
-            got = GradedPowers(g, counts)
-            expected = GradedAbelianGroup(
-                {d: FgAbelianGroup(rank, g.power(copies)) for d, (rank, copies) in counts.items()}
-            )
-            assert got == expected and expected == got
-            assert got.degrees() == expected.degrees()
-            assert (str(got), got.to_dict()) == (str(expected), expected.to_dict())
+            got = GradedAbelianGroup(g, counts)
+            parts = {d: FgAbelianGroup(rank, g.power(copies)) for d, (rank, copies) in sorted(counts.items())}
+            parts = {d: part for d, part in parts.items() if not part.is_zero()}
+            assert got.degrees() == list(parts)
+            assert got.to_dict() == {str(d): str(part) for d, part in parts.items()}
+            assert str(got) == (", ".join(f"H_{d} = {part}" for d, part in parts.items()) or "0")
             for d in range(31):
-                assert got.part(d) == expected.part(d)
-
-    def test_zero_degrees_dropped(self):
-        h = GradedPowers(FiniteAbelianGroup.trivial(), {2: (0, 5), 3: (2, 5)})
-        assert h.degrees() == [3] and str(h) == "H_3 = Z^2"
-        assert str(GradedPowers(FiniteAbelianGroup((2,)), {4: (0, 0)})) == "0"
+                assert got.part(d) == parts.get(d, FgAbelianGroup.zero())
+            # equality compares the groups, not how G and the copies split them
+            doubled = {d: (rank, 2 * copies) for d, (rank, copies) in counts.items()}
+            assert GradedAbelianGroup(g, doubled) == GradedAbelianGroup(g.power(2), counts)
+            unchanged = g.is_trivial() or not any(copies for _, copies in counts.values())
+            assert (got == GradedAbelianGroup(g, doubled)) == unchanged

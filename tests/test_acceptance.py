@@ -22,15 +22,6 @@ from loopspace.decomposition import (
 )
 from loopspace.errors import ComputationFailure
 from loopspace.lyndon import independence_certificate, lie_dims
-from loopspace.koszul import (
-    FormAlgebra,
-    form_algebra_of,
-    kernel_relations,
-    koszul_dual,
-    quadratic_weight_dims,
-    relation_vector,
-    weight_dims,
-)
 from loopspace.manifold import ManifoldModel, loop_presentation
 from loopspace.rewrite import enumerate_irreducible_words, hilbert_dims
 from loopspace.selftest import GRID, suite_confluence_fuzz
@@ -41,6 +32,16 @@ from loopspace.series import (
     sphere_summand_counts,
 )
 from loopspace.spheres import homotopy_of_manifold, load_table_file
+
+from koszul_oracle import (
+    FormAlgebra,
+    form_algebra_of,
+    kernel_relations,
+    koszul_dual,
+    quadratic_weight_dims,
+    relation_vector,
+    weight_dims,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -8,14 +8,16 @@ that loopspace itself does not need.
 
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
+
+from loopspace.spheres import load_table_file
 
 from test_bench_spans import span_names
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-TABLE_FILE = ROOT / "src" / "loopspace" / "data" / "sphere_table.tsv"
 
 # stdlib modules no report, homotopy or selftest answer needs at import time
 NOT_AT_IMPORT = (
@@ -45,15 +47,26 @@ def test_cli_import_loads_traced_modules_but_not_unused_stdlib():
     assert wanted <= loaded
 
 
-def test_cli_import_skips_the_koszul_layer_which_imports_alone():
-    # no answer runs the Koszul layer, so a fresh process need not compile it
-    code = "import loopspace.cli, sys; print('loopspace.koszul' in sys.modules)"
-    assert run_bare(["-c", code]) == b"False\n"
+def loaded_package_modules(argv):
+    """The loopspace.* modules that one bare-interpreter CLI run on argv loads."""
     code = (
-        "from loopspace.koszul import koszul_dual; "
-        "print(koszul_dual(2, [{1: 1, 2: -1}]) == [{0: 1}, {1: 1, 2: 1}, {3: 1}])"
+        "import sys; from loopspace import cli; cli.main(sys.argv[1:]); "
+        "print(' '.join(m for m in sys.modules if m.startswith('loopspace.')))"
     )
-    assert run_bare(["-c", code]) == b"True\n"
+    return set(run_bare(["-c", code, *argv]).decode().splitlines()[-1].split())
+
+
+def test_cli_runs_load_every_package_module():
+    # a module that no answer loads is code that no answer runs: it belongs
+    # with the tests, as the Koszul oracle does
+    runs = (
+        ["report", "--n", "2", "--r", "2", "--torsion", "2", "--cap", "8", "--json"],
+        ["homotopy", "--n", "2", "--r", "1", "--torsion", "-", "--k", "4", "--json"],
+        ["selftest", "--fuzz", "20"],
+    )
+    loaded = set().union(*map(loaded_package_modules, runs))
+    package = pkgutil.iter_modules([str(ROOT / "src" / "loopspace")])
+    assert {"loopspace." + info.name for info in package} - loaded == set()
 
 
 def test_cli_import_skips_the_json_writer():
@@ -64,11 +77,13 @@ def test_cli_import_skips_the_json_writer():
 
 def test_bundled_table_ignores_the_locale():
     code = (
-        "import sys; from loopspace.spheres import bundled_table_text; "
-        "sys.stdout.buffer.write(bundled_table_text().encode('utf-8'))"
+        "from loopspace.spheres import load_table_file; table = load_table_file(); "
+        "print(ascii(sorted((k, str(g), table.provenance[k]) for k, g in table.entries.items())))"
     )
     out = run_bare(["-X", "utf8=0", "-c", code], LC_ALL="C", PYTHONCOERCECLOCALE="0")
-    assert out == TABLE_FILE.read_bytes()
+    table = load_table_file()
+    default = sorted((k, str(g), table.provenance[k]) for k, g in table.entries.items())
+    assert out.decode() == ascii(default) + "\n"
 
 
 def test_bare_interpreter_homotopy_json_matches_golden():

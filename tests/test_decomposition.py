@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
+from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
 from loopspace.cli import main
 from loopspace.decomposition import (
     LocalizedAt,
@@ -314,10 +314,15 @@ def pair_walk_ring_dims(n, cap):
     return dims
 
 
+def printed_degrees(parts):
+    """{degree: FgAbelianGroup} as to_dict() prints it: zero degrees dropped."""
+    return {str(d): str(g) for d, g in sorted(parts.items()) if not g.is_zero()}
+
+
 def chained_fiber_homology(m, cap):
     """Each degree accumulated piece by piece, renormalising the torsion at
     every power and direct sum, as the fibre homology was first built: the
-    oracle."""
+    oracle, printed degree by degree."""
     poly = pair_walk_ring_dims(m.n, cap)
     z_parts = {m.n: (m.r - 1, m.torsion.invariant_factors), m.n + 1: (m.r - 1, ())}
     acc = {}
@@ -335,7 +340,7 @@ def chained_fiber_homology(m, cap):
                     ),
                 )
             acc[d + e] = chunk
-    return GradedAbelianGroup(acc)
+    return printed_degrees(acc)
 
 
 class TestFiberHomology:
@@ -353,7 +358,7 @@ class TestFiberHomology:
     def test_closed_form_matches_chained_oracle(self, n, r, orders):
         m = ManifoldModel(n, r, orders)
         for cap in (0, 1, n, 60):
-            assert fiber_homology(m, cap) == chained_fiber_homology(m, cap), cap
+            assert fiber_homology(m, cap).to_dict() == chained_fiber_homology(m, cap), cap
 
     def test_rank_one_torsion_free_is_contractible(self):
         h = fiber_homology(ManifoldModel(2, 1), 8)
@@ -404,7 +409,7 @@ class TestFiberHomology:
             below = poly[d - 1] if d else 0
             torsion = FiniteAbelianGroup(sorted(m.torsion.invariant_factors * poly[d]))
             expected[d + n] = FgAbelianGroup((r - 1) * (poly[d] + below), torsion)
-        assert fiber_homology(m, cap).to_dict() == GradedAbelianGroup(expected).to_dict()
+        assert fiber_homology(m, cap).to_dict() == printed_degrees(expected)
 
     def test_rank_zero_raises(self):
         with pytest.raises(SphereFallback):

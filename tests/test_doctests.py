@@ -13,7 +13,7 @@ def test_module_doctests_pass():
         assert result.failed == 0, info.name
         attempted[info.name] = result.attempted
     assert sum(attempted.values()) >= 8  # 0 would mean none ran
-    # linalg's documents the row format that nullspace returns, words' that
+    # linalg's documents the row format that rank takes over Q and F_p, words' that
     # a word is a plain letter-index tuple, and abelian's that a power far
     # too large to list still answers tensor_dim_mod; decomposition's shows a
     # splitting, node equality by fields, and a loop argument it refuses;

@@ -5,13 +5,6 @@ import pytest
 from loopspace import linalg
 from loopspace.abelian import FgAbelianGroup, FiniteAbelianGroup
 from loopspace.errors import SphereFallback
-from loopspace.koszul import (
-    FormAlgebra,
-    form_algebra_of,
-    is_quadratic,
-    kernel_relations,
-    quadratic_weight_dims,
-)
 from loopspace.manifold import (
     ManifoldModel,
     coefficient_ring_label,
@@ -23,6 +16,13 @@ from loopspace.manifold import (
 from loopspace.rewrite import hilbert_dims
 from loopspace.series import loop_generating_series
 
+from koszul_oracle import (
+    FormAlgebra,
+    form_algebra_of,
+    is_quadratic,
+    kernel_relations,
+    quadratic_weight_dims,
+)
 from linalg_oracle import sparse
 
 

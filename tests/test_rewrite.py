@@ -9,14 +9,6 @@ import pytest
 from loopspace import linalg
 from loopspace.decomposition import fiber_homology, polynomial_ring_dims
 from loopspace.errors import AlphabetMismatch, ComputationFailure, PresentationError
-from loopspace.koszul import (
-    MAX_CELLS,
-    is_koszul_single_relation,
-    koszul_dual,
-    quadratic_weight_dims,
-    relation_vector,
-    weight_dims,
-)
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation, loop_relation
 from loopspace.rewrite import (
     QuadraticPresentation,
@@ -28,6 +20,14 @@ from loopspace.selftest import GRID
 from loopspace.series import PowerSeries, loop_generating_series, sphere_summand_counts
 from loopspace.words import Alphabet, NCPoly
 
+from koszul_oracle import (
+    MAX_CELLS,
+    is_koszul_single_relation,
+    koszul_dual,
+    quadratic_weight_dims,
+    relation_vector,
+    weight_dims,
+)
 from linalg_oracle import sparse
 from word_oracles import irreducible_words_by_stack, is_irreducible
 
@@ -55,10 +55,10 @@ def brute_force_counts(pres, cap):
     return counts
 
 
-def per_pair_hilbert_dims(pres, cap, weights=None):
+def per_pair_hilbert_dims(pres, cap):
     """The transfer loop over every (last, next) letter pair: the oracle."""
     q = pres.alphabet.size
-    wts = tuple(weights) if weights is not None else pres.alphabet.degrees
+    wts = pres.alphabet.degrees
     forbidden = pres.leading
     counts = [[0] * q for _ in range(cap + 1)]
     for i in range(q):
@@ -223,13 +223,15 @@ class TestHilbertDims:
     @pytest.mark.parametrize("n,r", list(GRID) + [(2, 20), (3, 20), (2, 50)])
     def test_matches_per_pair_oracle(self, n, r):
         pres = loop_presentation(ManifoldModel(n, r))
-        ones = (1,) * pres.alphabet.size
         free = QuadraticPresentation(pres.alphabet)
+        # the same forbidden bigram with every letter of degree 1 counts by length
+        ones = (1,) * pres.alphabet.size
+        unit, unit_free = monomial_presentation(ones, pres.leading), monomial_presentation(ones, None)
         for cap in (0, 1, 2, 25):
             assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap)
-            assert weight_dims(pres, cap) == per_pair_hilbert_dims(pres, cap, ones)
+            assert weight_dims(pres, cap) == per_pair_hilbert_dims(unit, cap)
             assert hilbert_dims(free, cap) == per_pair_hilbert_dims(free, cap)
-            assert weight_dims(free, cap) == per_pair_hilbert_dims(free, cap, ones)
+            assert weight_dims(free, cap) == per_pair_hilbert_dims(unit_free, cap)
         assert hilbert_dims(pres, 25) == inverse_q_dims(n, r, 25)
         # graded by length, q becomes 1 - 2r t + t^2; the free algebra is (2r)^w
         by_length = [1, 2 * r]
@@ -263,9 +265,13 @@ class TestHilbertDims:
         rel = NCPoly(a, {(3, 2): 1}) - NCPoly(a, {(1, 1): 1})
         pres = QuadraticPresentation(a, rel)
         assert pres.leading == (3, 2)
-        for weights in (None, (1, 1, 1, 1), (2, 1, 3, 1)):
-            assert hilbert_dims(pres, 20, weights) == per_pair_hilbert_dims(pres, 20, weights)
+        assert hilbert_dims(pres, 20) == per_pair_hilbert_dims(pres, 20)
         assert hilbert_dims(pres, 12) == brute_force_counts(pres, 12)
+        # with these degrees x_1 x_1 weighs as much as x_3 x_2 and would lead,
+        # so the same bigram is forbidden by the monomial relation
+        for degrees in ((1, 1, 1, 1), (2, 1, 3, 1)):
+            pres = monomial_presentation(degrees, (3, 2))
+            assert hilbert_dims(pres, 20) == per_pair_hilbert_dims(pres, 20)
 
     def test_relation_sign_does_not_change_dims(self):
         a = loop_alphabet(2, 2)
@@ -318,6 +324,25 @@ def test_negative_cap_is_refused_alike(count):
         count(-1)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda n: polynomial_ring_dims(n, 5),
+        lambda n: loop_generating_series(n, 1, 5),
+        lambda n: sphere_summand_counts(n, 1, 5),
+        lambda n: sphere_summand_counts(n, 0, 5),
+    ],
+    ids=["polynomial_ring_dims", "loop_generating_series", "sphere_summand_counts",
+         "sphere_summand_counts_r0"],
+)
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_n_below_two_is_refused_alike(count, n):
+    # polynomial_ring_dims(1, 5) used to return [2, 2, 2, 2, 2, 2], and n <= 0
+    # raised a bare IndexError
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        count(n)
+
+
 class TestWeightClassRecurrence:
     """hilbert_dims sums over weight classes; the per-letter-pair transfer
     loop and exhaustive enumeration are its oracles."""
@@ -332,9 +357,10 @@ class TestWeightClassRecurrence:
             pres = random_weighted_presentation(rng, kind, cap)
             degrees = pres.alphabet.degrees
             assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap), (degrees, cap)
+            # the same forbidden pair over the letters re-weighted
             weights = [rng.randint(1, 4) for _ in degrees]
-            assert hilbert_dims(pres, cap, weights) == per_pair_hilbert_dims(pres, cap, weights), (
-                degrees, weights, cap)
+            pres = monomial_presentation(weights, pres.leading)
+            assert hilbert_dims(pres, cap) == per_pair_hilbert_dims(pres, cap), (weights, cap)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_brute_force_on_random_alphabets(self, kind):
@@ -360,11 +386,12 @@ class TestWeightClassRecurrence:
         assert hilbert_dims(pres, 0) == [1]
         assert hilbert_dims(pres, 1) == [1, sum(1 for w in degrees if w == 1)]
 
-    def test_weights_override_ignores_letter_degrees(self):
-        pres = monomial_presentation((5, 7, 9), (1, 2))
+    def test_weight_dims_ignore_letter_degrees(self):
         # by length: (3^w words) less those holding x1 x2
-        assert hilbert_dims(pres, 4, (1, 1, 1)) == [1, 3, 8, 21, 55]
-        assert hilbert_dims(pres, 4, (1, 1, 1)) == per_pair_hilbert_dims(pres, 4, (1, 1, 1))
+        by_length = monomial_presentation((1, 1, 1), (1, 2))
+        assert hilbert_dims(by_length, 4) == [1, 3, 8, 21, 55]
+        assert hilbert_dims(by_length, 4) == per_pair_hilbert_dims(by_length, 4)
+        assert weight_dims(monomial_presentation((5, 7, 9), (1, 2)), 4) == [1, 3, 8, 21, 55]
 
     def test_rank_twenty_at_cap_two_hundred_is_one_over_q(self):
         pres = loop_presentation(ManifoldModel(2, 20))

@@ -8,7 +8,7 @@ from loopspace.decomposition import classify
 from loopspace.errors import TableFormatError, TableRangeError
 from loopspace.manifold import ManifoldModel
 from loopspace.spheres import (
-    bundled_table_text,
+    BUNDLED_TABLE_PATH,
     homotopy_of_manifold,
     load_table,
     load_table_file,
@@ -137,7 +137,8 @@ def test_covers_exactly_what_pi_answers(table):
 
 class TestBundledTable:
     def test_checksum(self):
-        digest = hashlib.sha256(bundled_table_text().encode()).hexdigest()
+        with open(BUNDLED_TABLE_PATH, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == BUNDLED_SHA256
 
     def test_diagonal_is_z_everywhere(self):
