@@ -13,9 +13,10 @@ malformed or unreadable table, 141 (128 + SIGPIPE) when stdout is closed
 before the answer is written, as by `| head -1`, with nothing on stderr.
 
 Sizes are bounded before any counting starts, so that no question runs or
-allocates without bound: --cap <= 1000, --r <= 10000, --k <= 10000,
-1 <= --fuzz <= 100000, and at most 16 torsion orders of at most 10^9 each
-(exit 2).  --seed must be >= 0 (exit 2): Random(-s) repeats the fuzz of s.
+allocates without bound: --cap <= 1000, --n <= 10000, --r <= 10000,
+--k <= 10000, 1 <= --fuzz <= 100000, and at most 16 torsion orders of at
+most 10^9 each (exit 2).  --seed must be >= 0 (exit 2): Random(-s) repeats
+the fuzz of s.
 A homotopy answer of more than 10^6 cyclic summands is refused before any
 group is built (exit 2, naming r and k): --n 2 --r 5 --k 9 has 207,228,
 while --r 100 --k 9 would have about 1.4 * 10^15 and once ran without end.
@@ -26,6 +27,9 @@ about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
 the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
 --json with sixteen orders 999999937, 0.5-0.8 s of CPU and 177 MB (about
 0.2 s and 17 MB as text).
+
+A call builds only its own command's argparse parser; the full parser is
+built only to print top-level help or a top-level error.
 """
 
 import argparse
@@ -61,12 +65,16 @@ EXIT_TABLE = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 MAX_CAP = 1000
+MAX_N = 10000
 MAX_R = 10000
 MAX_K = 10000
 MAX_FUZZ = 100000
 
 # (least, most) value of each bounded option; None leaves that side open
-_BOUNDS = {"r": (None, MAX_R), "cap": (1, MAX_CAP), "k": (0, MAX_K), "seed": (0, None), "fuzz": (1, MAX_FUZZ)}
+_BOUNDS = {
+    "n": (None, MAX_N), "r": (None, MAX_R), "cap": (1, MAX_CAP), "k": (0, MAX_K),
+    "seed": (0, None), "fuzz": (1, MAX_FUZZ),
+}
 
 
 def _manifold_args(sub):
@@ -79,31 +87,60 @@ def _manifold_args(sub):
     )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="loopspace",
-        description="loop-space homology and homotopy groups of (n, r, G) manifolds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rep = sub.add_parser("report", help="full structural report")
+def _report_options(rep):
     _manifold_args(rep)
     rep.add_argument("--cap", type=int, default=10, help="top degree for tables (>= 1)")
     rep.add_argument("--json", action="store_true", help="emit one JSON document")
     rep.set_defaults(run=cmd_report)
 
-    hom = sub.add_parser("homotopy", help="assembled homotopy group pi_k")
+
+def _homotopy_options(hom):
     _manifold_args(hom)
     hom.add_argument("--k", type=int, required=True, help="homotopy degree")
     hom.add_argument("--table", default=None, help="sphere table path (else the bundled table)")
     hom.add_argument("--json", action="store_true")
     hom.set_defaults(run=cmd_homotopy)
 
-    st = sub.add_parser("selftest", help="run the cross-oracle suites")
+
+def _selftest_options(st):
     st.add_argument("--seed", type=int, default=0, help="seed for the fuzz suite")
     st.add_argument("--fuzz", type=int, default=500, help="number of fuzzed polynomials")
     st.set_defaults(run=cmd_selftest)
+
+
+# name: (help line, function adding the command's options), in the order the help lists them
+COMMANDS = {
+    "report": ("full structural report", _report_options),
+    "homotopy": ("assembled homotopy group pi_k", _homotopy_options),
+    "selftest": ("run the cross-oracle suites", _selftest_options),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="loopspace",
+        description="loop-space homology and homotopy groups of (n, r, G) manifolds",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, options) in COMMANDS.items():
+        options(sub.add_parser(name, help=help_line))
     return parser
+
+
+def parse_args(argv):
+    """build_parser().parse_args(argv), building only the named command's parser.
+
+    That parser is the one `add_parser` builds, so it prints the same usage,
+    help and errors.  Anything else, or a leftover argument, goes to the full parser.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"loopspace {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def print_json(doc) -> int:
@@ -132,7 +169,7 @@ def _check_bounds(args, *names):
 
 
 def _validated_manifold(args):
-    _check_bounds(args, "r")
+    _check_bounds(args, "n", "r")
     try:
         torsion = parse_torsion(args.torsion)
     except ValueError as e:
@@ -245,7 +282,7 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -9,6 +9,9 @@ from loopspace.cli import main
 
 REPORT = ["report", "--n", "2", "--r", "1"]
 HOMOTOPY = ["homotopy", "--n", "2", "--r", "1"]
+# 4300 digits parse as an int, but the dimension 2n+1 has 4301, one past the
+# int-to-str limit: this n once exited 1 with a traceback
+HUGE_N = "5" + "0" * 4299
 
 
 def run_cli(argv):
@@ -30,6 +33,11 @@ def run_cli(argv):
         (["selftest", "--fuzz", "0"], "fuzz must be >= 1"),
         (["selftest", "--fuzz", "100001"], "fuzz 100001 is over the limit 100000"),
         (["selftest", "--seed", "-1"], "seed must be >= 0"),
+        (["report", "--n", "10001", "--r", "1"], "n 10001 is over the limit 10000"),
+        (["homotopy", "--n", "10001", "--r", "1", "--k", "4"], "n 10001 is over the limit 10000"),
+        pytest.param(
+            ["report", "--n", HUGE_N, "--r", "1"], f"n {HUGE_N} is over the limit 10000", id="n-4300-digits"
+        ),
     ],
 )
 def test_bound_error_is_one_exact_stderr_line(argv, message):

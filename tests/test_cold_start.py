@@ -25,16 +25,20 @@ NOT_AT_IMPORT = (
 )
 
 
-def run_bare(args, **env):
-    """Run `python -S <args>` with only src/ on the path; returns stdout bytes.
+def bare_process(args, **env):
+    """Run `python -S <args>` with only src/ on the path; returns the finished process.
 
     No bytecode is written: a stale src/ __pycache__ would skew later timings.
     """
     full_env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     full_env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", **env)
-    proc = subprocess.run(
-        [sys.executable, "-S", *args], env=full_env, capture_output=True, check=True, timeout=60
-    )
+    return subprocess.run([sys.executable, "-S", *args], env=full_env, capture_output=True, timeout=60)
+
+
+def run_bare(args, **env):
+    """The stdout bytes of bare_process(args), which must exit 0."""
+    proc = bare_process(args, **env)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -90,3 +94,23 @@ def test_bare_interpreter_homotopy_json_matches_golden():
     argv = ["homotopy", "--n", "2", "--r", "1", "--torsion", "-", "--k", "4", "--json"]
     out = run_bare(["-m", "loopspace.cli", *argv])
     assert out == (GOLDEN / "homotopy_n2_r1_k4.json").read_bytes()
+
+
+def test_bare_interpreter_help_lists_the_commands_in_order():
+    out = run_bare(["-m", "loopspace.cli", "--help"], COLUMNS="80").decode()
+    assert "{report,homotopy,selftest}" in out
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+    assert listed == ["report", "homotopy", "selftest"]
+
+
+def test_bare_interpreter_command_help_is_the_command_parser():
+    out = run_bare(["-m", "loopspace.cli", "report", "--help"], COLUMNS="80")
+    assert out.startswith(b"usage: loopspace report [-h] --n N --r R")
+
+
+def test_bare_interpreter_unknown_command_exits_2_naming_the_choices():
+    proc = bare_process(["-m", "loopspace.cli", "bogus"], COLUMNS="80")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    error = proc.stderr.decode().splitlines()[-1]
+    assert error.startswith("loopspace: error: argument command: invalid choice: 'bogus'")
+    assert all(name in error for name in ("report", "homotopy", "selftest"))
