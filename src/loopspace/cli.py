@@ -28,13 +28,15 @@ the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
 --json with sixteen orders 999999937, 0.5-0.8 s of CPU and 177 MB (about
 0.2 s and 17 MB as text).
 
-A call builds only its own command's argparse parser; the full parser is
-built only to print top-level help or a top-level error.
+Each command's options are declared once, in COMMANDS.  A well-formed
+call (parse_canonical) is parsed without argparse, which is imported only
+to print help or an error: then a call builds only its own command's
+parser, and the full parser only for top-level help or a top-level error.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .decomposition import (
     classify,
@@ -77,65 +79,128 @@ _BOUNDS = {
 }
 
 
-def _manifold_args(sub):
-    sub.add_argument("--n", type=int, required=True, help="connectivity parameter, n >= 2")
-    sub.add_argument("--r", type=int, required=True, help="middle free rank, r >= 0")
-    sub.add_argument(
-        "--torsion",
-        default="-",
-        help="middle torsion as comma-separated cyclic orders, or '-' for none",
-    )
+# One row per option: (name, type, default, help).  The type is int, str or
+# bool, a flag that is False unless given; a REQUIRED option has no default.
+REQUIRED = object()
+
+_MANIFOLD_OPTIONS = (
+    ("n", int, REQUIRED, "connectivity parameter, n >= 2"),
+    ("r", int, REQUIRED, "middle free rank, r >= 0"),
+    ("torsion", str, "-", "middle torsion as comma-separated cyclic orders, or '-' for none"),
+)
+_REPORT_OPTIONS = (
+    *_MANIFOLD_OPTIONS,
+    ("cap", int, 10, "top degree for tables (>= 1)"),
+    ("json", bool, False, "emit one JSON document"),
+)
+_HOMOTOPY_OPTIONS = (
+    *_MANIFOLD_OPTIONS,
+    ("k", int, REQUIRED, "homotopy degree"),
+    ("table", str, None, "sphere table path (else the bundled table)"),
+    ("json", bool, False, None),
+)
+_SELFTEST_OPTIONS = (
+    ("seed", int, 0, "seed for the fuzz suite"),
+    ("fuzz", int, 500, "number of fuzzed polynomials"),
+)
 
 
-def _report_options(rep):
-    _manifold_args(rep)
-    rep.add_argument("--cap", type=int, default=10, help="top degree for tables (>= 1)")
-    rep.add_argument("--json", action="store_true", help="emit one JSON document")
-    rep.set_defaults(run=cmd_report)
-
-
-def _homotopy_options(hom):
-    _manifold_args(hom)
-    hom.add_argument("--k", type=int, required=True, help="homotopy degree")
-    hom.add_argument("--table", default=None, help="sphere table path (else the bundled table)")
-    hom.add_argument("--json", action="store_true")
-    hom.set_defaults(run=cmd_homotopy)
-
-
-def _selftest_options(st):
-    st.add_argument("--seed", type=int, default=0, help="seed for the fuzz suite")
-    st.add_argument("--fuzz", type=int, default=500, help="number of fuzzed polynomials")
-    st.set_defaults(run=cmd_selftest)
-
-
-# name: (help line, function adding the command's options), in the order the help lists them
-COMMANDS = {
-    "report": ("full structural report", _report_options),
-    "homotopy": ("assembled homotopy group pi_k", _homotopy_options),
-    "selftest": ("run the cross-oracle suites", _selftest_options),
-}
+def _add_options(parser, command):
+    """Declare the command's options on an argparse parser, as COMMANDS lists them."""
+    _help_line, run, options = COMMANDS[command]
+    for name, kind, default, help_text in options:
+        if kind is bool:
+            parser.add_argument(f"--{name}", action="store_true", help=help_text)
+        else:
+            parser.add_argument(
+                f"--{name}",
+                type=int if kind is int else None,
+                required=default is REQUIRED,
+                default=None if default is REQUIRED else default,
+                help=help_text,
+            )
+    parser.set_defaults(run=run)
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loopspace",
         description="loop-space homology and homotopy groups of (n, r, G) manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, options) in COMMANDS.items():
-        options(sub.add_parser(name, help=help_line))
+    for name, (help_line, _run, _options) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def parse_args(argv):
-    """build_parser().parse_args(argv), building only the named command's parser.
+def parse_canonical(argv):
+    """The namespace build_parser().parse_args(argv) returns, or None if argv
+    is not in the canonical grammar `COMMAND (--FLAG | --OPTION VALUE)...`
+    with every required option given.
 
-    That parser is the one `add_parser` builds, so it prints the same usage,
-    help and errors.  Anything else, or a leftover argument, goes to the full parser.
+    A VALUE is any token that does not start with "-", or a lone "-"; an int
+    VALUE must convert with int().  An option name must be exact: "--ca",
+    "--cap=3", "--", "-h" and any other token return None.
+
+    Sound because, on such an argv, argparse reads the same tokens the same way:
+    - the full parser hands every token after the command to the command's parser;
+    - an exact option string is looked up before any prefix match;
+    - a token that does not start with "-", or a lone "-", is never read
+      as an option, so it is the one argument of the option before it;
+    - type=int calls int(value), store_true stores True, and the last
+      occurrence of an option wins;
+    - an option not given takes its default, and no default is a str that
+      a type would convert.
     """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _help_line, run, options = COMMANDS[argv[0]]
+    spec = {f"--{name}": (name, kind) for name, kind, _default, _help in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in spec:
+            return None
+        name, kind = spec[token]
+        if kind is bool:
+            given[name] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[name] = value
+    args = SimpleNamespace(command=argv[0], run=run)
+    for name, _kind, default, _help in options:
+        value = given.get(name, default)
+        if value is REQUIRED:
+            return None
+        setattr(args, name, value)
+    return args
+
+
+def parse_args(argv):
+    """build_parser().parse_args(argv), building as few argparse parsers as it can.
+
+    A canonical argv (parse_canonical) builds none.  Any other argv that
+    names its command builds only that command's parser, the one
+    `add_parser` builds, so it prints the same usage, help and errors.
+    Anything else, or a leftover argument, goes to the full parser.
+    """
+    args = parse_canonical(argv)
+    if args is not None:
+        return args
+    import argparse
+
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"loopspace {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
+        _add_options(parser, argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
@@ -279,6 +344,14 @@ def cmd_selftest(args) -> int:
         return fail_config(str(e))
     ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz)
     return EXIT_OK if ok else EXIT_SELFTEST
+
+
+# name: (help line, run function, options), in the order the help lists them
+COMMANDS = {
+    "report": ("full structural report", cmd_report, _REPORT_OPTIONS),
+    "homotopy": ("assembled homotopy group pi_k", cmd_homotopy, _HOMOTOPY_OPTIONS),
+    "selftest": ("run the cross-oracle suites", cmd_selftest, _SELFTEST_OPTIONS),
+}
 
 
 def main(argv=None) -> int:

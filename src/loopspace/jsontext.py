@@ -17,10 +17,16 @@ stdlib's byte for byte:
   "c": "\\u00e9"
 }
 
-The CLI imports this module only for --json output.
+The CLI imports this module only for --json output.  It takes the C
+encoder from _json, the accelerator that json.encoder itself uses, so an
+answer does not import the json package (json.decoder and json.scanner
+with it) for one function; without _json it takes json.encoder's.
 """
 
-from json.encoder import encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 
 def json_text(doc) -> str:

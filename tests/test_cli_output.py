@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from loopspace import cli
+from loopspace import cli, jsontext
 from loopspace.abelian import GradedAbelianGroup
 from loopspace.decomposition import ClassificationFlags
 from loopspace.jsontext import json_text
@@ -103,6 +103,10 @@ class TestJsonText:
     @pytest.mark.parametrize("doc", EDGE_DOCS)
     def test_edge_documents(self, doc):
         assert json_text(doc) == stdlib_json(doc)
+
+    @pytest.mark.skipif(json.encoder.c_encode_basestring_ascii is None, reason="json has no C encoder here")
+    def test_encoder_is_the_one_json_encoder_exports(self):
+        assert jsontext.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
     # json.dumps would print these, as 1.5 or as the key "1": a new field of
     # such a type must fail here, not print differently

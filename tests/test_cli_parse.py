@@ -1,14 +1,19 @@
-"""The command-first parse of `cli.parse_args` against the full parser it stands in for.
+"""`cli.parse_args` against the full parser it stands in for.
 
-A call that names its command builds only that command's parser; every other
-call, and every call with a leftover argument, is parsed by `build_parser()`.
-Either way a run must print and exit exactly as a parse by the full parser does.
-These tests live apart from test_cli.py, whose source the benchmark reads.
+A canonical call (`cli.parse_canonical`) builds no parser.  Any other call
+that names its command builds only that command's parser; every other call,
+and every call with a leftover argument, is parsed by `build_parser()`.
+Either way a run must print and exit exactly as a parse by the full parser
+does.  These tests live apart from test_cli.py, whose source the benchmark
+reads.
 """
 
 import argparse
 import contextlib
+import functools
+import inspect
 import io
+import random
 
 import pytest
 
@@ -157,8 +162,23 @@ def built(monkeypatch):
         ["selftest", "--fuzz", "1"],
     ],
 )
-def test_a_command_call_builds_one_parser(argv, built, capsys):
+def test_a_canonical_call_builds_no_parser(argv, built, capsys):
     assert cli.main(argv) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", *MANIFOLD, "--ca", "2"],
+        ["report", "--n=2", "--r", "1"],
+        ["homotopy", *MANIFOLD, "--k", "4", "--torsion", "--"],
+        ["selftest", "--fuzz", "-1"],
+    ],
+)
+def test_any_other_command_call_builds_its_own_parser(argv, built, capsys):
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
     assert built == [f"loopspace {argv[0]}"]
 
 
@@ -179,3 +199,120 @@ def test_only_top_level_help_and_errors_build_the_full_parser(argv, progs, built
     with pytest.raises(SystemExit):
         cli.main(argv)
     assert built == progs
+
+
+# The corpus: argv drawn from exact and abbreviated option names, --opt=value,
+# odd values, --, -h, repeated options and dropped values, so that the
+# canonical parse both accepts and refuses many of them.
+ODD_VALUES = ("-", "", "-1", "-x", "x", "1_0", " 7", "2,3")
+GOOD_VALUES = {int: ("2", "3", "1", "0"), str: ("-", "2", "2,3", "3")}
+NOISE = ("--", "-h", "--help", "--ca", "--t", "--bogus", "extra", "--json", "--n=2", "--cap=3")
+
+
+def option_tokens(rng, name, kind):
+    if kind is bool:
+        return [f"--{name}"]
+    value = rng.choice(ODD_VALUES if rng.random() < 0.12 else GOOD_VALUES[kind])
+    roll = rng.random()
+    if roll < 0.06:
+        return [f"--{name}={value}"]
+    if roll < 0.12:
+        return [f"--{name[:rng.randrange(1, len(name))]}" if len(name) > 1 else f"--{name}", value]
+    if roll < 0.16:
+        return [f"--{name}"]  # its value dropped
+    return [f"--{name}", value]
+
+
+def corpus_argv(rng):
+    command = rng.choice((*cli.COMMANDS, "rep", "-h")) if rng.random() < 0.05 else rng.choice(list(cli.COMMANDS))
+    options = cli.COMMANDS.get(command, cli.COMMANDS["report"])[2]
+    argv = []
+    for name, kind, default, _help in rng.sample(options, len(options)):
+        if default is cli.REQUIRED or rng.random() < 0.6:
+            argv += option_tokens(rng, name, kind)
+        if rng.random() < 0.08:
+            argv += option_tokens(rng, name, kind)
+    for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(NOISE))
+    return [command, *argv]
+
+
+CORPUS = [corpus_argv(random.Random(f"argv {i}")) for i in range(2000)]
+
+
+@functools.cache
+def reference_vars(argv):
+    """vars of the full parser's namespace for the argv tuple, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(full_parse(list(argv)))
+        except SystemExit as e:
+            return ("SystemExit", e.code)
+
+
+def disagreements(parse):
+    """The corpus argv that parse accepts with other vars than the full parser's."""
+    return [
+        argv for argv in CORPUS if (args := parse(argv)) is not None and vars(args) != reference_vars(tuple(argv))
+    ]
+
+
+def test_corpus_mixes_canonical_and_other_calls():
+    accepted = [argv for argv in CORPUS if cli.parse_canonical(argv) is not None]
+    assert 500 <= len(accepted) <= 1500
+    assert {argv[0] for argv in accepted} == set(cli.COMMANDS)
+    assert any(len(set(argv)) < len(argv) for argv in accepted)  # a repeated option or value
+
+
+def test_canonical_parse_agrees_with_the_full_parser_on_the_corpus():
+    assert disagreements(cli.parse_canonical) == []
+
+
+def corpus_outcomes(monkeypatch, parse_args):
+    """outcome of main on every corpus argv, with cli.parse_args replaced by parse_args."""
+    def fake_selftest(seed, fuzz_count):
+        print(f"selftest seed={seed} fuzz={fuzz_count}")
+        return True, []
+
+    with monkeypatch.context() as m:
+        # the suites take tens of milliseconds; the parse is what is compared
+        m.setattr(cli, "run_selftest", fake_selftest)
+        m.setattr(cli, "parse_args", parse_args)
+        return [outcome(argv) for argv in CORPUS]
+
+
+def test_main_prints_and_exits_as_the_full_parser_on_the_corpus(monkeypatch):
+    ours = corpus_outcomes(monkeypatch, cli.parse_args)
+    reference = corpus_outcomes(monkeypatch, full_parse)
+    assert [argv for argv, a, b in zip(CORPUS, ours, reference) if a != b] == []
+    assert {code for code, _out, _err in ours} >= {0, 2, 3, ("SystemExit", 0), ("SystemExit", 2)}
+
+
+def mutant(old, new):
+    """cli.parse_canonical compiled with its one line `old` replaced by `new`."""
+    source = inspect.getsource(cli.parse_canonical)
+    assert source.count(old) == 1
+    namespace = dict(vars(cli))
+    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+    return namespace["parse_canonical"]
+
+
+@pytest.mark.parametrize(
+    "old, new, argv",
+    [
+        # abbreviations such as --ca: every prefix of an option name from --x on
+        (
+            'spec = {f"--{name}": (name, kind) for name, kind, _default, _help in options}',
+            'spec = {f"--{name}"[:i]: (name, kind) for name, kind, _default, _help in options'
+            " for i in range(3, len(name) + 3)}",
+            ["report", *MANIFOLD, "--ca", "5"],
+        ),
+        # values starting with "-", such as -1
+        ('value.startswith("-") and value != "-"', "False", ["report", "--n", "-1", "--r", "1"]),
+    ],
+    ids=["abbreviations", "dash-values"],
+)
+def test_corpus_comparison_catches_a_broken_canonical_parse(old, new, argv):
+    broken = mutant(old, new)
+    assert cli.parse_canonical(argv) is None and broken(argv) is not None
+    assert disagreements(broken) != []

@@ -21,7 +21,8 @@ GOLDEN = ROOT / "tests" / "golden"
 
 # stdlib modules no report, homotopy or selftest answer needs at import time
 NOT_AT_IMPORT = (
-    "dataclasses", "inspect", "json", "random", "importlib.resources", "fractions", "decimal"
+    "dataclasses", "inspect", "json", "random", "importlib.resources", "fractions", "decimal",
+    "argparse", "gettext",
 )
 
 
@@ -51,23 +52,48 @@ def test_cli_import_loads_traced_modules_but_not_unused_stdlib():
     assert wanted <= loaded
 
 
+def loaded_modules(argv):
+    """The modules that one bare-interpreter CLI run on argv loads."""
+    code = "import sys; from loopspace import cli; cli.main(sys.argv[1:]); print(' '.join(sys.modules))"
+    return set(run_bare(["-c", code, *argv]).decode().splitlines()[-1].split())
+
+
 def loaded_package_modules(argv):
     """The loopspace.* modules that one bare-interpreter CLI run on argv loads."""
+    return {m for m in loaded_modules(argv) if m.startswith("loopspace.")}
+
+
+REPORT_JSON = ["report", "--n", "2", "--r", "2", "--torsion", "2", "--cap", "8", "--json"]
+HOMOTOPY = ["homotopy", "--n", "2", "--r", "1", "--torsion", "-", "--k", "4"]
+
+
+def test_canonical_calls_load_no_argparse():
+    # a well-formed call is parsed without argparse, which only prints help and errors
+    for argv in (REPORT_JSON, HOMOTOPY):
+        assert not loaded_modules(argv) & {"argparse", "gettext"}
+
+
+def test_json_answer_loads_no_json_package():
+    # the JSON writer takes its one C function from _json, as json.encoder does
+    loaded = loaded_modules(REPORT_JSON)
+    assert "loopspace.jsontext" in loaded and "_json" in loaded
+    assert not {m for m in loaded if m == "json" or m.startswith("json.")}
+
+
+def test_json_writer_falls_back_to_json_encoder_without_the_accelerator():
     code = (
-        "import sys; from loopspace import cli; cli.main(sys.argv[1:]); "
-        "print(' '.join(m for m in sys.modules if m.startswith('loopspace.')))"
+        "import sys; sys.modules['_json'] = None; import json, json.encoder; "
+        "from loopspace import jsontext; doc = {'a': ['\u00e9', 1, None]}; "
+        "print(jsontext.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii, "
+        "jsontext.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True))"
     )
-    return set(run_bare(["-c", code, *argv]).decode().splitlines()[-1].split())
+    assert run_bare(["-c", code]) == b"True True\n"
 
 
 def test_cli_runs_load_every_package_module():
     # a module that no answer loads is code that no answer runs: it belongs
     # with the tests, as the Koszul oracle does
-    runs = (
-        ["report", "--n", "2", "--r", "2", "--torsion", "2", "--cap", "8", "--json"],
-        ["homotopy", "--n", "2", "--r", "1", "--torsion", "-", "--k", "4", "--json"],
-        ["selftest", "--fuzz", "20"],
-    )
+    runs = (REPORT_JSON, [*HOMOTOPY, "--json"], ["selftest", "--fuzz", "20"])
     loaded = set().union(*map(loaded_package_modules, runs))
     package = pkgutil.iter_modules([str(ROOT / "src" / "loopspace")])
     assert {"loopspace." + info.name for info in package} - loaded == set()
