@@ -90,8 +90,6 @@ class FiniteAbelianGroup:
         left = {}  # p -> copies of the powers of p not yet passed
         for (p, e), copies in self._counts:
             left[p] = left.get(p, 0) + copies
-        if len(left) < 2:  # at most one prime: each power is a run
-            return [(p**e, copies) for (p, e), copies in self._counts]
         step, low = {}, {}  # n -> what the n largest factors have that the rest lack
         for (p, e), copies in self._counts:
             n = left[p]

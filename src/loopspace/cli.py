@@ -17,6 +17,7 @@ allocates without bound: --cap <= 1000, --n <= 10000, --r <= 10000,
 --k <= 10000, 1 <= --fuzz <= 100000, and at most 16 torsion orders of at
 most 10^9 each (exit 2).  --seed must be >= 0 (exit 2): Random(-s) repeats
 the fuzz of s.
+A --table file longer than 10^6 characters exits 3 after reading one past it.
 A homotopy answer of more than 10^6 cyclic summands is refused before any
 group is built (exit 2, naming r and k): --n 2 --r 5 --k 9 has 207,228,
 while --r 100 --k 9 would have about 1.4 * 10^15 and once ran without end.
@@ -28,10 +29,11 @@ the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
 --json with sixteen orders 999999937, 0.5-0.8 s of CPU and 177 MB (about
 0.2 s and 17 MB as text).
 
-Each command's options are declared once, in COMMANDS.  A well-formed
-call (parse_canonical) is parsed without argparse, which is imported only
-to print help or an error: then a call builds only its own command's
-parser, and the full parser only for top-level help or a top-level error.
+Each command's options are declared once, in COMMANDS.  A call takes one
+of two routes: a well-formed call (parse_canonical) is parsed without
+argparse, and any other call (help, an error, --cap=3, an abbreviated
+option) goes to the full parser, build_parser, the one place argparse is
+imported.
 """
 
 import os
@@ -88,38 +90,22 @@ _MANIFOLD_OPTIONS = (
     ("r", int, REQUIRED, "middle free rank, r >= 0"),
     ("torsion", str, "-", "middle torsion as comma-separated cyclic orders, or '-' for none"),
 )
+_JSON_OPTION = ("json", bool, False, "emit one JSON document")
 _REPORT_OPTIONS = (
     *_MANIFOLD_OPTIONS,
     ("cap", int, 10, "top degree for tables (>= 1)"),
-    ("json", bool, False, "emit one JSON document"),
+    _JSON_OPTION,
 )
 _HOMOTOPY_OPTIONS = (
     *_MANIFOLD_OPTIONS,
     ("k", int, REQUIRED, "homotopy degree"),
     ("table", str, None, "sphere table path (else the bundled table)"),
-    ("json", bool, False, None),
+    _JSON_OPTION,
 )
 _SELFTEST_OPTIONS = (
     ("seed", int, 0, "seed for the fuzz suite"),
     ("fuzz", int, 500, "number of fuzzed polynomials"),
 )
-
-
-def _add_options(parser, command):
-    """Declare the command's options on an argparse parser, as COMMANDS lists them."""
-    _help_line, run, options = COMMANDS[command]
-    for name, kind, default, help_text in options:
-        if kind is bool:
-            parser.add_argument(f"--{name}", action="store_true", help=help_text)
-        else:
-            parser.add_argument(
-                f"--{name}",
-                type=int if kind is int else None,
-                required=default is REQUIRED,
-                default=None if default is REQUIRED else default,
-                help=help_text,
-            )
-    parser.set_defaults(run=run)
 
 
 def build_parser():
@@ -130,8 +116,20 @@ def build_parser():
         description="loop-space homology and homotopy groups of (n, r, G) manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _run, _options) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_line), name)
+    for command, (help_line, run, options) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for name, kind, default, help_text in options:
+            if kind is bool:
+                command_parser.add_argument(f"--{name}", action="store_true", help=help_text)
+            else:
+                command_parser.add_argument(
+                    f"--{name}",
+                    type=int if kind is int else None,
+                    required=default is REQUIRED,
+                    default=None if default is REQUIRED else default,
+                    help=help_text,
+                )
+        command_parser.set_defaults(run=run)
     return parser
 
 
@@ -186,26 +184,9 @@ def parse_canonical(argv):
 
 
 def parse_args(argv):
-    """build_parser().parse_args(argv), building as few argparse parsers as it can.
-
-    A canonical argv (parse_canonical) builds none.  Any other argv that
-    names its command builds only that command's parser, the one
-    `add_parser` builds, so it prints the same usage, help and errors.
-    Anything else, or a leftover argument, goes to the full parser.
-    """
+    """build_parser().parse_args(argv); a canonical argv (parse_canonical) builds no parser."""
     args = parse_canonical(argv)
-    if args is not None:
-        return args
-    import argparse
-
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"loopspace {argv[0]}")
-        _add_options(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def print_json(doc) -> int:

@@ -24,6 +24,10 @@ BUNDLED_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "sphere_tab
 # 1.4 * 10^15.
 MAX_SUMMANDS = 10**6
 
+# The most characters a table file may hold; the bundled table has 2,274.
+# Reading stops one past it, so --table /dev/zero fails at once.
+MAX_TABLE_CHARS = 10**6
+
 
 class SphereTable:
     """Validated map (k, m) -> pi_k(S^m); each sphere's rows run without gaps."""
@@ -103,9 +107,15 @@ def load_table(text: str) -> SphereTable:
 
 
 def load_table_file(path: str | None = None) -> SphereTable:
-    """The table in the file at ``path`` (the CLI's --table); None means the bundled table."""
+    """The table in the file at ``path`` (the CLI's --table); None means the bundled table.
+
+    A file of more than MAX_TABLE_CHARS characters raises TableFormatError.
+    """
     with open(BUNDLED_TABLE_PATH if path is None else path, encoding="utf-8") as fh:
-        return load_table(fh.read())
+        text = fh.read(MAX_TABLE_CHARS + 1)
+    if len(text) > MAX_TABLE_CHARS:
+        raise TableFormatError(f"file is longer than the limit of {MAX_TABLE_CHARS} characters")
+    return load_table(text)
 
 
 class HomotopyAnswer(namedtuple("HomotopyAnswer", "k inverted_primes summands total")):

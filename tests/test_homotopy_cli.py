@@ -3,8 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import time
+
+import pytest
 
 from loopspace.cli import main
+from loopspace.spheres import MAX_TABLE_CHARS
 
 RANK_ZERO = ["homotopy", "--n", "2", "--r", "0", "--torsion", "2"]
 
@@ -37,3 +42,39 @@ def test_empty_table_path_is_a_table_error():
     code, out, err = run_cli(["homotopy", "--n", "2", "--r", "1", "--k", "3", "--table", ""])
     assert (code, out) == (3, "")
     assert err.startswith("error: table: ") and err.endswith("\n")
+
+
+def table_argv(path):
+    return ["homotopy", "--n", "2", "--r", "1", "--k", "4", "--table", str(path)]
+
+
+def write_table(path, chars):
+    """The rows pi_4 at --n 2 --r 1 needs, after one comment line, in exactly `chars` characters."""
+    rows = "3 2 1 -\n4 2 0 2\n4 3 0 2\n"  # pi_3(S^2) = Z, pi_4(S^2) = pi_4(S^3) = Z/2
+    path.write_text("#" * (chars - len(rows) - 1) + "\n" + rows, encoding="utf-8")
+
+
+def test_table_of_exactly_the_limit_loads(tmp_path):
+    path = tmp_path / "table.tsv"
+    write_table(path, MAX_TABLE_CHARS)
+    bundled = run_cli(table_argv(path)[:-2])
+    assert bundled[0] == 0
+    assert run_cli(table_argv(path)) == bundled
+
+
+def test_table_one_past_the_limit_exits_3_naming_it(tmp_path):
+    path = tmp_path / "table.tsv"
+    write_table(path, MAX_TABLE_CHARS + 1)
+    code, out, err = run_cli(table_argv(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: table: ") and err.count("\n") == 1
+    assert str(MAX_TABLE_CHARS) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_table_file_exits_3_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli(table_argv("/dev/zero"))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("error: table: ") and str(MAX_TABLE_CHARS) in err
