@@ -12,7 +12,7 @@ test oracle beside the tests.
 
 from .abelian import FgAbelianGroup, FiniteAbelianGroup, GradedAbelianGroup
 from .decomposition import classify, loop_decomposition, rational_series
-from .lyndon import enumerate_lyndon, independence_certificate, lie_dims, standard_lyndon
+from .lyndon import independence_certificate, lie_dims, standard_lyndon
 from .manifold import ManifoldModel, homology, loop_presentation, sigma_primes
 from .rewrite import QuadraticPresentation, hilbert_dims, normal_form
 from .series import PowerSeries, loop_generating_series, sphere_summand_counts
@@ -28,7 +28,6 @@ __all__ = [
     "PowerSeries",
     "QuadraticPresentation",
     "classify",
-    "enumerate_lyndon",
     "hilbert_dims",
     "homology",
     "homotopy_of_manifold",

@@ -55,6 +55,7 @@ class SpaceExpr:
 
     __repr__ = __str__
 
+    # no answer compares trees: equality is for checks, as of a counted tree against its expansion
     def _key(self):
         return tuple(getattr(self, f) for f in self._fields)
 
@@ -136,7 +137,7 @@ class WeakProduct(SpaceExpr):
     ``counts`` holds (w, multiplicity) pairs: that many copies of
     Loop(S^(w+1)), loop degree w >= 1, each with ``primes`` inverted.  A
     multiplicity is a count of copies, so it must be >= 0.  No node is
-    stored per factor; ``factors`` builds them when it is read.
+    stored per factor.
     """
 
     _fields = ("counts", "primes")
@@ -149,11 +150,6 @@ class WeakProduct(SpaceExpr):
                 raise ValueError(f"loop degree {w} must be >= 1")
             if m < 0:
                 raise ValueError(f"multiplicity {m} of L(S{w + 1}) is negative")
-
-    @property
-    def factors(self) -> tuple:
-        """(localized looped sphere, multiplicity) pairs, one per entry of counts."""
-        return tuple((localized(self.primes, Loop(Sphere(w + 1))), m) for w, m in self.counts)
 
 
 # ---- smart constructors (unit laws only) -----------------------------------
@@ -247,11 +243,6 @@ def to_dict(expr: SpaceExpr) -> dict:
         return {"kind": "loop", "child": to_dict(expr.child)}
     if isinstance(expr, LocalizedAt):
         return {"kind": "localized", "invert": list(expr.primes), "child": to_dict(expr.child)}
-    if isinstance(expr, WeakProduct):
-        return {
-            "kind": "weak_product",
-            "factors": [{"space": to_dict(e), "mult": m} for e, m in expr.factors],
-        }
     raise TypeError(f"cannot serialize {expr!r}")
 
 
@@ -328,8 +319,8 @@ def fiber_homology(m: ManifoldModel, cap: int) -> GradedAbelianGroup:
         H_D = Z^((r-1)(p[D-n] + p[D-n-1])) + G^(p[D-n]),
 
     kept as the two counts per degree beside the one group G: O(cap)
-    integers and O(cap) Python steps.  A degree becomes a group only when
-    part(D) asks for it, and prints from G's runs (see GradedAbelianGroup).
+    integers and O(cap) Python steps.  No degree becomes a group: each prints
+    from G's runs (see GradedAbelianGroup).
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")

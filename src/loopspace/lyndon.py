@@ -33,10 +33,10 @@ certificate proves that basis property degree by degree along two routes:
 each normal form is unitriangular on its standard word, and the stacked
 normal forms have full rank modulo a prime.
 
-A word is the walk's letter-index tuple: ``enumerate_lyndon`` returns
-{degree: [word]} and ``standard_lyndon`` {degree: [(word, b(word))]}, both
-in the walk's lex order.  The exclusion bigram is the presentation's own
-leading word, and a relation whose words differ in degree has none:
+A word is the walk's letter-index tuple: ``standard_lyndon`` returns
+{degree: [(word, b(word))]} in the walk's lex order.  The exclusion bigram
+is the presentation's own leading word, and a relation whose words differ
+in degree has none:
 
 >>> from loopspace.manifold import ManifoldModel, loop_presentation
 >>> pres = loop_presentation(ManifoldModel(2, 2))
@@ -212,13 +212,6 @@ def _lyndon_words(weights, cap: int, forbidden) -> dict:
     words = [[] for _ in range(cap + 1)]
     _walk_lyndon(weights, cap, forbidden, words)
     return {d: [tuple(i + 1 for i in w) for w in words[d]] for d in range(1, cap + 1)}
-
-
-def enumerate_lyndon(alphabet: Alphabet, cap: int) -> dict:
-    """All Lyndon words of homological degree <= cap, {degree: [word]} in lex order."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return _lyndon_words(alphabet.degrees, cap, None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the Moebius multiplicities l[w].
 """
 
 import os
+import stat
 from collections import namedtuple
 
 from .abelian import FgAbelianGroup
@@ -109,10 +110,18 @@ def load_table(text: str) -> SphereTable:
 def load_table_file(path: str | None = None) -> SphereTable:
     """The table in the file at ``path`` (the CLI's --table); None means the bundled table.
 
-    A file of more than MAX_TABLE_CHARS characters raises TableFormatError.
+    A file of more than MAX_TABLE_CHARS characters raises TableFormatError,
+    and so does a FIFO that yields no text.  The file opens without
+    blocking, so a FIFO with no writer reads as empty at once instead of
+    waiting for one, while a pipe (``--table /dev/stdin``) still loads.
     """
-    with open(BUNDLED_TABLE_PATH if path is None else path, encoding="utf-8") as fh:
+    path = BUNDLED_TABLE_PATH if path is None else path
+    with open(path, encoding="utf-8", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)  # a pipe with a writer, or a terminal, waits for its input
+        fifo = stat.S_ISFIFO(os.fstat(fh.fileno()).st_mode)
         text = fh.read(MAX_TABLE_CHARS + 1)
+    if fifo and not text:
+        raise TableFormatError(f"{path} is a FIFO with no writer, or one that wrote nothing")
     if len(text) > MAX_TABLE_CHARS:
         raise TableFormatError(f"file is longer than the limit of {MAX_TABLE_CHARS} characters")
     return load_table(text)

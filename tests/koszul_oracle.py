@@ -172,9 +172,9 @@ def is_koszul_single_relation(relation) -> bool:
         relation = relation.relation
     if relation.is_zero():
         return True
-    if any(len(w) != 2 for w in relation.words()):
+    if any(len(w) != 2 for w in relation._terms):
         raise PresentationError("relation must be homogeneous of word-length 2")
-    support = relation.words()
+    support = set(relation._terms)
     for lead in support:
         a, b = lead
         if a == b:

@@ -170,17 +170,14 @@ def test_c07_decomposition_consistency():
 def test_c08_fiber_homology():
     def check():
         h = fiber_homology(ManifoldModel(2, 2), 4)
-        assert h.part(2) == FgAbelianGroup(1)
-        assert h.part(3) == FgAbelianGroup(2)
-        assert h.part(4) == FgAbelianGroup(3)
+        assert h.to_dict() == {str(d): str(FgAbelianGroup(d - 1)) for d in (2, 3, 4)}
 
         z3 = FiniteAbelianGroup((3,))
         h2 = fiber_homology(ManifoldModel(2, 1, (3,)), 9)
         poly = polynomial_ring_dims(2, 7)  # 1 1 2 2 3 3 ...
+        degrees = h2.to_dict()
         for d, mult in enumerate(poly):
-            got = h2.part(2 + d)
-            assert got.rank == 0
-            assert got == FgAbelianGroup(0, z3.power(mult)), d
+            assert degrees[str(2 + d)] == str(FgAbelianGroup(0, z3.power(mult))), d
 
         # independent graded-convolution oracle on a bigger example
         m = ManifoldModel(3, 2, (2,))
@@ -196,7 +193,8 @@ def test_c08_fiber_homology():
                     copies += poly[d]
                 if degree - d == m.n + 1:
                     rank += poly[d] * (m.r - 1)
-            assert got.part(degree) == FgAbelianGroup(rank, m.torsion.power(copies)), degree
+            expected = FgAbelianGroup(rank, m.torsion.power(copies))
+            assert got.to_dict().get(str(degree), "0") == str(expected), degree
 
     report(8, "fibre homology matches the graded convolution oracle", check)
 

@@ -1,8 +1,11 @@
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import loopspace
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_module_doctests_pass():
@@ -21,3 +24,12 @@ def test_module_doctests_pass():
     # and that a relation of mixed degrees is refused
     for name in ("linalg", "series", "abelian", "words", "decomposition", "lyndon"):
         assert attempted[name] >= 1, name
+
+
+def test_readme_library_example_runs():
+    # a renamed or deleted public name fails here instead of going stale in the docs
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["hilbert_dims"](namespace["pres"], 12)[:5] == [1, 2, 6, 15, 40]

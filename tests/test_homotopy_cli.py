@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -78,3 +81,37 @@ def test_endless_table_file_exits_3_at_once():
     assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert err.startswith("error: table: ") and str(MAX_TABLE_CHARS) in err
+
+
+def run_child(argv, **kwargs):
+    """The CLI in a child process, which a timeout can stop if it blocks."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "loopspace.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, timeout=20, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_fifo_with_no_writer_or_directory_exits_3_at_once(tmp_path, kind):
+    # open() used to wait for a FIFO's writer for good
+    path = tmp_path / "table"
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    start = time.perf_counter()
+    proc = run_child(table_argv(path))
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    err = proc.stderr.decode()
+    assert err.startswith("error: table: ") and err.count("\n") == 1 and kind in err.lower()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_table_piped_through_stdin_loads(tmp_path):
+    # a pipe is a FIFO with a writer: it is read, not refused
+    path = tmp_path / "table.tsv"
+    write_table(path, 200)
+    proc = run_child(table_argv("/dev/stdin"), input=path.read_bytes())
+    assert (proc.returncode, proc.stdout.decode()) == run_cli(table_argv(path))[:2]

@@ -10,13 +10,13 @@ from loopspace.errors import ComputationFailure, PresentationError
 from loopspace.lyndon import (
     _MEMO_LETTERS,
     P,
-    enumerate_lyndon,
     exclusion_bigram,
     independence_certificate,
     lie_dims,
     standard_factorization,
     standard_lyndon,
     _forbidden,
+    _lyndon_words,
     _walk_lyndon,
 )
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
@@ -80,20 +80,20 @@ def _all_words(q, length):
 
 class TestEnumeration:
     def test_two_letters_length_three(self):
-        found = enumerate_lyndon(AB, 3)[3]
+        found = _lyndon_words(AB.degrees, 3, None)[3]
         assert found == [(1, 1, 2), (1, 2, 2)]
         assert len(found) == necklace_count(2, 3)
 
     def test_single_letter_alphabet(self):
         single = Alphabet.from_degrees((1,), labels=("a",))
-        by_degree = enumerate_lyndon(single, 5)
+        by_degree = _lyndon_words(single.degrees, 5, None)
         assert by_degree[1] == [(1,)]
         assert all(not by_degree[d] for d in range(2, 6))
 
     def test_manifold_alphabet_degree_two(self):
         # u1', u2' (single letters of degree 2) and u1u2; exhaustive check
         a = loop_alphabet(2, 2)
-        found = {a.spell(w) for w in enumerate_lyndon(a, 2)[2]}
+        found = {a.spell(w) for w in _lyndon_words(a.degrees, 2, None)[2]}
         assert found == {"u1'", "u2'", "u1u2"}
         brute = {
             w
@@ -105,7 +105,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("q", [2, 3])
     def test_witt_formula_equal_weights(self, q):
         alphabet = Alphabet.from_degrees((1,) * q)
-        by_degree = enumerate_lyndon(alphabet, 7)
+        by_degree = _lyndon_words(alphabet.degrees, 7, None)
         for m in range(1, 8):
             assert len(by_degree[m]) == necklace_count(q, m)
 
@@ -113,7 +113,7 @@ class TestEnumeration:
         # the walk's preorder is the sorted order; no sort is applied
         for n, r in GRID:
             pres = loop_presentation(ManifoldModel(n, r))
-            listed = enumerate_lyndon(pres.alphabet, 8)
+            listed = _lyndon_words(pres.alphabet.degrees, 8, None)
             standard = standard_lyndon(pres, 8)
             for d in range(1, 9):
                 for words in (listed[d], [w for w, _b in standard[d]]):
@@ -125,16 +125,16 @@ class TestEnumeration:
         # checked constructor and have the degree it is listed under
         pres = loop_presentation(ManifoldModel(n, r))
         alphabet = pres.alphabet
-        listed = enumerate_lyndon(alphabet, 7)
+        listed = _lyndon_words(alphabet.degrees, 7, None)
         standard = standard_lyndon(pres, 7)
         for d in range(1, 8):
             words = listed[d] + [w for w, _b in standard[d]]
             assert all(type(word) is tuple and alphabet.degree(word) == d for word in words)
-            assert NCPoly(alphabet, dict.fromkeys(words, 1)).words() == set(words)
+            assert NCPoly(alphabet, dict.fromkeys(words, 1))._terms.keys() == set(words)
 
     def test_enumeration_complete_and_duplicate_free(self):
         a = loop_alphabet(2, 2)
-        by_degree = enumerate_lyndon(a, 5)
+        by_degree = _lyndon_words(a.degrees, 5, None)
         for d in range(1, 6):
             words = by_degree[d]
             assert len(words) == len(set(words))
@@ -348,7 +348,7 @@ class TestFactorization:
     def test_soundness(self):
         weighted = Alphabet.from_degrees((1, 2, 3), labels=("a", "b", "c"))
         for alphabet in (AB, loop_alphabet(2, 2), weighted):
-            self._check_soundness(enumerate_lyndon(alphabet, 7))
+            self._check_soundness(_lyndon_words(alphabet.degrees, 7, None))
 
     def _check_soundness(self, by_degree):
         for words in by_degree.values():
@@ -428,7 +428,7 @@ class TestBracketing:
         for d in range(1, 7):
             for word, bracketing in by_degree[d]:
                 assert a.degree(word) == d
-                assert min(bracketing.words()) == word
+                assert min(bracketing._terms) == word
                 assert bracketing.coeff(word) == 1
 
     def test_integer_coefficients(self):
@@ -465,7 +465,7 @@ class TestStandardWords:
         # the pair rule, kept as the oracle: the lex-least (a, b), a < b,
         # among the commutators' words
         def pair_rule(pres):
-            return min((a, b) if a < b else (b, a) for a, b in pres.relation.words())
+            return min((a, b) if a < b else (b, a) for a, b in pres.relation._terms)
 
         rng = random.Random(28)
         for _ in range(300):
@@ -518,7 +518,7 @@ class TestStandardWords:
     def test_free_standard_is_all_lyndon(self):
         pres = QuadraticPresentation(AB)
         std = standard_lyndon(pres, 5)
-        all_lyndon = enumerate_lyndon(AB, 5)
+        all_lyndon = _lyndon_words(AB.degrees, 5, None)
         for d in range(1, 6):
             assert [w for w, _b in std[d]] == all_lyndon[d]
 

@@ -60,24 +60,25 @@ class TestModel:
 
 class TestHomology:
     def test_pattern_with_torsion(self):
-        m = ManifoldModel(2, 2, (3,))
-        h = homology(m)
-        assert h.part(0) == FgAbelianGroup(1)
-        assert h.part(2) == FgAbelianGroup(2, FiniteAbelianGroup((3,)))
-        assert h.part(3) == FgAbelianGroup(2)
-        assert h.part(5) == FgAbelianGroup(1)
-        assert h.degrees() == [0, 2, 3, 5]
+        h = homology(ManifoldModel(2, 2, (3,)))
+        parts = {
+            0: FgAbelianGroup(1),
+            2: FgAbelianGroup(2, FiniteAbelianGroup((3,))),
+            3: FgAbelianGroup(2),
+            5: FgAbelianGroup(1),
+        }
+        assert h.to_dict() == {str(d): str(part) for d, part in parts.items()}
 
     def test_sphere_pattern(self):
         h = homology(ManifoldModel(2, 0))
-        assert h.degrees() == [0, 5]
+        assert h.to_dict() == {"0": "Z", "5": "Z"}
 
     @pytest.mark.parametrize("n,r", [(2, 0), (2, 2), (3, 1), (4, 3)])
     def test_poincare_symmetry_of_free_ranks(self, n, r):
         m = ManifoldModel(n, r, (2,))
-        h = homology(m)
+        ranks = {d: rank for d, (rank, _copies) in homology(m)._counts.items()}
         for d in range(2 * n + 2):
-            assert h.part(d).rank == h.part(2 * n + 1 - d).rank
+            assert ranks.get(d, 0) == ranks.get(2 * n + 1 - d, 0)
 
 
 class TestSigma:
@@ -95,7 +96,7 @@ class TestLoopPresentation:
     def test_rank_one_shape(self):
         pres = loop_presentation(ManifoldModel(2, 1))
         assert pres.alphabet.degrees == (1, 2)
-        assert pres.alphabet.labels == ("u1", "u1'")
+        assert [pres.alphabet.spell((i,)) for i in (1, 2)] == ["u1", "u1'"]
         assert dict(pres.relation.terms()) == {(1, 2): 1, (2, 1): -1}
 
     def test_degree_assignment(self):

@@ -117,7 +117,7 @@ class TestNormalForm:
         for _ in range(30):
             indices = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 6)))
             nf = normal_form(NCPoly(a, {indices: 1}), P22)
-            assert all(is_irreducible(word, P22) for word in nf.words())
+            assert all(is_irreducible(word, P22) for word in nf._terms)
 
     def test_equivalence_modulo_ideal(self):
         # p - nf(p) must reduce to zero too (difference lies in the ideal)

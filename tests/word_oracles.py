@@ -9,8 +9,10 @@ bigram search per word, a stack walk sorted afterwards and letter draws
 through ``randint`` and the checked ``NCPoly`` constructor, must give the
 same results as the library's, in the same order.  ``index_key`` is the
 rewriting order as a sort key, the reference that ``NCPoly.max_word``,
-which finds the maximum its own way, must agree with.  A word is its tuple
-of letter indices, as in the library.
+which finds the maximum its own way, must agree with.  ``product`` is the
+tensor-algebra product, which the library never forms: ``bracket`` builds
+pq - qp in one pass, and this is its two-product reference.  A word is its
+tuple of letter indices, as in the library.
 """
 
 from loopspace.selftest import FUZZ_MAX_DEGREE, FUZZ_MAX_TERMS
@@ -42,9 +44,18 @@ def is_irreducible(word, pres) -> bool:
     return pres.leading not in zip(word, word[1:])
 
 
+def product(p, q):
+    """The tensor-algebra product pq, term by term, through the checked ``NCPoly`` constructor."""
+    terms = {}
+    for u, c in p._terms.items():
+        for v, e in q._terms.items():
+            terms[u + v] = terms.get(u + v, 0) + c * e
+    return NCPoly(p.alphabet, terms)
+
+
 def homogeneous_degree(poly):
     """The degree shared by every word of the polynomial, or None."""
-    degrees = {poly.alphabet.degree(word) for word in poly.words()}
+    degrees = {poly.alphabet.degree(word) for word in poly._terms}
     return degrees.pop() if len(degrees) == 1 else None
 
 
