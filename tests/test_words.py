@@ -131,6 +131,15 @@ class TestNCPoly:
             commutator = bracket(p, q)
             assert commutator.is_zero() or homogeneous_degree(commutator) == d1 + d2
 
+    def test_mismatched_alphabets_rejected(self):
+        # sums and differences check the alphabet; equality only compares it
+        p, q = NCPoly.letter(A22, 1), NCPoly.letter(AB, 1)
+        with pytest.raises(AlphabetMismatch):
+            p + q
+        with pytest.raises(AlphabetMismatch):
+            NCPoly.zero(AB) - NCPoly.zero(A22)
+        assert p != NCPoly(AB, {(1,): 1})
+
     def test_scalars_multiply_only_through_scale(self):
         p = NCPoly.letter(A22, 1)
         for scalar in (2, Fraction(1, 2)):
