@@ -323,8 +323,7 @@ def cmd_selftest(args) -> int:
         _check_bounds(args, "seed", "fuzz")
     except ValueError as e:
         return fail_config(str(e))
-    ok, _results = run_selftest(seed=args.seed, fuzz_count=args.fuzz)
-    return EXIT_OK if ok else EXIT_SELFTEST
+    return EXIT_OK if run_selftest(seed=args.seed, fuzz_count=args.fuzz) else EXIT_SELFTEST
 
 
 # name: (help line, run function, options), in the order the help lists them

@@ -9,11 +9,15 @@ polynomials, and independence certificates of the standard bracketings
 (each normal form unitriangular on its standard word, and full rank modulo
 a prime).
 
-Each route runs once per grid point.  The product identity takes the Moebius
-counts l, not a second Lyndon walk: mobius-vs-lyndon already requires
-lie_dims == l at every grid point, so "PBW(l) = word counts" holds exactly
-when "PBW(lie_dims) = word counts" does, and the all-pass verdict is the
-same for every input.
+Every suite but the fuzz runs one point check, ``check_<route>(m, cap)``,
+on each of its models at its cap, through ``_on_models``.  A check returns
+None when its routes agree through degree cap, else ``degree=d`` for the
+first degree where they differ; the runner writes the first failure as
+``(<suite>, <model>) <detail>``, a route's ComputationFailure text being
+the detail.  The product identity takes the Moebius counts l, not a second
+Lyndon walk: mobius-vs-lyndon already requires lie_dims == l at every grid
+point, so "PBW(l) = word counts" holds exactly when "PBW(lie_dims) = word
+counts" does, and the all-pass verdict is the same for every input.
 
 The suite sizes are the module constants below; only the fuzz's seed and
 count vary per run, set by the CLI's --seed and --fuzz.  A seed fixes the
@@ -23,9 +27,9 @@ fuzzed polynomials; the tests pin the first draws of seeds 0 and 3.
 from collections import namedtuple
 
 from .decomposition import loop_decomposition, rational_series
-from .errors import ComputationFailure
+from .errors import ComputationFailure, SphereFallback
 from .lyndon import independence_certificate, lie_dims
-from .manifold import ManifoldModel, loop_presentation
+from .manifold import ManifoldModel, loop_presentation, sigma_primes
 from .rewrite import enumerate_irreducible_words, hilbert_dims, normal_form
 from .series import loop_generating_series, pbw_series_check, sphere_summand_counts
 from .words import NCPoly
@@ -41,67 +45,90 @@ FUZZ_MAX_TERMS = 4
 SuiteResult = namedtuple("SuiteResult", "name passed detail", defaults=("",))
 
 
-def _fail(name, n=None, r=None, degree=None, extra=""):
-    parts = [name]
-    if n is not None:
-        parts.append(f"n={n}")
-    if r is not None:
-        parts.append(f"r={r}")
-    if degree is not None:
-        parts.append(f"degree={degree}")
-    detail = "(" + ", ".join(str(p) for p in parts) + ")"
-    if extra:
-        detail += " " + extra
-    return SuiteResult(name, False, detail)
+def _first_degree(differing):
+    """``degree=d`` for the first degree d that ``differing`` yields, else None."""
+    d = next(differing, None)
+    return None if d is None else f"degree={d}"
+
+
+def check_dp_vs_enumeration(m, cap):
+    """DP word counts against the enumerated words, degrees 0..cap; SphereFallback at r = 0."""
+    pres = loop_presentation(m)
+    dims = hilbert_dims(pres, cap)
+    words = enumerate_irreducible_words(pres, cap)
+    return _first_degree(d for d in range(cap + 1) if dims[d] != len(words[d]))
+
+
+def check_mobius_vs_lyndon(m, cap):
+    """Standard-Lyndon counts against the Moebius l[w], degrees 1..cap; SphereFallback at r = 0."""
+    counted = lie_dims(loop_presentation(m), cap)
+    mobius = sphere_summand_counts(m.n, m.r, cap)
+    return _first_degree(d for d in range(1, cap + 1) if counted[d] != mobius[d])
+
+
+def check_pbw_identity(m, cap):
+    """prod (1 - t^w)^(-l[w]) against the word counts through t^cap; SphereFallback at r = 0."""
+    counts = sphere_summand_counts(m.n, m.r, cap)
+    dims = hilbert_dims(loop_presentation(m), cap)
+    if not pbw_series_check(counts, dims, cap):
+        return _first_degree(d for d in range(cap + 1) if not pbw_series_check(counts, dims, d))
+    return None
+
+
+def check_master_series(m, cap):
+    """The decomposition's rational series against 1/q(t) through t^cap; SphereFallback at r = 0.
+
+    q(t) = 1 - r t^(n-1) - r t^n + t^(2n-1).  At r = 0 the decomposition is
+    a sphere, with no q to compare against.
+    """
+    if m.r < 1:
+        raise SphereFallback(m.n, sigma_primes(m))
+    lhs = rational_series(loop_decomposition(m), cap).coeffs
+    rhs = loop_generating_series(m.n, m.r, cap).inverse().coeffs
+    return _first_degree(d for d in range(cap + 1) if lhs[d] != rhs[d])
+
+
+def check_independence(m, cap):
+    """Certify the standard bracketings of degrees 1..cap independent; SphereFallback at r = 0.
+
+    The certificate raises ComputationFailure where its routes fail, so a
+    check that returns passed.
+    """
+    independence_certificate(loop_presentation(m), cap)
+    return None
+
+
+def _on_models(name, check, cap, models):
+    """SuiteResult of check(m, cap) on each model, failing at the first failure."""
+    for m in models:
+        try:
+            detail = check(m, cap)
+        except ComputationFailure as e:
+            detail = str(e)
+        if detail is not None:
+            return SuiteResult(name, False, f"({name}, {m!r}) {detail}")
+    return SuiteResult(name, True)
+
+
+def _grid_models():
+    return [ManifoldModel(n, r) for n, r in GRID]
 
 
 def suite_dp_vs_enumeration():
-    name = "dp-vs-enumeration"
-    for n, r in GRID:
-        pres = loop_presentation(ManifoldModel(n, r))
-        dims = hilbert_dims(pres, DP_CAP)
-        words = enumerate_irreducible_words(pres, DP_CAP)
-        for d in range(DP_CAP + 1):
-            if dims[d] != len(words[d]):
-                return _fail(name, n, r, d)
-    return SuiteResult(name, True)
+    return _on_models("dp-vs-enumeration", check_dp_vs_enumeration, DP_CAP, _grid_models())
 
 
 def suite_mobius_vs_lyndon():
-    name = "mobius-vs-lyndon"
-    for n, r in GRID:
-        pres = loop_presentation(ManifoldModel(n, r))
-        counted = lie_dims(pres, SERIES_CAP)
-        try:
-            mobius = sphere_summand_counts(n, r, SERIES_CAP)
-        except ComputationFailure as e:
-            return _fail(name, n, r, extra=str(e))
-        for d in range(1, SERIES_CAP + 1):
-            if counted[d] != mobius[d]:
-                return _fail(name, n, r, d)
-    return SuiteResult(name, True)
+    return _on_models("mobius-vs-lyndon", check_mobius_vs_lyndon, SERIES_CAP, _grid_models())
 
 
 def suite_pbw_identity():
-    name = "pbw-identity"
-    cap = SERIES_CAP
-    for n, r in GRID:
-        pres = loop_presentation(ManifoldModel(n, r))
-        if not pbw_series_check(sphere_summand_counts(n, r, cap), hilbert_dims(pres, cap), cap):
-            return _fail(name, n, r)
-    return SuiteResult(name, True)
+    return _on_models("pbw-identity", check_pbw_identity, SERIES_CAP, _grid_models())
 
 
 def suite_master_series():
-    name = "master-series"
-    for n, r in GRID:
-        for torsion in ((), (2,)):
-            m = ManifoldModel(n, r, torsion)
-            lhs = rational_series(loop_decomposition(m), SERIES_CAP)
-            rhs = loop_generating_series(n, r, SERIES_CAP).inverse()
-            if lhs != rhs:
-                return _fail(name, n, r, extra=f"G={list(torsion)}")
-    return SuiteResult(name, True)
+    models = [ManifoldModel(n, r, torsion) for n, r in GRID for torsion in ((), (2,))]
+    return _on_models("master-series", check_master_series, SERIES_CAP, models)
 
 
 def random_poly(pres, rng):
@@ -138,32 +165,26 @@ def suite_confluence_fuzz(count, seed):
 
     name = "confluence-fuzz"
     rng = random.Random(seed)
-    presentations = [loop_presentation(ManifoldModel(n, r)) for n, r in GRID]
+    presentations = [loop_presentation(m) for m in _grid_models()]
     for i in range(count):
         pres = presentations[i % len(presentations)]
         p = random_poly(pres, rng)
         left = normal_form(p, pres, strategy="leftmost")
         right = normal_form(p, pres, strategy="rightmost")
         if left != right:
-            return _fail(name, extra=f"strategies differ at iteration {i}")
+            return SuiteResult(name, False, f"({name}) strategies differ at iteration {i}")
         if normal_form(left, pres) != left:
-            return _fail(name, extra=f"not idempotent at iteration {i}")
+            return SuiteResult(name, False, f"({name}) not idempotent at iteration {i}")
     return SuiteResult(name, True)
 
 
 def suite_independence():
-    name = "independence"
-    for n, r in ((2, 2), (3, 2)):
-        pres = loop_presentation(ManifoldModel(n, r))
-        try:
-            independence_certificate(pres, INDEPENDENCE_CAP)
-        except ComputationFailure as e:
-            return _fail(name, n, r, extra=str(e))
-    return SuiteResult(name, True)
+    models = [ManifoldModel(2, 2), ManifoldModel(3, 2)]
+    return _on_models("independence", check_independence, INDEPENDENCE_CAP, models)
 
 
 def run_selftest(seed, fuzz_count):
-    """Run every suite and print one verdict line each; returns (all_passed, results)."""
+    """Run every suite and print one verdict line each; returns whether all passed."""
     results = [
         suite_dp_vs_enumeration(),
         suite_mobius_vs_lyndon(),
@@ -178,4 +199,4 @@ def run_selftest(seed, fuzz_count):
         print(f"{r.name.ljust(width)}  {status}")
     ok = all(r.passed for r in results)
     print(f"selftest: {'all suites passed' if ok else 'FAILURES detected'}")
-    return ok, results
+    return ok

@@ -11,9 +11,19 @@ import pytest
 
 from loopspace import cli, selftest
 from loopspace.cli import MAX_CAP, MAX_FUZZ, MAX_R, main
-from loopspace.errors import ComputationFailure
 from loopspace.manifold import MAX_TORSION_ORDER, MAX_TORSION_ORDERS
 from loopspace.series import loop_generating_series
+
+from route_breakers import (
+    add_one_at_the_top_degree,
+    add_t_to_the_cap,
+    count_one_more_at_the_top_degree,
+    decomposition_of_one_more_rank,
+    double_the_rightmost_normal_form,
+    drop_a_top_degree_word,
+    refuse_every_certificate,
+    series_of_one_more_rank,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -274,43 +284,6 @@ class TestScaling:
         assert err.startswith(f"error: {field} 100000000 is over the limit")
 
 
-# Each takes a route the selftest suites call and returns a broken copy of it.
-def drop_a_top_degree_word(enumerate_words):
-    def broken(pres, cap):
-        words = enumerate_words(pres, cap)
-        words[cap] = words[cap][1:]
-        return words
-
-    return broken
-
-
-def add_one_at_the_top_degree(hilbert_dims):
-    def broken(pres, cap):
-        dims = hilbert_dims(pres, cap)
-        return dims[:-1] + [dims[-1] + 1]
-
-    return broken
-
-
-def series_of_one_more_rank(loop_generating_series):
-    return lambda n, r, cap: loop_generating_series(n, r + 1, cap)
-
-
-def double_the_rightmost_normal_form(normal_form):
-    def broken(p, pres, strategy="leftmost"):
-        q = normal_form(p, pres, strategy)
-        return q.scale(2) if strategy == "rightmost" else q
-
-    return broken
-
-
-def refuse_every_certificate(_independence_certificate):
-    def broken(pres, cap):
-        raise ComputationFailure("injected")
-
-    return broken
-
-
 class TestSelftest:
     def test_passes(self):
         code, out, _ = run_cli(["selftest", "--fuzz", "100"])
@@ -356,16 +329,27 @@ class TestSelftest:
         "suite, route, break_route",
         [
             ("dp-vs-enumeration", "enumerate_irreducible_words", drop_a_top_degree_word),
+            ("mobius-vs-lyndon", "lie_dims", count_one_more_at_the_top_degree),
             ("pbw-identity", "hilbert_dims", add_one_at_the_top_degree),
             ("master-series", "loop_generating_series", series_of_one_more_rank),
+            ("master-series", "rational_series", add_t_to_the_cap),
+            ("master-series", "loop_decomposition", decomposition_of_one_more_rank),
             ("confluence-fuzz", "normal_form", double_the_rightmost_normal_form),
             ("independence", "independence_certificate", refuse_every_certificate),
         ],
-        ids=["dp-vs-enumeration", "pbw-identity", "master-series", "confluence-fuzz", "independence"],
+        ids=[
+            "dp-vs-enumeration",
+            "mobius-vs-lyndon",
+            "pbw-identity",
+            "master-series",
+            "master-series-rational_series",
+            "master-series-loop_decomposition",
+            "confluence-fuzz",
+            "independence",
+        ],
     )
     def test_each_suite_fails_on_a_broken_route(self, monkeypatch, suite, route, break_route):
         monkeypatch.setattr(selftest, route, break_route(getattr(selftest, route)))
         code, out, _ = run_cli(["selftest", "--fuzz", "10"])
         assert code == 1
         assert f"FAIL ({suite}" in out
-
