@@ -34,6 +34,16 @@ of two routes: a well-formed call (parse_canonical) is parsed without
 argparse, and any other call (help, an error, --cap=3, an abbreviated
 option) goes to the full parser, build_parser, the one place argparse is
 imported.
+
+main(argv) is the in-process API: it returns the exit code and never ends
+the process.  run() is the process entry, called by the `loopspace` console
+script and by `python -m loopspace.cli`: it calls main(), flushes stdout and
+stderr, and ends the process with os._exit, skipping the interpreter's
+teardown of modules the process is about to discard.  So after a normal
+answer no end-of-run step runs: no atexit hook, and no report from
+`python -m cProfile`, `trace` or `pdb`; profile cli.main in-process instead.
+A SystemExit (help, an argparse error) or an exception from main propagates,
+and the interpreter exits as usual.
 """
 
 import os
@@ -341,7 +351,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout, as `| head -1` does: with stdout on devnull
-        # the interpreter's exit flush prints no second traceback
+        # run()'s final flush (or the interpreter's exit flush, after an
+        # in-process call) raises no second BrokenPipeError
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -349,5 +360,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run():
+    """Answer sys.argv, then end the process without interpreter teardown."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,12 +6,19 @@ paid on every answer.  These tests run the package in a subprocess under
 that loopspace itself does not need.
 """
 
+import ast
+import contextlib
+import io
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
+import pytest
+
+from loopspace import cli, selftest
 from loopspace.spheres import load_table_file
 
 from test_bench_spans import span_names
@@ -140,3 +147,85 @@ def test_bare_interpreter_unknown_command_exits_2_naming_the_choices():
     error = proc.stderr.decode().splitlines()[-1]
     assert error.startswith("loopspace: error: argument command: invalid choice: 'bogus'")
     assert all(name in error for name in ("report", "homotopy", "selftest"))
+
+
+# The process entry, cli.run, ends the process with os._exit after the answer.
+# Its output and exit code must be main's, and only a normal return may skip
+# the interpreter's exit (atexit hooks included).
+
+
+def in_process(argv):
+    """(exit code, stdout bytes, stderr bytes) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_console_script_and_main_block_call_the_same_entry():
+    scripts = re.search(r'^loopspace = "loopspace\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    source = ast.parse((ROOT / "src" / "loopspace" / "cli.py").read_text())
+    main_block = [node for node in source.body if isinstance(node, ast.If)][-1]
+    assert ast.unparse(main_block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in main_block.body] == [f"{scripts.group(1)}()"]
+    assert scripts.group(1) == "run"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n", "2", "--r", "2", "--cap", "400", "--json"],  # more than a pipe buffer
+    ["report", "--n", "2", "--r", "2", "--torsion", "2", "--cap", "8"],
+    HOMOTOPY,
+])
+def test_entry_writes_main_s_answer_through_a_pipe(argv):
+    proc = bare_process(["-m", "loopspace.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
+
+
+MISSING_TABLE = str(ROOT / "tests" / "no-such-table.tsv")
+
+
+@pytest.mark.parametrize("argv", [
+    HOMOTOPY,
+    ["report", "--n", "2", "--r", "1", "--cap", "0"],
+    [*HOMOTOPY, "--table", MISSING_TABLE],
+])
+def test_entry_exit_code_and_stderr_are_main_s(argv):
+    proc = bare_process(["-m", "loopspace.cli", *argv])
+    code, _out, err = in_process(argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert len(err.splitlines()) == (code != 0)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_TABLE)
+
+
+def test_entry_exits_1_when_a_selftest_suite_fails(monkeypatch):
+    def failing():
+        return selftest.SuiteResult("independence", False, "(independence) stub")
+
+    argv = ["selftest", "--fuzz", "1"]
+    code = (
+        "import sys; from loopspace import cli, selftest; "
+        "selftest.suite_independence = lambda: selftest.SuiteResult('independence', False, '(independence) stub'); "
+        "cli.run()"
+    )
+    proc = bare_process(["-c", code, *argv])
+    monkeypatch.setattr(selftest, "suite_independence", failing)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
+    assert proc.returncode == cli.EXIT_SELFTEST
+
+
+ATEXIT_RUN = (
+    "import atexit, runpy, sys; atexit.register(lambda: print('atexit ran', file=sys.stderr)); "
+    "runpy.run_module('loopspace.cli', run_name='__main__')"
+)
+
+
+def test_a_normal_answer_skips_atexit_hooks():
+    proc = bare_process(["-c", ATEXIT_RUN, *HOMOTOPY])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"pi_4 = ")
+
+
+def test_help_still_exits_through_the_interpreter():
+    proc = bare_process(["-c", ATEXIT_RUN, "--help"])
+    assert (proc.returncode, proc.stderr) == (0, b"atexit ran\n")
+    assert proc.stdout.startswith(b"usage: loopspace ")

@@ -31,6 +31,7 @@ OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__eq__")
 
 ALLOWED = {
     "abelian.FiniteAbelianGroup.tensor_dim_mod": "(a) ROADMAP item 5, loop homology mod a torsion prime",
+    "cli.run": "(c) the console script and `python -m loopspace.cli` call it; it ends the process",
     "decomposition.SpaceExpr.__eq__": "(a) ROADMAP item 14, a counted tree against its expansion",
     "words.Alphabet.spell": "(b) the certificate's ComputationFailure messages",
     "words.NCPoly.zero": "(b) the value of scale(0)",
