@@ -50,6 +50,7 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import selftest
 from .decomposition import (
     classify,
     loop_decomposition,
@@ -68,7 +69,6 @@ from .manifold import (
     sigma_primes,
 )
 from .rewrite import hilbert_dims
-from .selftest import run_selftest
 from .series import sphere_summand_counts
 from .spheres import homotopy_of_manifold, load_table_file
 
@@ -326,6 +326,12 @@ def cmd_homotopy(args) -> int:
             print(f"  from S^{sphere} x{mult}: {g}")
         print(f"total: {answer.total}")
     return EXIT_OK
+
+
+def run_selftest(seed, fuzz_count):
+    """selftest.run_selftest, looked up when the command runs: the package
+    registers selftest lazily, so a report or homotopy never compiles it."""
+    return selftest.run_selftest(seed=seed, fuzz_count=fuzz_count)
 
 
 def cmd_selftest(args) -> int:

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+import loopspace
 from loopspace import cli, selftest
 from loopspace.spheres import load_table_file
 
@@ -65,9 +66,34 @@ def loaded_modules(argv):
     return set(run_bare(["-c", code, *argv]).decode().splitlines()[-1].split())
 
 
-def loaded_package_modules(argv):
-    """The loopspace.* modules that one bare-interpreter CLI run on argv loads."""
-    return {m for m in loaded_modules(argv) if m.startswith("loopspace.")}
+# The modules the package registers lazily: in sys.modules from the start,
+# run on their first attribute read.
+LAZY = {"loopspace.linalg", "loopspace.lyndon", "loopspace.selftest"}
+
+# Defines state(), which writes to stderr the loopspace.* modules in
+# sys.modules and those whose bodies have run.  A lazily registered module
+# that nothing has read holds only the dunders module_from_spec sets, and
+# object.__getattribute__ reads its __dict__ without running it.
+STATE = """import sys
+def state():
+    package = {k: m for k, m in sys.modules.items() if k.startswith("loopspace.")}
+    ran = [k for k, m in package.items()
+           if any(not a.startswith("__") for a in object.__getattribute__(m, "__dict__"))]
+    print(repr((sorted(package), sorted(ran))), file=sys.stderr)
+"""
+
+
+def package_states(code, *args):
+    """[(registered, ran)] sets, one per state() call of `python -S -c STATE + code`."""
+    proc = bare_process(["-c", STATE + code, *args])
+    assert proc.returncode == 0, proc.stderr.decode()
+    return [tuple(map(set, ast.literal_eval(line))) for line in proc.stderr.decode().splitlines()]
+
+
+def ran_package_modules(argv):
+    """The loopspace.* modules whose bodies one bare-interpreter CLI run on argv runs."""
+    [(_registered, ran)] = package_states("from loopspace import cli\ncli.main(sys.argv[1:])\nstate()\n", *argv)
+    return ran
 
 
 REPORT_JSON = ["report", "--n", "2", "--r", "2", "--torsion", "2", "--cap", "8", "--json"]
@@ -98,12 +124,46 @@ def test_json_writer_falls_back_to_json_encoder_without_the_accelerator():
 
 
 def test_cli_runs_load_every_package_module():
-    # a module that no answer loads is code that no answer runs: it belongs
-    # with the tests, as the Koszul oracle does
+    # a module that no answer runs belongs with the tests, as the Koszul
+    # oracle does; a lazily registered module counts once its body has run
     runs = (REPORT_JSON, [*HOMOTOPY, "--json"], ["selftest", "--fuzz", "20"])
-    loaded = set().union(*map(loaded_package_modules, runs))
+    report, homotopy, self_test = map(ran_package_modules, runs)
+    assert LAZY <= self_test
     package = pkgutil.iter_modules([str(ROOT / "src" / "loopspace")])
-    assert {"loopspace." + info.name for info in package} - loaded == set()
+    assert {"loopspace." + info.name for info in package} - (report | homotopy | self_test) == set()
+
+
+def test_tracer_installs_over_the_lazily_registered_modules():
+    # bench/tracing.install looks each traced module up in sys.modules after
+    # `import loopspace.cli`, and its first attribute read runs a lazy one
+    code = (
+        "import loopspace.cli\nstate()\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\nimport tracing\n"
+        "tracing.install(tracing.Tracer(), sys.argv[1:])\nstate()\n"
+    )
+    [(registered, ran_at_import), (_, ran_after_install)] = package_states(code, *span_names())
+    assert LAZY <= registered
+    assert not LAZY & ran_at_import
+    assert LAZY <= ran_after_install
+
+
+@pytest.mark.parametrize("argv", [REPORT_JSON[:-1], REPORT_JSON, HOMOTOPY, [*HOMOTOPY, "--json"]])
+def test_report_and_homotopy_leave_the_lazy_modules_unrun(argv):
+    assert not ran_package_modules(argv) & LAZY
+
+
+def test_a_lyndon_name_of_the_package_runs_lyndon():
+    code = "import loopspace\nstate()\nf = loopspace.lie_dims\nstate()\nassert f is loopspace.lyndon.lie_dims\n"
+    [(_, ran_at_import), (_, ran_after_read)] = package_states(code)
+    assert "loopspace.lyndon" in ran_after_read - ran_at_import
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from loopspace import *", namespace)
+    assert set(loopspace.__all__) <= namespace.keys() & set(dir(loopspace))
+    assert namespace["standard_lyndon"] is loopspace.lyndon.standard_lyndon
+    assert not hasattr(loopspace, "no_such_name")
 
 
 def test_cli_import_skips_the_json_writer():
