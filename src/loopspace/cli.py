@@ -24,8 +24,10 @@ while --r 100 --k 9 would have about 1.4 * 10^15 and once ran without end.
 At each limit one answer takes at most a few seconds in a fresh process
 (Python 3.11, Xeon server core): report --cap 1000 with G = Z/2 + Z/3
 about 0.2 s, report --r 10000 --cap 20 about 0.2 s, homotopy --r 10000
---k 10000 about 1.1 s, selftest --fuzz 100000 about 1.5 s (1.3 s of it
-the fuzz suite), and the worst torsion, report --n 2 --r 1 --cap 1000
+--k 10000 about 0.8 s of CPU and 273 MB before it exits 3 on the sphere
+table's gaps (Python 3.11.7, shared 2-core Xeon host, three runs),
+selftest --fuzz 100000 about 1.5 s (1.3 s of it the fuzz suite), and the
+worst torsion, report --n 2 --r 1 --cap 1000
 --json with sixteen orders 999999937, 0.5-0.8 s of CPU and 177 MB (about
 0.2 s and 17 MB as text).
 
@@ -328,18 +330,12 @@ def cmd_homotopy(args) -> int:
     return EXIT_OK
 
 
-def run_selftest(seed, fuzz_count):
-    """selftest.run_selftest, looked up when the command runs: the package
-    registers selftest lazily, so a report or homotopy never compiles it."""
-    return selftest.run_selftest(seed=seed, fuzz_count=fuzz_count)
-
-
 def cmd_selftest(args) -> int:
     try:
         _check_bounds(args, "seed", "fuzz")
     except ValueError as e:
         return fail_config(str(e))
-    return EXIT_OK if run_selftest(seed=args.seed, fuzz_count=args.fuzz) else EXIT_SELFTEST
+    return EXIT_OK if selftest.run_selftest(seed=args.seed, fuzz_count=args.fuzz) else EXIT_SELFTEST
 
 
 # name: (help line, run function, options), in the order the help lists them

@@ -33,15 +33,18 @@ certificate proves that basis property degree by degree along two routes:
 each normal form is unitriangular on its standard word, and the stacked
 normal forms have full rank modulo a prime.
 
-A word is the walk's letter-index tuple: ``standard_lyndon`` returns
-{degree: [(word, b(word))]} in the walk's lex order.  The exclusion bigram
-is the presentation's own leading word, and a relation whose words differ
-in degree has none:
+A word is its 1-based letter-index tuple, in the walk as everywhere in the
+package: ``standard_lyndon`` returns {degree: [(word, b(word))]} with the
+words as the walk lists them, in lex order.  The exclusion bigram is the
+presentation's own leading word, and a relation whose words differ in
+degree has none:
 
 >>> from loopspace.manifold import ManifoldModel, loop_presentation
 >>> pres = loop_presentation(ManifoldModel(2, 2))
 >>> exclusion_bigram(pres) == pres.leading
 True
+>>> [word for word, _b in standard_lyndon(pres, 3)[3]]
+[(1, 1, 3), (1, 3, 3), (1, 4), (2, 3), (3, 4)]
 >>> abc = Alphabet.from_degrees((1, 1, 2))
 >>> x12, x13 = (bracket(NCPoly.letter(abc, 1), NCPoly.letter(abc, i)) for i in (2, 3))
 >>> lie_dims(QuadraticPresentation(abc, x12 + x13), 5)
@@ -80,13 +83,15 @@ def standard_factorization(indices):
 _MEMO_LETTERS = 4
 
 
-def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
+def _walk_lyndon(degrees, cap: int, bigram, words=None) -> list:
     """Count the Lyndon words of each degree <= cap by a DFS over prenecklaces.
 
-    Letters are 0-based; ``forbidden`` is a letter pair whose occurrence
-    prunes the branch, or None.  If ``words`` holds an empty list per degree
-    0..cap, each word's letter tuple is appended to its degree's list instead
-    of counted, and the counts returned are the lists' lengths.
+    Letters are 1-based, as everywhere in the package: letter i has degree
+    ``degrees[i - 1]``.  ``bigram`` is a letter pair whose occurrence prunes
+    the branch, as ``exclusion_bigram`` returns it, or None.  If ``words``
+    holds an empty list per degree 0..cap, each word's letter tuple is
+    appended to its degree's list, in lex order, instead of counted, and the
+    counts returned are the lists' lengths.
 
     ``rec`` returns the Lyndon words strictly below its node, counted by the
     degree they gain over it.  When only counting, a parent looks up each
@@ -118,9 +123,10 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
     whose child's word[:j] ends in the new letter).  Only the one child per
     node that keeps the period slices its periodic continuation.
     """
-    q = len(weights)
-    least, top = min(weights), max(weights)
-    fa, fb = forbidden if forbidden else (-1, -1)
+    q = len(degrees)
+    least, top = min(degrees), max(degrees)
+    weights = (0,) + degrees  # weights[i] is the degree of letter i
+    fa, fb = bigram if bigram else (0, 0)
     # Counts by degree are packed into one int, ``slot`` bits per degree.  No
     # degree holds more than q ** (cap // least + 1) words (q + ... + q ** m
     # for lengths up to m = cap // least, or one word if q = 1), so a count
@@ -130,21 +136,21 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
     # tries[start][last][room]: the (letter, weight, shift) triples a node may
     # append, in increasing order: letter >= start, weight <= room, and not
     # fb after fa; shift = weight * slot.  Rooms past the heaviest letter
-    # share one tuple.
-    tries = []
-    for start in range(q):
+    # share one tuple.  Index 0 is no letter and never read.
+    tries = [None]
+    for start in range(1, q + 1):
         by_flag = []
         for after_fa in (False, True):
             rooms = [
                 tuple(
                     (letter, weights[letter], weights[letter] * slot)
-                    for letter in range(start, q)
+                    for letter in range(start, q + 1)
                     if weights[letter] <= room and not (after_fa and letter == fb)
                 )
                 for room in range(min(cap, top) + 1)
             ]
             by_flag.append(rooms + rooms[-1:] * (cap + 1 - len(rooms)))
-        tries.append([by_flag[last == fa] for last in range(q)])
+        tries.append([by_flag[last == fa] for last in range(q + 1)])
 
     word = [0] * (cap // least + 1)
     memo = {}
@@ -188,7 +194,7 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
         return below
 
     total = 0
-    for first in range(q):
+    for first in range(1, q + 1):
         weight = weights[first]
         if weight <= cap:
             if words is None:
@@ -205,13 +211,6 @@ def _walk_lyndon(weights, cap: int, forbidden, words=None) -> list:
         return [len(listed) for listed in words]
     mask = (1 << slot) - 1
     return [total >> d * slot & mask for d in range(cap + 1)]
-
-
-def _lyndon_words(weights, cap: int, forbidden) -> dict:
-    """The walk's Lyndon words as 1-based letter tuples, {degree: lex-sorted list}."""
-    words = [[] for _ in range(cap + 1)]
-    _walk_lyndon(weights, cap, forbidden, words)
-    return {d: [tuple(i + 1 for i in w) for w in words[d]] for d in range(1, cap + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +242,28 @@ def exclusion_bigram(pres: QuadraticPresentation):
     return pres.leading
 
 
-def _forbidden(pres: QuadraticPresentation):
-    """The exclusion bigram as 0-based letters, or None if there is none."""
-    excl = exclusion_bigram(pres)
-    return (excl[0] - 1, excl[1] - 1) if excl else None
-
-
 def standard_lyndon(pres: QuadraticPresentation, cap: int) -> dict:
     """Standard Lyndon words of degree <= cap with their bracketings.
 
     Returns {degree: [(word, b(word))]} with the words in lex order and each
     bracketing b(l) = [b(l1), b(l2)] an NCPoly.  The factors of a standard
-    word are standard words too, so one memo over letter tuples, shared by
-    all degrees, expands each factor once.
+    word are standard words of lower degree, so bracketing the listing in
+    order of degree finds each factor already bracketed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     alphabet = pres.alphabet
-    memo = {}
-
-    def expand(indices) -> NCPoly:
-        poly = memo.get(indices)
-        if poly is None:
-            if len(indices) == 1:
-                poly = NCPoly.letter(alphabet, indices[0])
+    words = [[] for _ in range(cap + 1)]
+    _walk_lyndon(alphabet.degrees, cap, exclusion_bigram(pres), words)
+    b = {}
+    for listed in words:
+        for w in listed:
+            if len(w) == 1:
+                b[w] = NCPoly.letter(alphabet, w[0])
             else:
-                left, right = standard_factorization(indices)
-                poly = bracket(expand(left), expand(right))
-            memo[indices] = poly
-        return poly
-
-    listed = _lyndon_words(alphabet.degrees, cap, _forbidden(pres))
-    return {d: [(w, expand(w)) for w in ws] for d, ws in listed.items()}
+                left, right = standard_factorization(w)
+                b[w] = bracket(b[left], b[right])
+    return {d: [(w, b[w]) for w in words[d]] for d in range(1, cap + 1)}
 
 
 def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
@@ -292,7 +281,7 @@ def lie_dims(pres: QuadraticPresentation, cap: int) -> dict:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    counts = _walk_lyndon(pres.alphabet.degrees, cap, _forbidden(pres))
+    counts = _walk_lyndon(pres.alphabet.degrees, cap, exclusion_bigram(pres))
     return {d: counts[d] for d in range(1, cap + 1)}
 
 
@@ -327,12 +316,12 @@ def independence_certificate(pres: QuadraticPresentation, cap: int) -> dict:
     disprove the basis property and can only come from a bug), as is a
     denominator divisible by P (the check cannot run there).  Returns
     {degree: (count, rank, space_dim)}.  At (n, r, cap) = (2, 2, 10), whose
-    top degree stacks 1500 rows over 12,816 words, it takes about 0.7 s of
-    CPU on one Xeon core under Python 3.11 (median of 10 runs): about 0.30 s
-    in the normal forms, 0.16 s in the bracketings, 0.13 s building the rows
-    with their checks, 0.08 s in the rank mod P and 0.02 s listing the
-    words.  The rank is cheap because the rows arrive leading in distinct
-    columns, so none is reduced: most of its time goes to copying them.
+    top degree stacks 1500 rows over 12,816 words, it takes about 0.35 s of
+    CPU under Python 3.11.7 on a shared 2-core Xeon host (median of 5 runs).
+    Under cProfile about 60% of it goes to the normal forms, 15% to the
+    bracketings and 7% to the rank mod P.  The rank is cheap because the
+    rows arrive leading in distinct columns, so none is reduced: most of its
+    time goes to copying them.
     """
     standard = standard_lyndon(pres, cap)
     irreducible = enumerate_irreducible_words(pres, cap)

@@ -182,7 +182,7 @@ class PowerSeries:
 # manifold generating series
 # ---------------------------------------------------------------------------
 
-def loop_generating_series(n: int, r: int, cap: int = 20) -> PowerSeries:
+def loop_generating_series(n: int, r: int, cap: int) -> PowerSeries:
     """Denominator polynomial of the loop-homology Hilbert series.
 
     The loop algebra of an (n, r) manifold has r generators in degree n-1,
@@ -224,7 +224,7 @@ def mobius_counts(denominator: PowerSeries) -> dict:
     return counts
 
 
-def sphere_summand_counts(n: int, r: int, cap: int = 20) -> dict:
+def sphere_summand_counts(n: int, r: int, cap: int) -> dict:
     """Multiplicity l[w] of the sphere S^(w+1) among the homotopy summands.
 
     Keys run over loop degrees 1..cap; l[w] copies of the homotopy of

@@ -301,7 +301,7 @@ class TestSelftest:
     @pytest.mark.parametrize("fuzz", [0, -3, MAX_FUZZ + 1])
     def test_fuzz_out_of_range_exits_two_before_any_suite(self, monkeypatch, fuzz):
         # --fuzz 0 and --fuzz -3 used to pass after checking nothing
-        monkeypatch.setattr(cli, "run_selftest", lambda **_kw: pytest.fail("a suite ran"))
+        monkeypatch.setattr(selftest, "run_selftest", lambda **_kw: pytest.fail("a suite ran"))
         code, out, err = run_cli(["selftest", "--fuzz", str(fuzz)])
         assert code == 2
         assert out == ""

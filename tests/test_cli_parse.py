@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from loopspace import cli
+from loopspace import cli, selftest
 
 MANIFOLD = ["--n", "2", "--r", "1"]
 
@@ -265,7 +265,7 @@ def corpus_outcomes(monkeypatch, parse_args):
 
     with monkeypatch.context() as m:
         # the suites take tens of milliseconds; the parse is what is compared
-        m.setattr(cli, "run_selftest", fake_selftest)
+        m.setattr(selftest, "run_selftest", fake_selftest)
         m.setattr(cli, "parse_args", parse_args)
         return [outcome(argv) for argv in CORPUS]
 

@@ -15,8 +15,6 @@ from loopspace.lyndon import (
     lie_dims,
     standard_factorization,
     standard_lyndon,
-    _forbidden,
-    _lyndon_words,
     _walk_lyndon,
 )
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
@@ -71,6 +69,13 @@ class TestIsLyndon:
         assert not is_lyndon((1, 1, 1))
 
 
+def listing(degrees, cap):
+    """The walk's Lyndon words by degree 0..cap, in its order, with no bigram."""
+    words = [[] for _ in range(cap + 1)]
+    _walk_lyndon(degrees, cap, None, words)
+    return words
+
+
 def _all_words(q, length):
     words = [()]
     for _ in range(length):
@@ -80,20 +85,20 @@ def _all_words(q, length):
 
 class TestEnumeration:
     def test_two_letters_length_three(self):
-        found = _lyndon_words(AB.degrees, 3, None)[3]
+        found = listing(AB.degrees, 3)[3]
         assert found == [(1, 1, 2), (1, 2, 2)]
         assert len(found) == necklace_count(2, 3)
 
     def test_single_letter_alphabet(self):
         single = Alphabet.from_degrees((1,), labels=("a",))
-        by_degree = _lyndon_words(single.degrees, 5, None)
+        by_degree = listing(single.degrees, 5)
         assert by_degree[1] == [(1,)]
         assert all(not by_degree[d] for d in range(2, 6))
 
     def test_manifold_alphabet_degree_two(self):
         # u1', u2' (single letters of degree 2) and u1u2; exhaustive check
         a = loop_alphabet(2, 2)
-        found = {a.spell(w) for w in _lyndon_words(a.degrees, 2, None)[2]}
+        found = {a.spell(w) for w in listing(a.degrees, 2)[2]}
         assert found == {"u1'", "u2'", "u1u2"}
         brute = {
             w
@@ -105,7 +110,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("q", [2, 3])
     def test_witt_formula_equal_weights(self, q):
         alphabet = Alphabet.from_degrees((1,) * q)
-        by_degree = _lyndon_words(alphabet.degrees, 7, None)
+        by_degree = listing(alphabet.degrees, 7)
         for m in range(1, 8):
             assert len(by_degree[m]) == necklace_count(q, m)
 
@@ -113,7 +118,7 @@ class TestEnumeration:
         # the walk's preorder is the sorted order; no sort is applied
         for n, r in GRID:
             pres = loop_presentation(ManifoldModel(n, r))
-            listed = _lyndon_words(pres.alphabet.degrees, 8, None)
+            listed = listing(pres.alphabet.degrees, 8)
             standard = standard_lyndon(pres, 8)
             for d in range(1, 9):
                 for words in (listed[d], [w for w, _b in standard[d]]):
@@ -125,7 +130,7 @@ class TestEnumeration:
         # checked constructor and have the degree it is listed under
         pres = loop_presentation(ManifoldModel(n, r))
         alphabet = pres.alphabet
-        listed = _lyndon_words(alphabet.degrees, 7, None)
+        listed = listing(alphabet.degrees, 7)
         standard = standard_lyndon(pres, 7)
         for d in range(1, 8):
             words = listed[d] + [w for w, _b in standard[d]]
@@ -134,7 +139,7 @@ class TestEnumeration:
 
     def test_enumeration_complete_and_duplicate_free(self):
         a = loop_alphabet(2, 2)
-        by_degree = _lyndon_words(a.degrees, 5, None)
+        by_degree = listing(a.degrees, 5)
         for d in range(1, 6):
             words = by_degree[d]
             assert len(words) == len(set(words))
@@ -186,14 +191,25 @@ def reference_walk(weights, cap, forbidden, words=None):
     return counts
 
 
+def walk0(weights, cap, forbidden, words=None):
+    """_walk_lyndon on reference_walk's 0-based letters: the bigram goes up
+    by one, and each listed word comes back down by one."""
+    listed = None if words is None else [[] for _ in words]
+    counts = _walk_lyndon(weights, cap, forbidden and (forbidden[0] + 1, forbidden[1] + 1), listed)
+    if words is not None:
+        for into, ws in zip(words, listed):
+            into += [tuple(i - 1 for i in w) for w in ws]
+    return counts
+
+
 def assert_walk_matches_reference(weights, cap, forbidden):
     case = (weights, cap, forbidden)
     listed = [[] for _ in range(cap + 1)]
     expected = [[] for _ in range(cap + 1)]
     counts = reference_walk(weights, cap, forbidden, expected)
-    assert _walk_lyndon(weights, cap, forbidden, listed) == counts, case
+    assert walk0(weights, cap, forbidden, listed) == counts, case
     assert listed == expected, case
-    assert _walk_lyndon(weights, cap, forbidden) == counts, case
+    assert walk0(weights, cap, forbidden) == counts, case
 
 
 def _word_count(weights, cap):
@@ -290,7 +306,8 @@ class TestWalk:
     @pytest.mark.parametrize("n,r", GRID)
     def test_matches_reference_on_loop_alphabets(self, n, r):
         pres = loop_presentation(ManifoldModel(n, r))
-        for forbidden in (_forbidden(pres), None):
+        a, b = exclusion_bigram(pres)
+        for forbidden in ((a - 1, b - 1), None):
             assert_walk_matches_reference(pres.alphabet.degrees, 10, forbidden)
 
     # Caps deep enough that child nodes hit the memo with every number of
@@ -339,8 +356,8 @@ class TestWalk:
     def test_listing_is_pinned(self, case):
         weights, cap, forbidden = case
         listed = [[] for _ in range(cap + 1)]
-        counts = _walk_lyndon(weights, cap, forbidden, listed)
-        assert counts == _walk_lyndon(weights, cap, forbidden) == [len(ws) for ws in listed]
+        counts = walk0(weights, cap, forbidden, listed)
+        assert counts == walk0(weights, cap, forbidden) == [len(ws) for ws in listed]
         assert hashlib.sha256(repr(listed).encode()).hexdigest() == LISTING_DIGESTS[case]
 
 
@@ -348,10 +365,10 @@ class TestFactorization:
     def test_soundness(self):
         weighted = Alphabet.from_degrees((1, 2, 3), labels=("a", "b", "c"))
         for alphabet in (AB, loop_alphabet(2, 2), weighted):
-            self._check_soundness(_lyndon_words(alphabet.degrees, 7, None))
+            self._check_soundness(listing(alphabet.degrees, 7))
 
     def _check_soundness(self, by_degree):
-        for words in by_degree.values():
+        for words in by_degree:
             for idx in words:
                 if len(idx) < 2:
                     continue
@@ -395,7 +412,8 @@ class _FactorTree:
 def _factor_tree_standard(pres, cap):
     """{degree: [(word, bracketing)]} by factor trees over the reference walk."""
     listed = [[] for _ in range(cap + 1)]
-    reference_walk(pres.alphabet.degrees, cap, _forbidden(pres), listed)
+    excl = exclusion_bigram(pres)
+    reference_walk(pres.alphabet.degrees, cap, excl and (excl[0] - 1, excl[1] - 1), listed)
     out = {}
     for d in range(1, cap + 1):
         trees = [_FactorTree(tuple(i + 1 for i in w)) for w in listed[d]]
@@ -518,7 +536,7 @@ class TestStandardWords:
     def test_free_standard_is_all_lyndon(self):
         pres = QuadraticPresentation(AB)
         std = standard_lyndon(pres, 5)
-        all_lyndon = _lyndon_words(AB.degrees, 5, None)
+        all_lyndon = listing(AB.degrees, 5)
         for d in range(1, 6):
             assert [w for w, _b in std[d]] == all_lyndon[d]
 

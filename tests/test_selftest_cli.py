@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from loopspace import cli
+from loopspace import selftest
 from loopspace.cli import main
 
 
@@ -17,6 +17,6 @@ def run_cli(argv):
 @pytest.mark.parametrize("seed", ["-1", "-5"])
 def test_negative_seed_exits_two_before_any_suite(monkeypatch, seed):
     # Random(-s) seeds as Random(s) does, so it would repeat a seed's fuzz
-    monkeypatch.setattr(cli, "run_selftest", lambda **_kw: pytest.fail("a suite ran"))
+    monkeypatch.setattr(selftest, "run_selftest", lambda **_kw: pytest.fail("a suite ran"))
     assert run_cli(["selftest", "--seed", seed]) == (2, "", "error: seed must be >= 0\n")
 

@@ -7,10 +7,10 @@ import pytest
 
 from loopspace.decomposition import Sphere, WeakProduct, loop, rational_series
 from loopspace.errors import ComputationFailure
-from loopspace.lyndon import _lyndon_words, lie_dims
+from loopspace.lyndon import lie_dims, standard_lyndon
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.numtheory import mobius_sieve
-from loopspace.rewrite import hilbert_dims
+from loopspace.rewrite import QuadraticPresentation, hilbert_dims
 from loopspace.selftest import GRID
 from loopspace.series import (
     PowerSeries,
@@ -217,7 +217,7 @@ class TestMobiusCounts:
         # 1 - r t^(n-1) - r t^n drops the relation term: every Lyndon word counts
         for n, r in ((2, 1), (2, 2), (3, 2)):
             counts = mobius_counts(poly({0: 1, n - 1: -r, n: -r}, 8))
-            by_degree = _lyndon_words(loop_alphabet(n, r).degrees, 8, None)
+            by_degree = standard_lyndon(QuadraticPresentation(loop_alphabet(n, r)), 8)
             for w in range(1, 9):
                 assert counts[w] == len(by_degree[w])
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from loopspace.errors import AlphabetMismatch
-from loopspace.lyndon import _lyndon_words, standard_lyndon
+from loopspace.lyndon import _walk_lyndon, standard_lyndon
 from loopspace.manifold import ManifoldModel, loop_alphabet, loop_presentation
 from loopspace.rewrite import QuadraticPresentation, enumerate_irreducible_words, normal_form
 from loopspace import selftest
@@ -290,7 +290,9 @@ class TestWordBoundary:
         handed = [pres.leading]
         for words in enumerate_irreducible_words(pres, 6).values():
             handed += words
-        for words in _lyndon_words(alphabet.degrees, 6, None).values():
+        listed = [[] for _ in range(7)]
+        _walk_lyndon(alphabet.degrees, 6, None, listed)
+        for words in listed:
             handed += words
         polys = [pres.relation, pres.lower_terms]
         for pairs in standard_lyndon(pres, 6).values():
